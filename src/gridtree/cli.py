@@ -62,7 +62,6 @@ class RunConfig:
     slack: Optional[int] = None  # external bus id
     bridge_cmd: Optional[str] = None
     bridge_timeout: float = 600.0
-    seed: int = 0
     out: Optional[str] = None
     no_timing: bool = False
     limit: int = oracle.DEFAULT_LIMIT
@@ -305,7 +304,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--slack", type=int, help="slack bus external id (default: first bus)")
-    p.add_argument("--seed", type=int, help="seed recorded for reproducibility")
     p.add_argument("--no-timing", action="store_true", help="zero runtime fields in outputs")
 
 
@@ -353,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--slack", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--no-timing", action="store_true")
     p.add_argument("--bridge-cmd", dest="bridge_cmd")
     p.add_argument("--bridge-timeout", dest="bridge_timeout", type=float)

@@ -61,7 +61,7 @@ def _solve(model, time_limit, gap):
     options = {}
     if time_limit is not None:
         options["time_limit"] = time_limit
-    if gap is not None and gap > 0:
+    if gap is not None:
         options["mip_rel_gap"] = gap
 
     return milp(
@@ -81,8 +81,11 @@ def main(argv=None) -> int:
     ap.add_argument("model", help="input LP file")
     ap.add_argument("solution", help="output solution file")
     ap.add_argument("--time-limit", type=float, default=None)
-    ap.add_argument("--gap", type=float, default=None)
+    ap.add_argument("--gap", type=float, default=None,
+                    help="relative MIP gap; 0 asks for a proved optimum (default: HiGHS's own)")
     args = ap.parse_args(argv)
+    if args.gap is not None and not args.gap >= 0:
+        ap.error(f"--gap must be >= 0, got {args.gap!r}")
 
     model = parse_lp(Path(args.model).read_text())
     result, names = _solve(model, args.time_limit, args.gap)

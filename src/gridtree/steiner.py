@@ -5,6 +5,19 @@ The solver is Dreyfus-Wagner dynamic programming over terminal subsets
 counts small on real grids before the exponential DP runs: edges joining
 two terminals are contracted, and non-terminal leaves are pruned.  The
 terminal budget applies after reduction.
+
+The DP is vectorised per subset mask.  The split step scores every
+unordered split of the mask at once, in blocks of ``_SPLIT_BLOCK``
+submasks, as one NumPy gather-add-argmin over (block, node) arrays; the
+walk step closes the result under shortest paths with one (node, node)
+argmin.  Ties are broken deterministically: among equal splits the
+largest submask (the part without the mask's top terminal) wins, and
+among equal walks the lowest source node index wins; a split or walk
+replaces the incumbent only when strictly better, and a walk is tried
+only after all splits.  With t terminals and n nodes the cost is about
+3^t * n / 2 element operations for splits plus 2^t * n^2 for walks, and
+memory is two (2^t, n) int32 tables plus O(_SPLIT_BLOCK * n + n^2)
+temporaries.
 """
 
 from __future__ import annotations
@@ -20,6 +33,8 @@ from .network import Network
 
 MAX_TERMINALS = 14
 _INF = np.int32(10**6)
+# submasks per split step; bounds the (block, n) temporaries
+_SPLIT_BLOCK = 512
 
 __all__ = ["SteinerTree", "SteinerFixings", "steiner_tree", "build_fixings", "MAX_TERMINALS"]
 
@@ -110,6 +125,14 @@ class _Contraction:
             }
 
 
+def _submask_table(bits: int) -> list[np.ndarray]:
+    """Ascending submasks (0 included) of every mask below ``1 << bits``."""
+    table = [np.zeros(1, dtype=np.int32)]
+    for b in range(bits):
+        table += [np.concatenate((low, low | (1 << b))) for low in table]
+    return table
+
+
 def _dreyfus_wagner(dist, terminals):
     """Subset DP; returns dp values and reconstruction choices."""
     t = len(terminals)
@@ -117,30 +140,40 @@ def _dreyfus_wagner(dist, terminals):
     size = 1 << t
     dp = np.full((size, n), _INF, dtype=np.int32)
     # choice: (-1 base) | (submask for split) | (-2 - u for walk from node u)
-    choice = np.full((size, n), -1, dtype=np.int64)
+    choice = np.full((size, n), -1, dtype=np.int32)
     for i, term in enumerate(terminals):
         dp[1 << i] = dist[term]
         choice[1 << i] = -2 - term
         choice[1 << i, term] = -1
 
+    # submasks of a mask = (submasks of its high half) x (of its low half)
+    half = (t + 1) // 2
+    low_mask = (1 << half) - 1
+    table = _submask_table(half)
+    cols = np.arange(n)
+    dist_to = np.ascontiguousarray(dist.T, dtype=np.int32)
     for mask in range(1, size):
         if mask & (mask - 1) == 0:
             continue
-        best = dp[mask].copy()
-        pick = choice[mask].copy()
-        sub = (mask - 1) & mask
-        while sub:
-            other = mask ^ sub
-            if sub < other:  # each unordered split once
-                merged = dp[sub].astype(np.int64) + dp[other]
-                better = merged < best
-                best = np.where(better, merged, best).astype(np.int32)
-                pick = np.where(better, sub, pick)
-            sub = (sub - 1) & mask
+        # each unordered split once, by its part without the mask's top bit:
+        # the nonempty submasks of the rest, in descending order
+        rest = mask ^ (1 << (mask.bit_length() - 1))
+        subs = ((table[rest >> half] << half)[:, None] | table[rest & low_mask]).ravel()[:0:-1]
+        best = np.full(n, _INF, dtype=np.int32)
+        pick = np.full(n, -1, dtype=np.int32)
+        for start in range(0, len(subs), _SPLIT_BLOCK):
+            block = subs[start:start + _SPLIT_BLOCK]
+            merged = dp[block]
+            merged += dp[mask ^ block]
+            arg = np.argmin(merged, axis=0)  # ties: first, i.e. largest, submask
+            val = merged[arg, cols]
+            better = val < best
+            best[better] = val[better]
+            pick[better] = block[arg[better]]
         # close under shortest-path walks: dp[mask][v] = min_u best[u] + dist(u, v)
-        through = best.astype(np.int64)[:, None] + dist
-        walk_src = np.argmin(through, axis=0)
-        walk_val = through[walk_src, np.arange(n)].astype(np.int32)
+        through = dist_to + best  # [v, u]; a row per target keeps argmin contiguous
+        walk_src = np.argmin(through, axis=1)  # ties: lowest u
+        walk_val = through[cols, walk_src]
         better = walk_val < best
         dp[mask] = np.where(better, walk_val, best)
         choice[mask] = np.where(better, -2 - walk_src, pick)

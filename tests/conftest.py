@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,18 @@ from gridtree.coherency import CoherencyGroups
 from gridtree.network import Bus, Line, Network
 
 CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 BRIDGE_CMD = "python3 -m gridtree.milpsolve {model} {solution}"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _solver_children_import_checkout():
+    """Bridge solver children import gridtree from this checkout's src/."""
+    path = os.pathsep.join(p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", path)
+        yield
 
 
 def build_net(n, edges, flows=None, susceptances=None, injections=None,

@@ -203,6 +203,28 @@ def test_config_file_defaults_and_flag_precedence(capsys, toy_case, tmp_path):
     assert json.loads(out)["method"] == "TWO_STAGE"
 
 
+def test_config_file_ignores_retired_seed_key(capsys, toy_case, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case={toy_case}\nk=2\nmethod=oracle\nseed=7\n")
+    code, out = run(capsys, "solve", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["method"] == "ORACLE"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--case", DEMO, "--k", "2"],
+        ["bench", "--cases", DEMO, "--k-values", "2", "--methods", "oracle"],
+    ],
+)
+def test_seed_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_demo_case_solves(capsys):
     code, out = run(capsys, "solve", "--case", DEMO, "--k", "2", "--method", "milp")
     assert code == 0

@@ -1,9 +1,11 @@
 """Model construction, LP text round trips, and the solver bridge."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from gridtree import oracle
+from gridtree import milpsolve, oracle
 from gridtree.coherency import CoherencyGroups
 from gridtree.errors import (
     BridgeError,
@@ -210,3 +212,29 @@ def test_run_bridge_parses_status_and_values(bridge):
 def test_parse_lp_rejects_unsupported():
     with pytest.raises(BridgeError):
         parse_lp("Minimize\n obj: x\nSubject To\n c: x >= 1 <= 2\nEnd\n")
+
+
+@pytest.mark.parametrize(
+    "flags,options",
+    [(["--gap", "0"], {"mip_rel_gap": 0.0}), (["--gap", "1e-3"], {"mip_rel_gap": 1e-3}), ([], {})],
+)
+def test_milpsolve_passes_gap_option(monkeypatch, tmp_path, flags, options):
+    seen = {}
+
+    def fake_milp(**kwargs):
+        seen.update(kwargs["options"])
+        return SimpleNamespace(status=0, x=np.zeros(2))
+
+    monkeypatch.setattr(milpsolve, "milp", fake_milp)
+    model_path = tmp_path / "toy.lp"
+    model_path.write_text(write_lp(toy_model()))
+    assert milpsolve.main([str(model_path), str(tmp_path / "toy.sol"), *flags]) == 0
+    assert seen == options
+
+
+def test_milpsolve_rejects_negative_gap(tmp_path):
+    model_path = tmp_path / "toy.lp"
+    model_path.write_text(write_lp(toy_model()))
+    with pytest.raises(SystemExit) as exc:
+        milpsolve.main([str(model_path), str(tmp_path / "toy.sol"), "--gap", "-0.1"])
+    assert exc.value.code == 2

@@ -6,10 +6,12 @@ import itertools
 import numpy as np
 import pytest
 
+from gridtree import coherency, steiner
 from gridtree.errors import BudgetError, NetworkValidationError
+from gridtree.network import parse_case
 from gridtree.steiner import SteinerFixings, SteinerTree, build_fixings, steiner_tree
 
-from conftest import build_net, random_connected_net
+from conftest import CASES_DIR, build_net, random_connected_net
 
 
 def brute_force_min_edges(net, terminals):
@@ -147,3 +149,117 @@ def test_tree_type_invariants():
         SteinerTree(nodes=frozenset({1}), edges=frozenset({5}), terminals=frozenset({1}))
     with pytest.raises(NetworkValidationError):
         SteinerTree(nodes=frozenset({1}), edges=frozenset(), terminals=frozenset({2}))
+
+
+def _reference_dreyfus_wagner(dist, terminals):
+    """The scalar subset DP the vectorised one must reproduce exactly."""
+    t = len(terminals)
+    n = dist.shape[0]
+    size = 1 << t
+    dp = np.full((size, n), steiner._INF, dtype=np.int32)
+    choice = np.full((size, n), -1, dtype=np.int64)
+    for i, term in enumerate(terminals):
+        dp[1 << i] = dist[term]
+        choice[1 << i] = -2 - term
+        choice[1 << i, term] = -1
+
+    for mask in range(1, size):
+        if mask & (mask - 1) == 0:
+            continue
+        best = dp[mask].copy()
+        pick = choice[mask].copy()
+        sub = (mask - 1) & mask
+        while sub:
+            other = mask ^ sub
+            if sub < other:
+                merged = dp[sub].astype(np.int64) + dp[other]
+                better = merged < best
+                best = np.where(better, merged, best).astype(np.int32)
+                pick = np.where(better, sub, pick)
+            sub = (sub - 1) & mask
+        through = best.astype(np.int64)[:, None] + dist
+        walk_src = np.argmin(through, axis=0)
+        walk_val = through[walk_src, np.arange(n)].astype(np.int32)
+        better = walk_val < best
+        dp[mask] = np.where(better, walk_val, best)
+        choice[mask] = np.where(better, -2 - walk_src, pick)
+
+    return dp, choice
+
+
+def _hop_distances(net):
+    """All-pairs hop counts, unreachable pairs at the DP's infinity."""
+    dist = np.full((net.n, net.n), int(steiner._INF), dtype=np.int64)
+    for src in range(net.n):
+        dist[src, src] = 0
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for _lid, v in net.incident[u]:
+                    if dist[src, v] > dist[src, u] + 1:
+                        dist[src, v] = dist[src, u] + 1
+                        nxt.append(v)
+            frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("block", [steiner._SPLIT_BLOCK, 3])
+def test_dp_identical_to_reference_loop(monkeypatch, block):
+    # unit weights tie often, so equal dp alone would not pin the tie-break
+    monkeypatch.setattr(steiner, "_SPLIT_BLOCK", block)
+    rng = np.random.default_rng(97)
+    instances = []
+    for _ in range(60):
+        n = int(rng.integers(8, 24))
+        net = random_connected_net(rng, n, int(rng.integers(0, n)))
+        t = int(rng.integers(2, 9))
+        instances.append((net, rng.choice(n, size=t, replace=False).tolist()))
+    # two components: some terminals stay unreachable from others
+    split = build_net(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)])
+    instances.append((split, [0, 2, 4, 6]))
+    for net, terminals in instances:
+        dist = _hop_distances(net)
+        dp, choice = steiner._dreyfus_wagner(dist, terminals)
+        ref_dp, ref_choice = _reference_dreyfus_wagner(dist, terminals)
+        assert np.array_equal(dp, ref_dp)
+        assert np.array_equal(choice, ref_choice)
+
+
+# line ids of each group's tree on bundled cases, as the scalar DP built them
+PINNED_TREE_EDGES = {
+    ("net118", 2): [
+        [0, 5, 6, 7, 22, 25, 27, 29, 31, 32, 33, 41, 45, 56, 59, 60, 87, 118,
+         122, 123, 128, 130, 158, 174, 175, 197, 199, 202],
+        [48, 91, 92, 100, 101, 103, 133, 134, 135, 136, 137, 153, 155, 181, 200, 204],
+    ],
+    ("net118", 3): [
+        [0, 22, 25, 56, 118, 122, 123, 174, 175],
+        [5, 6, 7, 29, 30, 31, 32, 33, 41, 45, 59, 60, 87, 100, 101, 102, 128,
+         130, 158, 197, 199, 200, 202],
+        [48, 91, 92, 133, 134, 135, 137, 153, 155, 181],
+    ],
+    ("net118", 5): [
+        [0, 22, 25, 56, 118, 122, 123, 174, 175],
+        [29, 30, 88, 100, 101, 102, 128, 130, 198, 200],
+        [5, 6, 41, 45],
+        [48, 91, 92, 133, 134, 135, 137, 153, 155, 181],
+        [59, 60, 158, 197, 202],
+    ],
+    ("net240", 5): [
+        [27, 169, 170, 172, 175, 176, 351, 353, 381, 403],
+        [5, 9, 32, 41, 44, 76, 104, 113, 114, 116, 214, 215, 249, 343, 357,
+         358, 404, 424, 434, 440],
+        [165, 202, 204, 349, 350, 450, 468],
+        [205, 206, 208, 210, 311, 313, 387, 466],
+        [21, 22, 46, 47, 217, 218, 239, 326, 328, 355, 361, 464],
+    ],
+}
+
+
+@pytest.mark.parametrize("case,k", sorted(PINNED_TREE_EDGES))
+def test_bundled_trees_pinned(case, k):
+    net = parse_case((CASES_DIR / f"{case}.m").read_text())
+    groups = coherency.slow_coherency(net, k)
+    edges = [sorted(steiner_tree(net, sorted(g)).edges) for g in groups.groups]
+    assert edges == PINNED_TREE_EDGES[(case, k)]
