@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .coherency import CoherencyGroups
-from .errors import BudgetError, InfeasibleError, ModelBuildError
+from .errors import BudgetError, InfeasibleError
 from .network import Network, Partition, ReducedEdge, ReducedGraph
 from .solution import METHOD_MILP, TreePartitionSolution, validate_solution
-from .steiner import SteinerFixings
+from .steiner import SteinerFixings, collect_bus_fixings
 from .twostage import max_weight_spanning_tree
 
-__all__ = ["BnBStats", "solve_builtin", "collect_bus_fixings"]
+__all__ = ["BnBStats", "solve_builtin"]
 
 _TIE_EPS = 1e-9
 
@@ -36,24 +36,6 @@ class BnBStats:
     incumbent_mw: Optional[float]
     proved_optimal: bool
     wall_time_s: float
-
-
-def collect_bus_fixings(
-    groups: CoherencyGroups, ssr: Optional[SteinerFixings] = None
-) -> dict[int, int]:
-    """Bus -> cluster pre-assignments from coherency plus Steiner fixings."""
-    fixed: dict[int, int] = {}
-    for r, members in enumerate(groups.groups, start=1):
-        for i in members:
-            if fixed.get(i, r) != r:
-                raise ModelBuildError(f"bus {i} fixed to clusters {fixed[i]} and {r}")
-            fixed[i] = r
-    if ssr is not None:
-        for i, r in ssr.bus_fix.items():
-            if fixed.get(i, r) != r:
-                raise ModelBuildError(f"bus {i} fixed to clusters {fixed[i]} and {r}")
-            fixed[i] = r
-    return fixed
 
 
 class _Stop(Exception):
@@ -264,10 +246,7 @@ def solve_builtin(
     with ``proved_optimal`` false; with no incumbent a BudgetError is
     raised instead.
     """
-    fixed = collect_bus_fixings(groups, ssr)
-    for i in fixed:
-        if not 0 <= i < net.n:
-            raise ModelBuildError(f"fixed bus index {i} out of range")
+    fixed = collect_bus_fixings(net, groups, ssr)
 
     search = _Search(net, groups.k, fixed, node_limit, time_limit_s)
     for i in search.fixed_order:

@@ -34,6 +34,7 @@ from .network import Network, network_to_json, parse_case
 from .solution import (
     METHOD_MILP,
     METHOD_SSR,
+    _pair,
     solution_from_json,
     solution_to_json,
 )
@@ -69,6 +70,7 @@ class RunConfig:
 
 
 def _load_config_file(path: str) -> dict:
+    """Config key -> (line number, raw value)."""
     values = {}
     for line_no, raw in enumerate(_read_text(path, "config file").splitlines(), start=1):
         line = raw.split("#")[0].strip()
@@ -77,7 +79,7 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise CaseParseError(f"config line is not key=value: {raw!r}", line_no=line_no)
         key, val = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = val.strip()
+        values[key.strip().replace("-", "_")] = (line_no, val.strip())
     return values
 
 
@@ -89,11 +91,16 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None and flag is not False:
             setattr(cfg, f.name, flag)
         elif f.name in file_values:
-            raw = file_values[f.name]
-            if f.type in ("int", "Optional[int]"):
-                setattr(cfg, f.name, int(raw))
-            elif f.type in ("float", "Optional[float]"):
-                setattr(cfg, f.name, float(raw))
+            line_no, raw = file_values[f.name]
+            if f.type in ("int", "Optional[int]", "float", "Optional[float]"):
+                convert = int if "int" in f.type else float
+                try:
+                    setattr(cfg, f.name, convert(raw))
+                except ValueError:
+                    raise CaseParseError(
+                        f"config key {f.name} needs a {convert.__name__}, got {raw!r}",
+                        line_no=line_no,
+                    )
             elif f.type == "bool":
                 setattr(cfg, f.name, raw.lower() in ("1", "true", "yes"))
             else:
@@ -182,9 +189,7 @@ def cmd_parse(args) -> int:
 
 def cmd_flows(args) -> int:
     cfg = _merged_config(args)
-    net = _load_network(cfg.case)
-    slack = net.index_of(cfg.slack) if cfg.slack is not None else 0
-    flows = dcflow.solve_dc(net, slack, dcflow.balanced_injections(net))
+    _, flows = _flowed_network(cfg)
     _emit(flows.to_json(), cfg.out)
     return 0
 
@@ -217,19 +222,7 @@ def cmd_steiner(args) -> int:
             {
                 "terminals": sorted(net.buses[i].id for i in t.terminals),
                 "nodes": sorted(net.buses[i].id for i in t.nodes),
-                "edges": sorted(
-                    [
-                        min(
-                            net.buses[net.line_by_id[e].from_bus].id,
-                            net.buses[net.line_by_id[e].to_bus].id,
-                        ),
-                        max(
-                            net.buses[net.line_by_id[e].from_bus].id,
-                            net.buses[net.line_by_id[e].to_bus].id,
-                        ),
-                    ]
-                    for e in t.edges
-                ),
+                "edges": sorted(_pair(net, e) for e in t.edges),
             }
             for t in trees
         ],
@@ -299,12 +292,22 @@ def cmd_export_dot(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--case", help="MATPOWER-subset case file (flag or config key)")
+def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--slack", type=int, help="slack bus external id (default: first bus)")
     p.add_argument("--no-timing", action="store_true", help="zero runtime fields in outputs")
+
+
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--case", help="MATPOWER-subset case file (flag or config key)")
+    _add_output_flags(p)
+
+
+def _add_solver_flags(p: argparse.ArgumentParser):
+    p.add_argument("--bridge-cmd", dest="bridge_cmd", help="external solver command template")
+    p.add_argument("--bridge-timeout", dest="bridge_timeout", type=float)
+    p.add_argument("--time-limit", dest="time_limit", type=float, help="built-in solver budget (s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,10 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--groups", help="groups JSON file (skips slow coherency)")
-    p.add_argument("--bridge-cmd", dest="bridge_cmd", help="external solver command template")
-    p.add_argument("--bridge-timeout", dest="bridge_timeout", type=float)
     p.add_argument("--limit", type=int, help="oracle enumeration limit")
-    p.add_argument("--time-limit", dest="time_limit", type=float, help="built-in solver budget (s)")
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("steiner", help="Steiner trees connecting each coherent group")
@@ -348,13 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", required=True, help="comma-separated case files")
     p.add_argument("--k-values", dest="k_values", required=True, help="comma-separated k values")
     p.add_argument("--methods", required=True, help="comma-separated methods")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--slack", type=int)
-    p.add_argument("--no-timing", action="store_true")
-    p.add_argument("--bridge-cmd", dest="bridge_cmd")
-    p.add_argument("--bridge-timeout", dest="bridge_timeout", type=float)
-    p.add_argument("--time-limit", dest="time_limit", type=float)
+    _add_output_flags(p)
+    _add_solver_flags(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("export-dot", help="render a network or solution as DOT")

@@ -15,8 +15,9 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .dcflow import laplacian
 from .errors import NetworkValidationError
-from .network import Network
+from .network import Network, json_object
 
 __all__ = [
     "CoherencyGroups",
@@ -54,22 +55,12 @@ class CoherencyGroups:
         return out
 
 
-def _laplacian(net: Network) -> np.ndarray:
-    lap = np.zeros((net.n, net.n))
-    for ln in net.lines:
-        i, j, b = ln.from_bus, ln.to_bus, ln.susceptance
-        lap[i, i] += b
-        lap[j, j] += b
-        lap[i, j] -= b
-        lap[j, i] -= b
-    return lap
-
-
 def kron_reduction(net: Network, keep: Sequence[int]) -> np.ndarray:
     """Eliminate all buses outside ``keep`` from the susceptance Laplacian."""
     keep = list(keep)
-    lap = _laplacian(net)
-    drop = [i for i in range(net.n) if i not in set(keep)]
+    lap = laplacian(net).toarray()
+    kept = set(keep)
+    drop = [i for i in range(net.n) if i not in kept]
     if not drop:
         return lap[np.ix_(keep, keep)]
     l_kk = lap[np.ix_(keep, keep)]
@@ -118,19 +109,25 @@ def _farthest_first_seeds(rows: np.ndarray, k: int) -> list[int]:
     return seeds[:k]
 
 
-def _kmeans(rows: np.ndarray, k: int, max_iter: int = 200) -> np.ndarray:
-    """Deterministic Lloyd iteration with farthest-first seeding."""
-    n = rows.shape[0]
-    centroids = rows[_farthest_first_seeds(rows, k)].copy()
+def _kmeans(rows: np.ndarray, centroids: np.ndarray, pinned: int = 0,
+            max_iter: int = 200) -> np.ndarray:
+    """Deterministic Lloyd iteration from the given initial centroids.
+
+    Rows 0..pinned-1 stay in clusters 0..pinned-1.  A cluster left empty
+    is revived with the point farthest from its centroid, never draining
+    a singleton cluster; with every cluster pinned none can empty.
+    """
+    n, k = rows.shape[0], centroids.shape[0]
+    centroids = centroids.copy()
     labels = np.full(n, -1, dtype=int)
+    labels[:pinned] = np.arange(pinned)
     for _it in range(max_iter):
         dist = np.linalg.norm(rows[:, None, :] - centroids[None, :, :], axis=2)
         new_labels = np.argmin(dist, axis=1)  # argmin takes lowest index on ties
+        new_labels[:pinned] = np.arange(pinned)
         for r in range(k):
             if np.any(new_labels == r):
                 continue
-            # revive an empty cluster with the point farthest from its centroid,
-            # never draining a singleton cluster
             counts = np.bincount(new_labels, minlength=k)
             residual = dist[np.arange(n), new_labels]
             residual = np.where(counts[new_labels] > 1, residual, -1.0)
@@ -181,7 +178,7 @@ def slow_coherency(
         groups = [frozenset([g]) for g in gens]
     else:
         rows = spectral_embedding(net, gens, k, h)
-        labels = _kmeans(rows, k)
+        labels = _kmeans(rows, rows[_farthest_first_seeds(rows, k)])
         groups = [
             frozenset(g for g, lab in zip(gens, labels) if lab == r) for r in range(k)
         ]
@@ -198,7 +195,7 @@ def groups_to_json(net: Network, groups: CoherencyGroups) -> str:
 
 
 def groups_from_json(net: Network, text: str) -> CoherencyGroups:
-    doc = json.loads(text)
+    doc = json_object(text, "groups file", ("groups", "k"))
     groups = []
     for members in doc["groups"]:
         idxs = frozenset(net.index_of(bus_id) for bus_id in members)

@@ -30,6 +30,7 @@ __all__ = [
     "FlowSolution",
     "GenCost",
     "LocalizationReport",
+    "laplacian",
     "solve_dc",
     "with_flows",
     "balanced_injections",
@@ -68,6 +69,33 @@ class GenCost:
 
 def _injection_vector(net: Network) -> np.ndarray:
     return np.array([b.injection_mw for b in net.buses], dtype=float)
+
+
+def laplacian(net: Network) -> sp.csc_matrix:
+    """Susceptance-weighted bus Laplacian (per unit), sparse."""
+    rows, cols, vals = [], [], []
+    for ln in net.lines:
+        i, j, b = ln.from_bus, ln.to_bus, ln.susceptance
+        rows += [i, j, i, j]
+        cols += [i, j, j, i]
+        vals += [b, b, -b, -b]
+    return sp.csc_matrix((vals, (rows, cols)), shape=(net.n, net.n))
+
+
+def _line_flows(net: Network, theta: np.ndarray) -> np.ndarray:
+    """MW flow on each line for bus angles ``theta`` (radians)."""
+    return np.array(
+        [net.base_mva * ln.susceptance * (theta[ln.from_bus] - theta[ln.to_bus]) for ln in net.lines]
+    )
+
+
+def _net_injections(net: Network, flows: Sequence[float]) -> np.ndarray:
+    """MW leaving each bus through its lines for the given line flows."""
+    out = np.zeros(net.n)
+    for ln, f in zip(net.lines, flows):
+        out[ln.from_bus] += f
+        out[ln.to_bus] -= f
+    return out
 
 
 def balanced_injections(net: Network) -> np.ndarray:
@@ -110,13 +138,7 @@ def solve_dc(
 
     theta = np.zeros(n)
     if n > 1:
-        rows, cols, vals = [], [], []
-        for ln in net.lines:
-            i, j, b = ln.from_bus, ln.to_bus, ln.susceptance
-            rows += [i, j, i, j]
-            cols += [i, j, j, i]
-            vals += [b, b, -b, -b]
-        lap = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+        lap = laplacian(net)
         keep = np.arange(n) != slack
         reduced = lap[keep][:, keep]
         try:
@@ -126,16 +148,10 @@ def solve_dc(
         if not np.all(np.isfinite(theta)):
             raise NetworkValidationError("DC flow system is singular")
 
-    flows = np.array(
-        [net.base_mva * ln.susceptance * (theta[ln.from_bus] - theta[ln.to_bus]) for ln in net.lines]
-    )
+    flows = _line_flows(net, theta)
 
     # flow conservation at every non-slack bus
-    recovered = np.zeros(n)
-    for ln, f in zip(net.lines, flows):
-        recovered[ln.from_bus] += f
-        recovered[ln.to_bus] -= f
-    residual = np.abs(recovered / net.base_mva - p)
+    residual = np.abs(_net_injections(net, flows) / net.base_mva - p)
     residual[slack] = 0.0
     worst = float(residual.max()) if n > 1 else 0.0
     if worst > BALANCE_TOL_PU:
@@ -264,16 +280,10 @@ def solve_dcopf_via_bridge(net: Network, costs: Sequence[GenCost], bridge) -> Fl
     if status != "optimal":
         raise InfeasibleError(f"bridge OPF finished with status {status!r}")
     theta = np.array([values.get(f"th_{i}", 0.0) for i in range(net.n)])
-    flows = tuple(
-        float(net.base_mva * ln.susceptance * (theta[ln.from_bus] - theta[ln.to_bus]))
-        for ln in net.lines
-    )
+    flows = _line_flows(net, theta)
 
     # dispatch consistency: implied injections must match dispatch minus load
-    implied = np.zeros(net.n)
-    for ln, f in zip(net.lines, flows):
-        implied[ln.from_bus] += f
-        implied[ln.to_bus] -= f
+    implied = _net_injections(net, flows)
     for b in net.buses:
         gen = values.get(f"pg_{b.id}", 0.0) if b.index in dispatchable else b.gen_mw
         if abs(implied[b.index] - (gen - b.load_mw)) > 1e-6 * max(1.0, net.base_mva):
@@ -282,5 +292,7 @@ def solve_dcopf_via_bridge(net: Network, costs: Sequence[GenCost], bridge) -> Fl
             )
 
     return FlowSolution(
-        theta=tuple(float(t) for t in theta), flows_mw=flows, slack_bus=slack
+        theta=tuple(float(t) for t in theta),
+        flows_mw=tuple(float(f) for f in flows),
+        slack_bus=slack,
     )

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .network import Network, Partition, cross_edges
 from .solution import METHOD_MILP, TreePartitionSolution, validate_solution
-from .steiner import SteinerFixings
+from .steiner import SteinerFixings, collect_bus_fixings
 
 __all__ = [
     "Variable",
@@ -182,17 +182,7 @@ def build_model(
     """
     n, k = net.n, groups.k
 
-    bus_fixed: dict[int, int] = {}
-    for r, members in enumerate(groups.groups, start=1):
-        for i in members:
-            if bus_fixed.get(i, r) != r:
-                raise ModelBuildError(f"bus {i} fixed to clusters {bus_fixed[i]} and {r}")
-            bus_fixed[i] = r
-    if ssr is not None:
-        for i, r in ssr.bus_fix.items():
-            if bus_fixed.get(i, r) != r:
-                raise ModelBuildError(f"bus {i} fixed to clusters {bus_fixed[i]} and {r}")
-            bus_fixed[i] = r
+    bus_fixed = collect_bus_fixings(net, groups, ssr)
 
     edge_fixed: dict[int, int] = dict(ssr.edge_fix) if ssr is not None else {}
     for lid, r in edge_fixed.items():
@@ -613,12 +603,11 @@ class SolverBridge:
     """Command template invoking an external solver on an LP file.
 
     The template must contain ``{model}`` and ``{solution}`` placeholders;
-    ``{timeout}`` and ``{gap}`` are substituted when present.
+    ``{timeout}`` is substituted when present.
     """
 
     command: str
     timeout_s: float = 600.0
-    gap: float = 0.0
 
     def __post_init__(self):
         if "{model}" not in self.command or "{solution}" not in self.command:
@@ -629,7 +618,6 @@ class SolverBridge:
             self.command.replace("{model}", model_path)
             .replace("{solution}", solution_path)
             .replace("{timeout}", str(self.timeout_s))
-            .replace("{gap}", str(self.gap))
         )
         return shlex.split(cmd)
 

@@ -33,7 +33,9 @@ __all__ = [
     "is_tree_partition",
     "bridges",
     "apply_switching",
+    "components",
     "is_connected",
+    "json_object",
     "network_to_json",
     "network_from_json",
 ]
@@ -134,7 +136,10 @@ class Network:
         return [b.index for b in self.buses if b.is_generator]
 
     def index_of(self, external_id: int) -> int:
-        return self._id_to_index[external_id]
+        try:
+            return self._id_to_index[external_id]
+        except KeyError:
+            raise NetworkValidationError(f"unknown bus id {external_id}") from None
 
     @cached_property
     def _id_to_index(self) -> Mapping[int, int]:
@@ -388,21 +393,35 @@ def serialize_case(net: Network) -> str:
 # Structural operations
 # ---------------------------------------------------------------------------
 
+def components(net: Network, buses: Iterable[int]) -> list[list[int]]:
+    """Connected components of the subgraph induced by ``buses``.
+
+    Each component is sorted; components come in the order of their
+    first bus in ``buses``.
+    """
+    buses = list(buses)
+    allowed = set(buses)
+    comps = []
+    seen: set[int] = set()
+    for start in buses:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        queue = [start]
+        while queue:
+            b = queue.pop()
+            for _lid, o in net.incident[b]:
+                if o in allowed and o not in seen:
+                    seen.add(o)
+                    comp.append(o)
+                    queue.append(o)
+        comps.append(sorted(comp))
+    return comps
+
+
 def is_connected(net: Network) -> bool:
-    if net.n == 0:
-        return False
-    seen = [False] * net.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        b = stack.pop()
-        for _, o in net.incident[b]:
-            if not seen[o]:
-                seen[o] = True
-                count += 1
-                stack.append(o)
-    return count == net.n
+    return len(components(net, range(net.n))) == 1
 
 
 def cross_edges(net: Network, p: Partition) -> list[int]:
@@ -506,6 +525,18 @@ def apply_switching(net: Network, switched: Iterable[int]) -> Network:
 # ---------------------------------------------------------------------------
 # JSON dump (fixed field names)
 # ---------------------------------------------------------------------------
+
+def json_object(text: str, what: str, keys: Sequence[str]) -> dict:
+    """Parse a JSON object that must hold ``keys``; CaseParseError otherwise."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CaseParseError(f"{what} is not valid JSON: {exc.msg}", line_no=exc.lineno)
+    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise CaseParseError(f"{what} has no {', '.join(repr(k) for k in missing)} entry")
+    return doc
+
 
 def network_to_json(net: Network) -> str:
     doc = {

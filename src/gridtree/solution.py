@@ -19,6 +19,7 @@ from .network import (
     cross_edges,
     is_connected,
     is_tree_partition,
+    json_object,
 )
 
 METHOD_TWO_STAGE = "TWO_STAGE"
@@ -103,12 +104,10 @@ def solution_to_json(net: Network, sol: TreePartitionSolution, include_runtime: 
 
 
 def solution_from_json(net: Network, text: str) -> TreePartitionSolution:
-    doc = json.loads(text)
-    pair_to_line = {}
-    for ln in net.lines:
-        a = net.buses[ln.from_bus].id
-        b = net.buses[ln.to_bus].id
-        pair_to_line[(min(a, b), max(a, b))] = ln.id
+    doc = json_object(
+        text, "solution file", ("clusters", "k", "switched", "bridges", "disruption_mw", "method")
+    )
+    pair_to_line = {tuple(_pair(net, ln.id)): ln.id for ln in net.lines}
 
     def line_ids(pairs):
         out = set()

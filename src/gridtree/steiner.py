@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .errors import BudgetError, NetworkValidationError
+from .coherency import CoherencyGroups
+from .errors import BudgetError, ModelBuildError, NetworkValidationError
 from .network import Network
 
 MAX_TERMINALS = 14
@@ -36,7 +37,8 @@ _INF = np.int32(10**6)
 # submasks per split step; bounds the (block, n) temporaries
 _SPLIT_BLOCK = 512
 
-__all__ = ["SteinerTree", "SteinerFixings", "steiner_tree", "build_fixings", "MAX_TERMINALS"]
+__all__ = ["SteinerTree", "SteinerFixings", "steiner_tree", "build_fixings",
+           "collect_bus_fixings", "MAX_TERMINALS"]
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,27 @@ class SteinerFixings:
 
     bus_fix: Mapping[int, int]
     edge_fix: Mapping[int, int]
+
+
+def collect_bus_fixings(
+    net: Network, groups: CoherencyGroups, ssr: Optional[SteinerFixings] = None
+) -> dict[int, int]:
+    """Bus -> cluster pre-assignments from coherency plus Steiner fixings.
+
+    Raises ModelBuildError for a bus outside the network or fixed to two
+    clusters.
+    """
+    pairs = [(i, r) for r, members in enumerate(groups.groups, start=1) for i in members]
+    if ssr is not None:
+        pairs += ssr.bus_fix.items()
+    fixed: dict[int, int] = {}
+    for i, r in pairs:
+        if not 0 <= i < net.n:
+            raise ModelBuildError(f"fixed bus index {i} out of range")
+        if fixed.get(i, r) != r:
+            raise ModelBuildError(f"bus {i} fixed to clusters {fixed[i]} and {r}")
+        fixed[i] = r
+    return fixed
 
 
 class _Contraction:

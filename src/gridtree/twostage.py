@@ -2,9 +2,10 @@
 maximum-weight spanning tree on the reduced multigraph.
 
 Stage 1 contracts each coherent group into a supernode, embeds the
-|flow|-weighted normalized Laplacian, and runs a deterministic k-means
-seeded (and pinned) at the supernodes; stray components are repaired by
-reassignment to the neighbouring cluster with the strongest attachment.
+|flow|-weighted normalized Laplacian, and runs the coherency module's
+deterministic k-means seeded (and pinned) at the supernodes; stray
+components are repaired by reassignment to the neighbouring cluster
+with the strongest attachment.
 Stage 2 keeps the heaviest spanning tree of cross edges as bridges, so
 the switched set has minimal weight for the given partition.
 """
@@ -15,9 +16,9 @@ import time
 
 import numpy as np
 
-from .coherency import CoherencyGroups
+from .coherency import CoherencyGroups, _fix_signs, _kmeans
 from .errors import InfeasibleError, NetworkValidationError
-from .network import Network, Partition, ReducedGraph, reduced_graph
+from .network import Network, Partition, ReducedGraph, components, reduced_graph
 from .solution import METHOD_TWO_STAGE, TreePartitionSolution, validate_solution
 
 __all__ = [
@@ -86,51 +87,9 @@ def _embed(weights: np.ndarray, k: int) -> np.ndarray:
     inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.maximum(degree, 1e-12)), 0.0)
     lap = np.eye(len(weights)) - inv_sqrt[:, None] * weights * inv_sqrt[None, :]
     _, vectors = np.linalg.eigh((lap + lap.T) / 2.0)
-    emb = vectors[:, :k]
-    for c in range(emb.shape[1]):
-        lead = int(np.argmax(np.abs(emb[:, c])))
-        if emb[lead, c] < 0:
-            emb[:, c] = -emb[:, c]
+    emb = _fix_signs(vectors[:, :k])
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     return np.where(norms > 0, emb / np.maximum(norms, 1e-300), emb)
-
-
-def _seeded_kmeans(emb: np.ndarray, k: int, max_iter: int = 200) -> np.ndarray:
-    """Lloyd iteration with rows 0..k-1 pinned to their own clusters."""
-    n = emb.shape[0]
-    centroids = emb[:k].copy()
-    labels = np.full(n, -1, dtype=int)
-    labels[:k] = np.arange(k)
-    for _it in range(max_iter):
-        dist = np.linalg.norm(emb[:, None, :] - centroids[None, :, :], axis=2)
-        new_labels = np.argmin(dist, axis=1)
-        new_labels[:k] = np.arange(k)  # supernodes stay put
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for r in range(k):
-            centroids[r] = emb[labels == r].mean(axis=0)
-    return labels
-
-
-def _components(buses: list[int], allowed: set[int], net: Network) -> list[list[int]]:
-    comps = []
-    seen: set[int] = set()
-    for start in buses:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            b = queue.pop()
-            for _lid, o in net.incident[b]:
-                if o in allowed and o not in seen:
-                    seen.add(o)
-                    comp.append(o)
-                    queue.append(o)
-        comps.append(sorted(comp))
-    return comps
 
 
 def constrained_spectral_partition(net: Network, groups: CoherencyGroups) -> Partition:
@@ -143,7 +102,7 @@ def constrained_spectral_partition(net: Network, groups: CoherencyGroups) -> Par
     weights, free, node_of_bus = _contracted_weights(net, groups)
     k = groups.k
     emb = _embed(weights, k)
-    labels = _seeded_kmeans(emb, k)
+    labels = _kmeans(emb, emb[:k], pinned=k)
 
     assignment = [0] * net.n
     for r, g in enumerate(groups.groups, start=1):
@@ -158,7 +117,7 @@ def constrained_spectral_partition(net: Network, groups: CoherencyGroups) -> Par
         strays = []
         for r in range(1, k + 1):
             members = [i for i in range(net.n) if assignment[i] == r]
-            for comp in _components(members, set(members), net):
+            for comp in components(net, members):
                 if not any(b in group_buses for b in comp):
                     strays.append((min(comp), r, comp))
         if not strays:
@@ -186,7 +145,7 @@ def constrained_spectral_partition(net: Network, groups: CoherencyGroups) -> Par
 
     partition = Partition(tuple(assignment), k)
     for r, members in enumerate(partition.clusters(), start=1):
-        comps = _components(members, set(members), net)
+        comps = components(net, members)
         if len(comps) != 1:
             raise InfeasibleError(
                 f"cluster {r} remains disconnected after repair "

@@ -231,3 +231,27 @@ def test_demo_case_solves(capsys):
     doc = json.loads(out)
     assert doc["method"] == "MILP"
     assert len(doc["clusters"]) == 2
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, message",
+    [
+        ({}, ["solve", "--k", "2", "--slack", "999"], 3, "unknown bus id 999"),
+        ({"g.json": '{"groups": [[2, 7], [3, 5]]}'}, ["solve", "--groups", "g.json"], 2, "'k'"),
+        (
+            {"g.json": '{"k": 2, "groups": [[2, 77777], [3, 5]]}'},
+            ["solve", "--groups", "g.json"], 3, "unknown bus id 77777",
+        ),
+        ({"g.json": "{not json"}, ["solve", "--groups", "g.json"], 2, "not valid JSON"),
+        ({"s.json": "[1, 2"}, ["export-dot", "--solution", "s.json"], 2, "not valid JSON"),
+        ({"c.cfg": "method=two-stage\nk=abc\n"}, ["solve", "--config", "c.cfg"], 2, "line 2"),
+    ],
+    ids=["unknown-slack", "groups-no-k", "groups-unknown-bus", "groups-not-json",
+         "solution-not-json", "config-bad-int"],
+)
+def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main([*argv, "--case", DEMO]) == code
+    assert message in capsys.readouterr().err

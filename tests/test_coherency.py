@@ -15,8 +15,9 @@ from gridtree.coherency import (
     spectral_embedding,
 )
 from gridtree.errors import NetworkValidationError
+from gridtree.network import parse_case
 
-from conftest import build_net
+from conftest import CASES_DIR, build_net
 
 
 def _two_islands_weak_tie(tie_susceptance=0.01):
@@ -142,3 +143,115 @@ def test_group_type_invariants():
         CoherencyGroups(groups=(frozenset(), frozenset([1])), k=2)
     with pytest.raises(NetworkValidationError):
         CoherencyGroups(groups=(frozenset([1]),), k=2)
+
+
+# slow_coherency groups (bus indices) of every bundled case; None where k
+# exceeds the generator count.  The embedding, Laplacian and k-means must
+# keep producing exactly these.
+PINNED_GROUPS = {
+    "demo9": {
+        2: [[2, 7], [3, 5]],
+        3: [[2, 7], [3], [5]],
+        4: [[2], [3], [5], [7]],
+        5: None,
+    },
+    "net030": {
+        2: [[3, 8, 13], [6, 11, 15, 24]],
+        3: [[3, 13], [6, 11, 24], [8, 15]],
+        4: [[3], [6, 11, 24], [8, 15], [13]],
+        5: [[3], [6, 11, 24], [8], [13], [15]],
+    },
+    "net057": {
+        2: [[4, 20, 28, 30, 36, 39, 41], [5, 10, 11, 42, 49, 54]],
+        3: [[4, 36, 39, 41], [5, 10, 11, 42, 49, 54], [20, 28, 30]],
+        4: [[4, 36, 39, 41], [5, 11, 42, 49], [10, 54], [20, 28, 30]],
+        5: [[4, 36, 39, 41], [5, 11], [10, 54], [20, 28, 30], [42, 49]],
+    },
+    "net118": {
+        2: [
+            [0, 8, 13, 18, 19, 28, 43, 46, 62, 70, 76, 80, 85, 88, 90, 99, 102, 114],
+            [15, 59, 61, 65, 73, 89, 96, 117],
+        ],
+        3: [
+            [0, 18, 43, 70, 80, 85, 88],
+            [8, 13, 19, 28, 46, 59, 62, 76, 90, 99, 102, 114, 117],
+            [15, 61, 65, 73, 89, 96],
+        ],
+        4: [
+            [0, 18, 43, 70, 80, 85, 88],
+            [8, 28, 46, 59, 117],
+            [13, 19, 62, 76, 90, 99, 102, 114],
+            [15, 61, 65, 73, 89, 96],
+        ],
+        5: [
+            [0, 18, 43, 70, 80, 85, 88],
+            [8, 28, 46, 59, 117],
+            [13, 76],
+            [15, 61, 65, 73, 89, 96],
+            [19, 62, 90, 99, 102, 114],
+        ],
+    },
+    "net240": {
+        2: [
+            [8, 52, 54, 67, 68, 82, 112, 115, 121, 130, 135, 141, 155, 179, 185, 191, 212, 213,
+             225, 233],
+            [10, 21, 70, 78, 111, 123, 125, 153, 174, 175, 208],
+        ],
+        3: [
+            [8, 52, 54, 82, 112, 121, 130, 135, 179, 185, 191, 213, 225, 233],
+            [10, 21, 70, 78, 111, 123, 125, 153, 174, 175, 208],
+            [67, 68, 115, 141, 155, 212],
+        ],
+        4: [
+            [8, 54, 112, 121, 130, 135, 213],
+            [10, 21, 70, 78, 111, 123, 125, 153, 174, 175, 179, 208, 233],
+            [52, 82, 185, 191, 225],
+            [67, 68, 115, 141, 155, 212],
+        ],
+        5: [
+            [8, 54, 112, 121, 130, 135, 213],
+            [10, 21, 82, 123, 153, 174, 175, 179, 233],
+            [52, 185, 191, 225],
+            [67, 68, 115, 141, 155, 212],
+            [70, 78, 111, 125, 208],
+        ],
+    },
+    "net300": {
+        2: [
+            [5, 10, 14, 25, 31, 38, 63, 79, 97, 103, 114, 129, 131, 137, 159, 161, 215, 219,
+             220, 221, 224, 235, 244, 259, 262, 269, 290],
+            [19, 45, 84, 95, 112, 120, 128, 152, 183, 211, 240, 247],
+        ],
+        3: [
+            [5, 25, 38, 63, 97, 103, 114, 129, 131, 137, 159, 161, 215, 219, 221, 224, 235, 262,
+             269, 290],
+            [10, 14, 31, 79, 211, 220, 259],
+            [19, 45, 84, 95, 112, 120, 128, 152, 183, 240, 244, 247],
+        ],
+        4: [
+            [5, 25, 38, 63, 97, 103, 114, 129, 131, 137, 159, 161, 215, 219, 221, 224, 235, 262,
+             269, 290],
+            [10, 14, 31, 79, 211, 220, 259],
+            [19, 45, 152, 244, 247],
+            [84, 95, 112, 120, 128, 183, 240],
+        ],
+        5: [
+            [5, 38, 97, 103, 114, 129, 137, 159, 161, 235, 269, 290],
+            [10, 14, 31, 79, 211, 220, 259],
+            [19, 45, 152, 244, 247],
+            [25, 63, 131, 215, 219, 221, 224, 262],
+            [84, 95, 112, 120, 128, 183, 240],
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_GROUPS))
+def test_bundled_case_groups_are_pinned(case):
+    net = parse_case((CASES_DIR / f"{case}.m").read_text())
+    for k, expected in PINNED_GROUPS[case].items():
+        if expected is None:
+            with pytest.raises(NetworkValidationError):
+                slow_coherency(net, k)
+        else:
+            assert [sorted(g) for g in slow_coherency(net, k).groups] == expected, k

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gridtree import bnb, oracle, steiner
-from gridtree.bnb import _Search, collect_bus_fixings
+from gridtree.bnb import _Search
+from gridtree.steiner import collect_bus_fixings
 from gridtree.errors import InfeasibleError
 from gridtree.network import Partition, apply_switching, cross_edges, is_connected
 
@@ -94,7 +95,7 @@ def test_bnb_bound_is_admissible_on_partial_assignments():
     for _ in range(15):
         net = random_connected_net(rng, 6, int(rng.integers(1, 4)))
         groups = random_groups(rng, net, 2, max_size=1)
-        fixed = collect_bus_fixings(groups)
+        fixed = collect_bus_fixings(net, groups)
         search = _Search(net, 2, fixed, None, None)
         for b, r in fixed.items():
             search.place(b, r)

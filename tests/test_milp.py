@@ -2,10 +2,13 @@
 
 from types import SimpleNamespace
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from gridtree import milpsolve, oracle
+from gridtree import dcflow, milpsolve, oracle
+from gridtree.coherency import slow_coherency
 from gridtree.coherency import CoherencyGroups
 from gridtree.errors import (
     BridgeError,
@@ -24,9 +27,10 @@ from gridtree.milp import (
     solve_via_bridge,
     write_lp,
 )
-from gridtree.steiner import build_fixings, steiner_tree
+from gridtree.network import parse_case
+from gridtree.steiner import SteinerFixings, build_fixings, steiner_tree
 
-from conftest import BRIDGE_CMD, build_net, random_connected_net, random_groups
+from conftest import BRIDGE_CMD, CASES_DIR, build_net, random_connected_net, random_groups
 
 GOLDEN_TOY_LP = (
     "\\ toy\n"
@@ -131,12 +135,70 @@ def test_decode_defaults_missing_binaries_to_zero(four_cycle):
 def test_conflicting_fixings_raise(four_cycle):
     net, _ = four_cycle
     # bus 0 claimed by both groups via an ssr fix that contradicts coherency
-    from gridtree.steiner import SteinerFixings
-
     groups = CoherencyGroups(groups=(frozenset([0]), frozenset([2])), k=2)
     ssr = SteinerFixings(bus_fix={0: 2}, edge_fix={})
     with pytest.raises(ModelBuildError):
         build_model(net, groups, ssr=ssr)
+
+
+@pytest.mark.parametrize(
+    "groups, ssr",
+    [
+        (CoherencyGroups(groups=(frozenset([0]), frozenset([7])), k=2), None),
+        (
+            CoherencyGroups(groups=(frozenset([0]), frozenset([2])), k=2),
+            SteinerFixings(bus_fix={4: 1}, edge_fix={}),
+        ),
+    ],
+    ids=["group", "ssr"],
+)
+def test_out_of_range_fixings_raise(four_cycle, groups, ssr):
+    net, _ = four_cycle
+    with pytest.raises(ModelBuildError, match="out of range"):
+        build_model(net, groups, ssr=ssr)
+
+
+# SHA-256 of the LP text of bundled cases with balanced DC flows and
+# slow-coherency groups, without and with SSR fixings.
+PINNED_LP_SHA256 = {
+    ("net030", 2, False): "4a02655584039ecd3654bedae0efcca89697a6ad4453fe390c7cca12dcfe108f",
+    ("net030", 2, True): "9cd53dde3fb15cd0ca9a709435ea43591db960257068a36be52950e177dd599c",
+    ("net030", 3, False): "d19345c859473eddffb5db52ef7869ee123e2b3d56d24ea2abb314496fbe1349",
+    ("net030", 3, True): "27a79356d2b65f8888ad23fb45ff9bb45723c717d14f21eb59a439d1e45aa52b",
+    ("net030", 4, False): "22135d7724aad86e05c46816b63ebdbcd6475f7befdb08c5f7635d095b4e165f",
+    ("net030", 4, True): "98672980a471a0372757553d057e513b9ca7dbb88a181224cfd6514dbed5936e",
+    ("net030", 5, False): "5dd8264a105356eb756998f11aece0322839a249a116eb04367e0847c2288e90",
+    ("net030", 5, True): "ff6c4b84b1c3e1d192dd9a875905a1edb87fd8931dc26a47744aa0a0a2d9d4e0",
+    ("net057", 2, False): "adb82ae2fed74e0e0d490e58b6749db30633344e1f027381dc30d79b4e6850a7",
+    ("net057", 2, True): "deb754d34fe92b1463c8dc53cc619adf94fd3c4c724aec653d2f9eec5b70fdce",
+    ("net057", 3, False): "895047f69c3f1d6a84e2b66d1b654882053707b31ed3df381cff8a1fbc8c165f",
+    ("net057", 3, True): "a71a0026d9f92a2df5aadaacd7c16731fb798310ebdabe5e48b1f85bc278cc12",
+    ("net057", 4, False): "721aeb9650afbf8414fbef682119ad4974e3dd5e097d0d21eb9f62321f4bd630",
+    ("net057", 4, True): "64ce23c1fff9ee43c9950cf327421e348149d0bf76bf3fe8265cb69cfc2a33fd",
+    ("net057", 5, False): "58fc606955833c50c2b2eee94d86c0cea34f5099fbd6b792a974921f9c0de0e0",
+    ("net057", 5, True): "0787d59e30bdad390a7b3d46ca1a79b6dfe412eac2444fa156c7672f48d0bfed",
+    ("net118", 2, False): "51a4e1c5db490629db272d1b516555789aa9b52f1ad5b758095c8e5cc66c49be",
+    ("net118", 2, True): "54d089267055d0ca14fe5e5db90a06c1714331955e519d2e7bec64b27d334cf9",
+    ("net118", 3, False): "47409c986ab90fe70ee6712b0a1261357e355e7f6f05d403924e1a374382a9e8",
+    ("net118", 3, True): "d32bcbcfc0b8e9a07d0257e333a9e23012c56dd7ec4f26c021cd07539dbdb2ad",
+    ("net118", 4, False): "47de5cc450f858692b81c3cdff90a38b7466c028e4fe3666f70522d20a39cd2b",
+    ("net118", 4, True): "aea8634697fb38cd11d5eb503a801fafcdc81b23603cedd26f1deda90fc42139",
+    ("net118", 5, False): "1e4fe2568168cd48d613f0451216b171a78e3b199bda14c6db04f71c0b5f2910",
+    ("net118", 5, True): "28ca28ce6475f2da827e496c32c286231e4ffcf562ce6402a59cd15f2f1c7d91",
+}
+
+
+@pytest.mark.parametrize("case", ["net030", "net057", "net118"])
+def test_lp_text_of_bundled_cases_is_pinned(case):
+    net = parse_case((CASES_DIR / f"{case}.m").read_text())
+    net = dcflow.with_flows(net, dcflow.solve_dc(net, 0, dcflow.balanced_injections(net)))
+    for k in range(2, 6):
+        groups = slow_coherency(net, k)
+        trees = [steiner_tree(net, g) for g in groups.groups]
+        for ssr in (None, build_fixings(net, trees)):
+            text = write_lp(build_model(net, groups, ssr=ssr))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == PINNED_LP_SHA256[(case, k, ssr is not None)], (k, ssr is not None)
 
 
 def test_ssr_fixings_appear_as_bounds(four_cycle):

@@ -6,9 +6,10 @@ import itertools
 import numpy as np
 import pytest
 
-from gridtree.coherency import CoherencyGroups
-from gridtree.errors import NetworkValidationError
-from gridtree.network import Partition, ReducedEdge, ReducedGraph, reduced_graph
+from gridtree import dcflow
+from gridtree.coherency import CoherencyGroups, _kmeans, slow_coherency
+from gridtree.errors import InfeasibleError, NetworkValidationError
+from gridtree.network import Partition, ReducedEdge, ReducedGraph, parse_case, reduced_graph
 from gridtree.solution import validate_solution
 from gridtree.twostage import (
     constrained_spectral_partition,
@@ -16,7 +17,7 @@ from gridtree.twostage import (
     two_stage,
 )
 
-from conftest import build_net, random_connected_net
+from conftest import CASES_DIR, build_net, random_connected_net
 
 
 def _rg(k, triples):
@@ -181,3 +182,61 @@ def test_stage2_disruption_equals_total_minus_tree(four_cycle):
     by_id = {e.line_id: e.weight for e in rg.edges}
     tree_weight = sum(by_id[lid] for lid in sol.retained_bridges)
     assert sol.disruption_mw == pytest.approx(total - tree_weight)
+
+
+def test_kmeans_keeps_pinned_rows_on_their_own_labels():
+    # after one update the second centroid moves to 3.8, so row 1 (0.4) is
+    # nearer the first centroid; pinned, it must stay in cluster 1
+    rows = np.array([[0.0], [0.4], [5.0], [6.0]])
+    assert _kmeans(rows, rows[:2], pinned=2).tolist() == [0, 1, 1, 1]
+    assert _kmeans(rows, rows[:2]).tolist() == [0, 0, 1, 1]
+
+
+# two_stage objective (MW) on every bundled case with its slow-coherency
+# groups and balanced DC flows, or the error it raises.
+PINNED_TWO_STAGE = {
+    "demo9": {2: 75.84323023653717, 3: 64.3177386168737, 4: 66.1085278965815},
+    "net030": {
+        2: InfeasibleError,
+        3: 213.82473683938434,
+        4: 217.45267848031534,
+        5: 247.7390412331065,
+    },
+    "net057": {
+        2: 73.8572748514396,
+        3: 104.20300743050744,
+        4: 130.57058177680352,
+        5: 101.18618079228267,
+    },
+    "net118": {
+        2: 397.0326668373297,
+        3: InfeasibleError,
+        4: InfeasibleError,
+        5: InfeasibleError,
+    },
+    "net240": {
+        2: 417.1802515213814,
+        3: 357.01021580357906,
+        4: 491.5355064872225,
+        5: 698.8976112495342,
+    },
+    "net300": {
+        2: InfeasibleError,
+        3: 553.9280855556422,
+        4: 619.704070378125,
+        5: InfeasibleError,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TWO_STAGE))
+def test_bundled_case_objectives_are_pinned(case):
+    net = parse_case((CASES_DIR / f"{case}.m").read_text())
+    net = dcflow.with_flows(net, dcflow.solve_dc(net, 0, dcflow.balanced_injections(net)))
+    for k, expected in PINNED_TWO_STAGE[case].items():
+        groups = slow_coherency(net, k)
+        if expected is InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                two_stage(net, groups)
+        else:
+            assert two_stage(net, groups).disruption_mw == expected, k
