@@ -2,13 +2,21 @@
 
 Branches over bus-to-cluster assignments in a connectivity-guided DFS
 (the next bus is the unassigned one with the most assigned neighbours).
-Pruning combines an admissible disruption bound -- forced cross weight
-minus the k-1 heaviest still-possible bridges -- with a reachability
-test that discards partial assignments whose clusters can no longer be
-connected.  Leaves are scored with the stage-2 closed form (total cross
-weight minus the maximum-weight spanning tree of the reduced graph).
-Ties between equal-objective optima resolve to the lexicographically
-smallest assignment vector.
+Leaves are scored with the stage-2 closed form (total cross weight
+minus the maximum-weight spanning tree of the reduced graph).  Pruning
+combines a reachability test, which discards partial assignments whose
+clusters can no longer be connected, with an admissible disruption
+bound: the weight of the forced cross lines F (both ends assigned, to
+different clusters) minus a maximum-weight spanning forest of F on the
+cluster labels.  Every leaf below the node has a cross set C containing
+F and scores w(C) - w(T) for a spanning tree T of its cluster graph;
+T restricted to F is a forest, so it weighs at most the forest bound's
+credit, and the lines of T outside F are cross lines outside F, so the
+score is at least w(F) minus that credit.  A subtree is pruned only when
+its bound exceeds the incumbent by more than a relative tolerance, so
+every leaf that ties the optimum is still scored, and ties between
+equal-objective optima resolve to the lexicographically smallest
+assignment vector.
 """
 
 from __future__ import annotations
@@ -56,9 +64,13 @@ class _Search:
         self.ends = [(ln.from_bus, ln.to_bus) for ln in net.lines]
         self.weight = [abs(ln.flow_mw) for ln in net.lines]
         # positions sorted by weight descending, id ascending for determinism
-        self.by_weight = sorted(
+        by_weight = sorted(
             range(len(net.lines)), key=lambda p: (-self.weight[p], self.line_ids[p])
         )
+        self.rank = [0] * len(net.lines)
+        for r, pos in enumerate(by_weight):
+            self.rank[pos] = r
+        self.by_rank = [(self.weight[p], *self.ends[p]) for p in by_weight]
         self.nbr_mask = [0] * self.n
         self.lines_at: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for pos, (a, b) in enumerate(self.ends):
@@ -70,6 +82,7 @@ class _Search:
         self.assign = [0] * self.n
         self.state = [0] * len(net.lines)  # 0 undecided, 1 internal, 2 cross
         self.forced_cross = 0.0
+        self.cross_ranks = 0  # bit r set: the line of weight rank r is forced cross
         self.assigned_mask = 0
         self.cluster_mask = [0] * (k + 1)
         self.n_unassigned = self.n
@@ -99,6 +112,7 @@ class _Search:
             else:
                 self.state[pos] = 2
                 self.forced_cross += self.weight[pos]
+                self.cross_ranks |= 1 << self.rank[pos]
             touched.append((pos, self.state[pos]))
         return touched
 
@@ -110,19 +124,26 @@ class _Search:
         for pos, st in touched:
             if st == 2:
                 self.forced_cross -= self.weight[pos]
+                self.cross_ranks ^= 1 << self.rank[pos]
             self.state[pos] = 0
 
     # -- pruning ------------------------------------------------------------
 
     def bound(self) -> float:
+        # Kruskal over the forced cross lines, heaviest first, on cluster labels
         credit = 0.0
-        need = self.k - 1
-        for pos in self.by_weight:
-            if need == 0:
-                break
-            if self.state[pos] != 1:
-                credit += self.weight[pos]
-                need -= 1
+        merges = self.k - 1
+        comp = list(range(self.k + 1))
+        ranks = self.cross_ranks
+        while ranks and merges:
+            low = ranks & -ranks
+            ranks ^= low
+            w, a, b = self.by_rank[low.bit_length() - 1]
+            ca, cb = comp[self.assign[a]], comp[self.assign[b]]
+            if ca != cb:
+                credit += w
+                merges -= 1
+                comp = [cb if c == ca else c for c in comp]
         return max(0.0, self.forced_cross - credit)
 
     def clusters_reachable(self) -> bool:

@@ -234,7 +234,6 @@ def cmd_steiner(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _merged_config(args)
     cases = [c for c in args.cases.split(",") if c]
-    ks = [int(x) for x in args.k_values.split(",") if x]
     methods = [m for m in args.methods.split(",") if m]
     for m in methods:
         if m not in METHODS:
@@ -243,7 +242,7 @@ def cmd_bench(args) -> int:
     rows = []
     objective: dict[tuple[str, int, str], float] = {}
     for case in cases:
-        for k in ks:
+        for k in args.k_values:
             for method in methods:
                 cell = dataclasses.replace(cfg, case=case, k=k, method=method)
                 name = Path(case).stem
@@ -291,6 +290,13 @@ def cmd_export_dot(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+
 
 def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file")
@@ -347,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="benchmark methods across cases (CSV)")
     p.add_argument("--cases", required=True, help="comma-separated case files")
-    p.add_argument("--k-values", dest="k_values", required=True, help="comma-separated k values")
+    p.add_argument(
+        "--k-values", dest="k_values", type=_int_list, required=True,
+        help="comma-separated k values",
+    )
     p.add_argument("--methods", required=True, help="comma-separated methods")
     _add_output_flags(p)
     _add_solver_flags(p)

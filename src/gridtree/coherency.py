@@ -195,7 +195,7 @@ def groups_to_json(net: Network, groups: CoherencyGroups) -> str:
 
 
 def groups_from_json(net: Network, text: str) -> CoherencyGroups:
-    doc = json_object(text, "groups file", ("groups", "k"))
+    doc = json_object(text, "groups file", {"groups": "id lists", "k": "int"})
     groups = []
     for members in doc["groups"]:
         idxs = frozenset(net.index_of(bus_id) for bus_id in members)

@@ -526,15 +526,40 @@ def apply_switching(net: Network, switched: Iterable[int]) -> Network:
 # JSON dump (fixed field names)
 # ---------------------------------------------------------------------------
 
-def json_object(text: str, what: str, keys: Sequence[str]) -> dict:
-    """Parse a JSON object that must hold ``keys``; CaseParseError otherwise."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_id_list(value, width: Optional[int] = None) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and width in (None, len(row)) and all(map(_is_int, row))
+        for row in value
+    )
+
+
+_JSON_SHAPES = {
+    "int": (_is_int, "an integer"),
+    "id lists": (_is_id_list, "a list of lists of bus ids"),
+    "id pairs": (lambda v: _is_id_list(v, 2), "a list of [bus id, bus id] pairs"),
+    "number": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "text": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def json_object(text: str, what: str, shapes: Mapping[str, str]) -> dict:
+    """Parse a JSON object whose entries have the named ``shapes``
+    (keys of ``_JSON_SHAPES``); CaseParseError otherwise."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CaseParseError(f"{what} is not valid JSON: {exc.msg}", line_no=exc.lineno)
-    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
+    missing = [key for key in shapes if not isinstance(doc, dict) or key not in doc]
     if missing:
         raise CaseParseError(f"{what} has no {', '.join(repr(k) for k in missing)} entry")
+    for key, shape in shapes.items():
+        fits, described = _JSON_SHAPES[shape]
+        if not fits(doc[key]):
+            raise CaseParseError(f"{what} entry {key!r} must be {described}")
     return doc
 
 

@@ -105,7 +105,16 @@ def solution_to_json(net: Network, sol: TreePartitionSolution, include_runtime: 
 
 def solution_from_json(net: Network, text: str) -> TreePartitionSolution:
     doc = json_object(
-        text, "solution file", ("clusters", "k", "switched", "bridges", "disruption_mw", "method")
+        text,
+        "solution file",
+        {
+            "clusters": "id lists",
+            "k": "int",
+            "switched": "id pairs",
+            "bridges": "id pairs",
+            "disruption_mw": "number",
+            "method": "text",
+        },
     )
     pair_to_line = {tuple(_pair(net, ln.id)): ln.id for ln in net.lines}
 

@@ -10,7 +10,7 @@ import pytest
 
 from gridtree import dcflow
 from gridtree.coherency import CoherencyGroups
-from gridtree.network import Bus, Line, Network
+from gridtree.network import Bus, Line, Network, parse_case
 
 CASES_DIR = Path(__file__).resolve().parents[1] / "cases"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -51,6 +51,12 @@ def build_net(n, edges, flows=None, susceptances=None, injections=None,
         signed = f if a < b else -f
         lines.append(Line(id=lid, from_bus=lo, to_bus=hi, susceptance=float(s), flow_mw=float(signed)))
     return Network(buses=buses, lines=tuple(lines), base_mva=base_mva)
+
+
+def case_net(name):
+    """A bundled case with its DC flows at balanced injections, slack bus 0."""
+    net = parse_case((CASES_DIR / f"{name}.m").read_text())
+    return dcflow.with_flows(net, dcflow.solve_dc(net, 0, dcflow.balanced_injections(net)))
 
 
 def random_connected_net(rng, n, extra, flow_scale=10.0, ext_offset=1):

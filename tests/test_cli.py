@@ -225,6 +225,13 @@ def test_seed_flag_is_a_usage_error(capsys, argv):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_bench_k_values_must_be_integers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--cases", DEMO, "--k-values", "2,x", "--methods", "oracle"])
+    assert exc.value.code == 2
+    assert "--k-values" in capsys.readouterr().err
+
+
 def test_demo_case_solves(capsys):
     code, out = run(capsys, "solve", "--case", DEMO, "--k", "2", "--method", "milp")
     assert code == 0
@@ -243,11 +250,22 @@ def test_demo_case_solves(capsys):
             ["solve", "--groups", "g.json"], 3, "unknown bus id 77777",
         ),
         ({"g.json": "{not json"}, ["solve", "--groups", "g.json"], 2, "not valid JSON"),
+        (
+            {"g.json": '{"k": 2, "groups": 5}'},
+            ["solve", "--groups", "g.json"], 2, "'groups' must be a list of lists",
+        ),
         ({"s.json": "[1, 2"}, ["export-dot", "--solution", "s.json"], 2, "not valid JSON"),
+        (
+            {"s.json": json.dumps({
+                "method": "MILP", "k": 2, "clusters": [[1, 2], [3]],
+                "switched": [[1, 2, 3]], "bridges": [], "disruption_mw": 0.0,
+            })},
+            ["export-dot", "--solution", "s.json"], 2, "'switched' must be a list of",
+        ),
         ({"c.cfg": "method=two-stage\nk=abc\n"}, ["solve", "--config", "c.cfg"], 2, "line 2"),
     ],
     ids=["unknown-slack", "groups-no-k", "groups-unknown-bus", "groups-not-json",
-         "solution-not-json", "config-bad-int"],
+         "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int"],
 )
 def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, message):
     for name, text in files.items():

@@ -120,6 +120,34 @@ def test_bnb_bound_is_admissible_on_partial_assignments():
     assert checked >= 10
 
 
+@pytest.mark.parametrize("k", [4, 5])
+def test_bnb_forest_bound_is_admissible_with_many_clusters(k):
+    # partial assignments several buses deep, where the forced cross lines
+    # reach more than one pair of clusters and the forest credit is nontrivial
+    rng = np.random.default_rng(300 + k)
+    checked = positive = 0
+    for _ in range(40):
+        net = random_connected_net(rng, k + 4, int(rng.integers(3, 8)))
+        groups = random_groups(rng, net, k, max_size=1)
+        state = [0] * net.n
+        for b, r in collect_bus_fixings(net, groups).items():
+            state[b] = r
+        free = [i for i, r in enumerate(state) if r == 0]
+        for b in rng.permutation(free)[: int(rng.integers(1, len(free)))]:
+            state[b] = int(rng.integers(1, k + 1))
+        search = _Search(net, k, {}, None, None)
+        for i, r in enumerate(state):
+            if r:
+                search.place(i, r)
+        bound = search.bound()
+        best = _best_completion(net, groups, state)
+        if best is not None:
+            assert bound <= best + 1e-9, f"inadmissible bound {bound} > {best}"
+            checked += 1
+            positive += bound > 0.0
+    assert checked >= 10 and positive >= 5
+
+
 def test_ssr_fixings_preserve_feasibility():
     # whenever the unrestricted problem is feasible, the overlap-corrected
     # fixings must leave at least one solution
