@@ -12,11 +12,16 @@ cluster labels.  Every leaf below the node has a cross set C containing
 F and scores w(C) - w(T) for a spanning tree T of its cluster graph;
 T restricted to F is a forest, so it weighs at most the forest bound's
 credit, and the lines of T outside F are cross lines outside F, so the
-score is at least w(F) minus that credit.  A subtree is pruned only when
-its bound exceeds the incumbent by more than a relative tolerance, so
-every leaf that ties the optimum is still scored, and ties between
-equal-objective optima resolve to the lexicographically smallest
-assignment vector.
+score is at least w(F) minus that credit.  At a leaf every line is
+decided, so F is the whole cross set, and the bound's Kruskal, which
+takes F in the stage-2 order (heaviest first, ties to the lower line
+id), builds exactly the stage-2 bridge tree.  The leaf reads its
+bridges off that forest: it is infeasible when the forest misses a
+merge, and otherwise scores the cross lines the forest did not credit.
+A subtree is pruned only when its bound exceeds the incumbent by more
+than a relative tolerance, so every leaf that ties the optimum is still
+scored, and ties between equal-objective optima resolve to the
+lexicographically smallest assignment vector.
 """
 
 from __future__ import annotations
@@ -27,10 +32,9 @@ from typing import Optional
 
 from .coherency import CoherencyGroups
 from .errors import BudgetError, InfeasibleError
-from .network import Network, Partition, ReducedEdge, ReducedGraph
-from .solution import METHOD_MILP, TreePartitionSolution, validate_solution
+from .network import Network, Partition, disruption
+from .solution import METHOD_MILP, TreePartitionSolution, partition_solution, validate_solution
 from .steiner import SteinerFixings, collect_bus_fixings
-from .twostage import max_weight_spanning_tree
 
 __all__ = ["BnBStats", "solve_builtin"]
 
@@ -80,58 +84,57 @@ class _Search:
             self.lines_at[b].append((pos, a))
 
         self.assign = [0] * self.n
-        self.state = [0] * len(net.lines)  # 0 undecided, 1 internal, 2 cross
         self.forced_cross = 0.0
         self.cross_ranks = 0  # bit r set: the line of weight rank r is forced cross
         self.assigned_mask = 0
         self.cluster_mask = [0] * (k + 1)
         self.n_unassigned = self.n
         self.fixed_order = sorted(fixed)
-        self.fixed = fixed
 
         self.nodes = 0
-        self.incumbent: Optional[tuple] = None  # (value, assignment tuple)
-        self.path_bounds: list[float] = []
-        self.stopped_bound = float("inf")
+        self.incumbent: Optional[tuple[float, tuple[int, ...]]] = None  # (value, assignment)
 
     # -- state updates ------------------------------------------------------
 
-    def place(self, bus: int, r: int) -> list[tuple[int, int]]:
-        touched = []
+    def place(self, bus: int, r: int) -> list[int]:
+        """Assign ``bus`` to ``r``; returns the line positions it forces cross.
+
+        A line is decided once both ends are assigned, so every line met
+        here was undecided.
+        """
+        crossed = []
         self.assign[bus] = r
         self.assigned_mask |= 1 << bus
         self.cluster_mask[r] |= 1 << bus
         self.n_unassigned -= 1
         for pos, other in self.lines_at[bus]:
-            if self.assign[other] == 0:
-                continue
-            if self.state[pos] != 0:
-                continue
-            if self.assign[other] == r:
-                self.state[pos] = 1
-            else:
-                self.state[pos] = 2
+            o = self.assign[other]
+            if o and o != r:
                 self.forced_cross += self.weight[pos]
                 self.cross_ranks |= 1 << self.rank[pos]
-            touched.append((pos, self.state[pos]))
-        return touched
+                crossed.append(pos)
+        return crossed
 
-    def unplace(self, bus: int, r: int, touched) -> None:
+    def unplace(self, bus: int, r: int, crossed: list[int]) -> None:
         self.assign[bus] = 0
         self.assigned_mask &= ~(1 << bus)
         self.cluster_mask[r] &= ~(1 << bus)
         self.n_unassigned += 1
-        for pos, st in touched:
-            if st == 2:
-                self.forced_cross -= self.weight[pos]
-                self.cross_ranks ^= 1 << self.rank[pos]
-            self.state[pos] = 0
+        for pos in crossed:
+            self.forced_cross -= self.weight[pos]
+            self.cross_ranks ^= 1 << self.rank[pos]
 
     # -- pruning ------------------------------------------------------------
 
     def bound(self) -> float:
-        # Kruskal over the forced cross lines, heaviest first, on cluster labels
+        return max(0.0, self.forced_cross - self.forest()[0])
+
+    def forest(self) -> tuple[float, int, int]:
+        """(credit, credited weight ranks, merges still missing) of a
+        maximum-weight spanning forest of the forced cross lines: Kruskal
+        on the cluster labels, heaviest first, at most k-1 merges."""
         credit = 0.0
+        credited = 0
         merges = self.k - 1
         comp = list(range(self.k + 1))
         ranks = self.cross_ranks
@@ -142,9 +145,10 @@ class _Search:
             ca, cb = comp[self.assign[a]], comp[self.assign[b]]
             if ca != cb:
                 credit += w
+                credited |= low
                 merges -= 1
                 comp = [cb if c == ca else c for c in comp]
-        return max(0.0, self.forced_cross - credit)
+        return credit, credited, merges
 
     def clusters_reachable(self) -> bool:
         free = ~self.assigned_mask
@@ -168,37 +172,6 @@ class _Search:
                 return False
         return True
 
-    # -- leaf ---------------------------------------------------------------
-
-    def leaf_objective(self) -> Optional[tuple[float, frozenset[int], frozenset[int]]]:
-        cross_pos = [p for p, s in enumerate(self.state) if s == 2]
-        # reduced multigraph must connect all k clusters
-        parent = list(range(self.k + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = self.k
-        edges = []
-        for p in cross_pos:
-            a, b = self.ends[p]
-            ra, rb = self.assign[a], self.assign[b]
-            edges.append(ReducedEdge(min(ra, rb), max(ra, rb), self.line_ids[p], self.weight[p]))
-            fa, fb = find(ra), find(rb)
-            if fa != fb:
-                parent[fa] = fb
-                comps -= 1
-        if comps != 1:
-            return None
-        rg = ReducedGraph(k=self.k, edges=tuple(edges))
-        retained, switched = max_weight_spanning_tree(rg)
-        by_id = {self.line_ids[p]: self.weight[p] for p in cross_pos}
-        value = sum(by_id[lid] for lid in sorted(switched))
-        return value, retained, switched
-
     # -- DFS ----------------------------------------------------------------
 
     def tick(self) -> None:
@@ -221,7 +194,8 @@ class _Search:
 
     def dfs(self) -> None:
         self.tick()
-        bound = self.bound()
+        credit, credited, merges_missing = self.forest()
+        bound = max(0.0, self.forced_cross - credit)
         if self.incumbent is not None:
             limit = self.incumbent[0] + _TIE_EPS * (1.0 + abs(self.incumbent[0]))
             if bound > limit:
@@ -229,27 +203,24 @@ class _Search:
         if not self.clusters_reachable():
             return
         if self.n_unassigned == 0:
-            scored = self.leaf_objective()
-            if scored is None:
+            # every line is decided, so the bound's forest is the bridge tree
+            if merges_missing:
                 return
-            value, retained, switched = scored
-            key = tuple(self.assign)
-            if (
-                self.incumbent is None
-                or value < self.incumbent[0]
-                or (value == self.incumbent[0] and key < self.incumbent[1])
-            ):
-                self.incumbent = (value, key, retained, switched)
+            switched = self.cross_ranks & ~credited
+            value = disruption(
+                self.net, (lid for lid, r in zip(self.line_ids, self.rank) if switched >> r & 1)
+            )
+            scored = (value, tuple(self.assign))
+            if self.incumbent is None or scored < self.incumbent:
+                self.incumbent = scored
             return
-        self.path_bounds.append(bound)
         bus = self.next_bus()
         for r in range(1, self.k + 1):
-            touched = self.place(bus, r)
+            crossed = self.place(bus, r)
             try:
                 self.dfs()
             finally:
-                self.unplace(bus, r, touched)
-        self.path_bounds.pop()
+                self.unplace(bus, r, crossed)
 
 
 def solve_builtin(
@@ -287,12 +258,11 @@ def solve_builtin(
             )
         raise InfeasibleError("no coherency-respecting tree partition exists")
 
-    value, key, retained, switched = search.incumbent
-    if proved:
-        best_bound = value
-    else:
-        open_bounds = search.path_bounds or [0.0]
-        best_bound = min(value, min(open_bounds))
+    value, key = search.incumbent
+    # an interrupted search has unwound to the root, whose bound is the
+    # least on any path: adding a line to F raises w(F) by its weight
+    # and the forest by at most that much
+    best_bound = value if proved else min(value, search.bound())
     stats = BnBStats(
         nodes=search.nodes,
         best_bound=best_bound,
@@ -300,13 +270,6 @@ def solve_builtin(
         proved_optimal=proved,
         wall_time_s=elapsed,
     )
-    sol = TreePartitionSolution(
-        partition=Partition(key, groups.k),
-        switched=switched,
-        retained_bridges=retained,
-        disruption_mw=value,
-        method=method,
-        runtime_s=elapsed,
-    )
+    sol = partition_solution(net, Partition(key, groups.k), method, elapsed)
     validate_solution(net, sol, groups)
     return sol, stats

@@ -35,7 +35,6 @@ class CoherencyGroups:
 
     groups: tuple[frozenset[int], ...]
     k: int
-    inertia_h: Union[float, Mapping[int, float]] = 1.0
 
     def __post_init__(self):
         if self.k != len(self.groups):
@@ -183,7 +182,7 @@ def slow_coherency(
             frozenset(g for g, lab in zip(gens, labels) if lab == r) for r in range(k)
         ]
     groups.sort(key=min)
-    return CoherencyGroups(groups=tuple(groups), k=k, inertia_h=inertia_h)
+    return CoherencyGroups(groups=tuple(groups), k=k)
 
 
 def groups_to_json(net: Network, groups: CoherencyGroups) -> str:

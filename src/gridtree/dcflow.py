@@ -3,14 +3,15 @@
 Flows follow the linearized model: per-unit flow on a line equals its
 susceptance times the angle difference of its endpoints.  Solves use a
 deterministic direct sparse factorization; any injection imbalance is
-absorbed at the slack bus.
+absorbed at the slack bus.  ``disruption`` is ``network.disruption``,
+re-exported here.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +23,7 @@ from .errors import (
     NetworkValidationError,
     UnsupportedOperation,
 )
-from .network import Network, apply_switching, is_connected
+from .network import Network, apply_switching, disruption, is_connected
 
 BALANCE_TOL_PU = 1e-8
 
@@ -172,12 +173,6 @@ def with_flows(net: Network, sol: FlowSolution) -> Network:
         replace(ln, flow_mw=f) for ln, f in zip(net.lines, sol.flows_mw)
     )
     return replace(net, lines=lines)
-
-
-def disruption(net: Network, switched: Iterable[int]) -> float:
-    """Total absolute MW flow on the switched-off lines."""
-    by_id = net.line_by_id
-    return float(sum(abs(by_id[lid].flow_mw) for lid in switched))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (
     NetworkValidationError,
     SolverTimeout,
 )
-from .network import Network, Partition, cross_edges
+from .network import Network, Partition, cross_edges, disruption
 from .solution import METHOD_MILP, TreePartitionSolution, validate_solution
 from .steiner import SteinerFixings, collect_bus_fixings
 
@@ -294,7 +294,7 @@ def decode_values(
         partition=partition,
         switched=switched,
         retained_bridges=retained,
-        disruption_mw=sum(abs(net.line_by_id[lid].flow_mw) for lid in sorted(switched)),
+        disruption_mw=disruption(net, switched),
         method=method,
         runtime_s=runtime_s,
     )
@@ -684,13 +684,12 @@ def solve_via_bridge(
     bridge: SolverBridge,
     ssr: Optional[SteinerFixings] = None,
     method: str = METHOD_MILP,
-    require_optimal: bool = True,
 ) -> TreePartitionSolution:
     """Build the model, solve it externally, and validate the decode."""
     start = time.perf_counter()
     model = build_model(net, groups, ssr=ssr)
     values, status = run_bridge(model, bridge)
-    if require_optimal and status != "optimal":
+    if status != "optimal":
         raise SolverTimeout(f"solver stopped with status {status!r} before proving optimality")
     elapsed = time.perf_counter() - start
     try:

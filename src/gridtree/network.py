@@ -30,7 +30,9 @@ __all__ = [
     "merge_parallel",
     "cross_edges",
     "reduced_graph",
+    "max_weight_spanning_tree",
     "is_tree_partition",
+    "disruption",
     "bridges",
     "apply_switching",
     "components",
@@ -131,9 +133,6 @@ class Network:
             adj[ln.from_bus].append((ln.id, ln.to_bus))
             adj[ln.to_bus].append((ln.id, ln.from_bus))
         return tuple(tuple(a) for a in adj)
-
-    def generator_buses(self) -> list[int]:
-        return [b.index for b in self.buses if b.is_generator]
 
     def index_of(self, external_id: int) -> int:
         try:
@@ -447,29 +446,44 @@ def reduced_graph(net: Network, p: Partition) -> ReducedGraph:
     return ReducedGraph(k=p.k, edges=tuple(edges))
 
 
+def max_weight_spanning_tree(rg: ReducedGraph) -> tuple[frozenset[int], frozenset[int]]:
+    """Split reduced-graph edges into (retained tree, switched rest).
+
+    Kruskal's algorithm: edges are taken heaviest first, ties going to
+    the lower line id, and kept when they join two components of the
+    cluster labels.  Under that strict order the greedy tree is unique
+    and its complement has the minimal total weight over all spanning
+    trees.  Raises NetworkValidationError when the clusters are not
+    connected.
+    """
+    comp = list(range(rg.k + 1))
+    retained: set[int] = set()
+    for e in sorted(rg.edges, key=lambda e: (-e.weight, e.line_id)):
+        ca, cb = comp[e.cluster_a], comp[e.cluster_b]
+        if ca != cb:
+            retained.add(e.line_id)
+            comp = [cb if c == ca else c for c in comp]
+    if len(retained) != rg.k - 1:
+        raise NetworkValidationError("reduced graph is disconnected")
+    return frozenset(retained), frozenset(e.line_id for e in rg.edges) - retained
+
+
 def is_tree_partition(net: Network, p: Partition) -> bool:
-    """True iff the reduced graph is a tree (connected, k-1 edges, simple)."""
+    """True iff the reduced graph is a tree: k-1 edges joining all k clusters."""
     rg = reduced_graph(net, p)
     if len(rg.edges) != p.k - 1:
         return False
-    pairs = [(e.cluster_a, e.cluster_b) for e in rg.edges]
-    if len(pairs) != len(set(pairs)):
+    try:
+        max_weight_spanning_tree(rg)
+    except NetworkValidationError:
         return False
-    parent = list(range(p.k + 1))
+    return True
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    comps = p.k
-    for ra, rb in pairs:
-        fa, fb = find(ra), find(rb)
-        if fa != fb:
-            parent[fa] = fb
-            comps -= 1
-    return comps == 1
+def disruption(net: Network, switched: Iterable[int]) -> float:
+    """Total absolute MW flow on the switched-off lines, summed in line-id order."""
+    by_id = net.line_by_id
+    return float(sum(abs(by_id[lid].flow_mw) for lid in sorted(switched)))
 
 
 def bridges(net: Network) -> list[int]:

@@ -5,7 +5,8 @@ fixings, keeps the feasible ones (non-empty connected clusters, connected
 reduced multigraph), and scores each with the stage-2 closed form.  The
 connectivity tests here are written independently of the structural
 helpers in the network module so the oracle only shares the separately
-verified spanning-tree primitive with the solvers it checks.
+verified spanning-tree primitive and the MW sum with the solvers it
+checks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 
 from .coherency import CoherencyGroups
 from .errors import BudgetError, InfeasibleError
-from .network import Network, Partition, ReducedEdge, ReducedGraph
+from .network import Network, Partition, ReducedEdge, ReducedGraph, disruption
 from .solution import METHOD_ORACLE, TreePartitionSolution, validate_solution
 from .twostage import max_weight_spanning_tree
 
@@ -114,8 +115,7 @@ def enumerate_optimal(
 
         rg = ReducedGraph(k=k, edges=tuple(cross))
         retained, switched = max_weight_spanning_tree(rg)
-        by_id = {e.line_id: e.weight for e in cross}
-        value = sum(by_id[lid] for lid in sorted(switched))
+        value = disruption(net, switched)
         if best is None or value < best[0]:
             best = (value, tuple(assignment), retained, switched)
 

@@ -17,9 +17,12 @@ from .network import (
     Partition,
     apply_switching,
     cross_edges,
+    disruption,
     is_connected,
     is_tree_partition,
     json_object,
+    max_weight_spanning_tree,
+    reduced_graph,
 )
 
 METHOD_TWO_STAGE = "TWO_STAGE"
@@ -29,6 +32,7 @@ METHOD_ORACLE = "ORACLE"
 
 __all__ = [
     "TreePartitionSolution",
+    "partition_solution",
     "validate_solution",
     "solution_to_json",
     "solution_from_json",
@@ -47,6 +51,25 @@ class TreePartitionSolution:
     disruption_mw: float
     method: str
     runtime_s: float = 0.0
+
+
+def partition_solution(
+    net: Network, partition: Partition, method: str, runtime_s: float
+) -> TreePartitionSolution:
+    """The stage-2 answer for a fixed partition, not yet validated.
+
+    Keeps the maximum-weight spanning tree of the reduced graph as the
+    k-1 bridges and switches every other cross line off.
+    """
+    retained, switched = max_weight_spanning_tree(reduced_graph(net, partition))
+    return TreePartitionSolution(
+        partition=partition,
+        switched=switched,
+        retained_bridges=retained,
+        disruption_mw=disruption(net, switched),
+        method=method,
+        runtime_s=runtime_s,
+    )
 
 
 def validate_solution(net: Network, sol: TreePartitionSolution, groups=None, tol: float = 1e-6):
@@ -73,7 +96,7 @@ def validate_solution(net: Network, sol: TreePartitionSolution, groups=None, tol
                     raise NetworkValidationError(
                         f"coherent generator bus {bus} left cluster {r}"
                     )
-    actual = sum(abs(net.line_by_id[lid].flow_mw) for lid in sorted(sol.switched))
+    actual = disruption(net, sol.switched)
     if abs(actual - sol.disruption_mw) > tol:
         raise NetworkValidationError(
             f"reported disruption {sol.disruption_mw} != recomputed {actual}"
@@ -127,13 +150,11 @@ def solution_from_json(net: Network, text: str) -> TreePartitionSolution:
             out.add(pair_to_line[key])
         return frozenset(out)
 
-    assignment = [0] * net.n
-    for r, members in enumerate(doc["clusters"], start=1):
-        for bus_id in members:
-            assignment[net.index_of(bus_id)] = r
-    partition = Partition(tuple(assignment), doc["k"])
+    clusters = [[net.index_of(bus_id) for bus_id in members] for members in doc["clusters"]]
+    if doc["k"] != len(clusters):
+        raise NetworkValidationError(f"k={doc['k']} but {len(clusters)} clusters listed")
     return TreePartitionSolution(
-        partition=partition,
+        partition=Partition.from_clusters(clusters, net.n),
         switched=line_ids(doc["switched"]),
         retained_bridges=line_ids(doc["bridges"]),
         disruption_mw=doc["disruption_mw"],

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import shortest_path
 
 from .coherency import CoherencyGroups
 from .errors import BudgetError, ModelBuildError, NetworkValidationError
@@ -204,6 +206,18 @@ def _dreyfus_wagner(dist, terminals):
     return dp, choice
 
 
+def _hop_distances(edges: Iterable[tuple[int, int]], index: Mapping[int, int],
+                   sources=None) -> np.ndarray:
+    """Hop counts over the undirected ``edges`` between nodes at the given
+    ``index`` positions: one row per source position (every node by
+    default), one column per node, ``_INF`` where unreachable."""
+    rows = [index[a] for a, _ in edges]
+    cols = [index[b] for _, b in edges]
+    graph = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(index), len(index)))
+    hops = shortest_path(graph, directed=False, unweighted=True, indices=sources)
+    return np.where(np.isinf(hops), _INF, hops).astype(np.int64)
+
+
 def steiner_tree(net: Network, terminals: Iterable[int]) -> SteinerTree:
     """Minimum-edge Steiner tree spanning the terminal buses.
 
@@ -231,59 +245,24 @@ def steiner_tree(net: Network, terminals: Iterable[int]) -> SteinerTree:
     chosen: set[int] = set(work.forced_edges)
     if len(terms) > 1:
         all_nodes = sorted({v for key in work.edges for v in key} | set(terms))
-        adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in all_nodes}
-        for (a, b), lid in work.edges.items():
-            adjacency[a].append((b, lid))
-            adjacency[b].append((a, lid))
-
-        # BFS levels from each terminal; nodes further from every terminal
+        # hop levels from each terminal; nodes further from every terminal
         # than a known feasible tree size cannot appear in an optimal tree
-        term_dist: dict[int, dict[int, int]] = {}
-        for t in terms:
-            level = {t: 0}
-            frontier = [t]
-            d = 0
-            while frontier:
-                d += 1
-                nxt = []
-                for u in frontier:
-                    for v, _lid in adjacency[u]:
-                        if v not in level:
-                            level[v] = d
-                            nxt.append(v)
-                frontier = nxt
-            term_dist[t] = level
-        upper = sum(term_dist[terms[0]].get(t, int(_INF)) for t in terms[1:])
-        nodes = sorted(
-            v
-            for v in all_nodes
-            if min(term_dist[t].get(v, int(_INF)) for t in terms) <= upper
-        )
+        pos = {v: i for i, v in enumerate(all_nodes)}
+        term_dist = _hop_distances(work.edges, pos, [pos[t] for t in terms])
+        upper = term_dist[0, [pos[t] for t in terms[1:]]].sum()
+        nodes = [v for v, d in zip(all_nodes, term_dist.min(axis=0)) if d <= upper]
         index = {v: i for i, v in enumerate(nodes)}
         n = len(nodes)
-        keep = set(nodes)
+        # the DP sees distances on the kept subgraph, which can exceed
+        # full-graph ones, so they are measured there
+        kept = {key: lid for key, lid in work.edges.items() if key[0] in index and key[1] in index}
+        dist = _hop_distances(kept, index)
         neighbor: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (a, b), lid in work.edges.items():
-            if a in keep and b in keep:
-                neighbor[index[a]].append((index[b], lid))
-                neighbor[index[b]].append((index[a], lid))
+        for (a, b), lid in kept.items():
+            neighbor[index[a]].append((index[b], lid))
+            neighbor[index[b]].append((index[a], lid))
         for lst in neighbor:
             lst.sort()
-
-        dist = np.full((n, n), _INF, dtype=np.int64)
-        for src in range(n):
-            dist[src, src] = 0
-            frontier = [src]
-            d = 0
-            while frontier:
-                d += 1
-                nxt = []
-                for u in frontier:
-                    for v, _lid in neighbor[u]:
-                        if dist[src, v] > d:
-                            dist[src, v] = d
-                            nxt.append(v)
-                frontier = nxt
 
         term_idx = [index[v] for v in terms]
         dp, choice = _dreyfus_wagner(dist, term_idx)

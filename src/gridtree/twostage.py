@@ -7,7 +7,9 @@ deterministic k-means seeded (and pinned) at the supernodes; stray
 components are repaired by reassignment to the neighbouring cluster
 with the strongest attachment.
 Stage 2 keeps the heaviest spanning tree of cross edges as bridges, so
-the switched set has minimal weight for the given partition.
+the switched set has minimal weight for the given partition; the tree
+is ``network.max_weight_spanning_tree`` (Kruskal, heaviest first, ties
+to the lower line id), re-exported here.
 """
 
 from __future__ import annotations
@@ -18,43 +20,19 @@ import numpy as np
 
 from .coherency import CoherencyGroups, _fix_signs, _kmeans
 from .errors import InfeasibleError, NetworkValidationError
-from .network import Network, Partition, ReducedGraph, components, reduced_graph
-from .solution import METHOD_TWO_STAGE, TreePartitionSolution, validate_solution
+from .network import Network, Partition, components, max_weight_spanning_tree
+from .solution import (
+    METHOD_TWO_STAGE,
+    TreePartitionSolution,
+    partition_solution,
+    validate_solution,
+)
 
 __all__ = [
     "constrained_spectral_partition",
     "max_weight_spanning_tree",
     "two_stage",
 ]
-
-
-def max_weight_spanning_tree(rg: ReducedGraph) -> tuple[frozenset[int], frozenset[int]]:
-    """Split reduced-graph edges into (retained tree, switched rest).
-
-    Prim's algorithm on the multigraph, maximizing total retained weight;
-    ties fall to the lower line id.  The switched set therefore has the
-    minimal total weight over all spanning-tree choices.
-    """
-    if rg.k == 1:
-        return frozenset(), frozenset(e.line_id for e in rg.edges)
-    in_tree = {1}
-    retained: set[int] = set()
-    while len(in_tree) < rg.k:
-        best = None
-        for e in rg.edges:
-            a_in, b_in = e.cluster_a in in_tree, e.cluster_b in in_tree
-            if a_in == b_in:
-                continue
-            key = (-e.weight, e.line_id)
-            if best is None or key < best[0]:
-                best = (key, e)
-        if best is None:
-            raise NetworkValidationError("reduced graph is disconnected")
-        edge = best[1]
-        retained.add(edge.line_id)
-        in_tree.add(edge.cluster_a if edge.cluster_b in in_tree else edge.cluster_b)
-    switched = frozenset(e.line_id for e in rg.edges if e.line_id not in retained)
-    return frozenset(retained), switched
 
 
 def _contracted_weights(net: Network, groups: CoherencyGroups):
@@ -158,16 +136,6 @@ def two_stage(net: Network, groups: CoherencyGroups) -> TreePartitionSolution:
     """Spectral partition followed by the optimal bridge selection."""
     start = time.perf_counter()
     partition = constrained_spectral_partition(net, groups)
-    rg = reduced_graph(net, partition)
-    retained, switched = max_weight_spanning_tree(rg)
-    weight_by_line = {e.line_id: e.weight for e in rg.edges}
-    sol = TreePartitionSolution(
-        partition=partition,
-        switched=switched,
-        retained_bridges=retained,
-        disruption_mw=float(sum(weight_by_line[lid] for lid in sorted(switched))),
-        method=METHOD_TWO_STAGE,
-        runtime_s=time.perf_counter() - start,
-    )
+    sol = partition_solution(net, partition, METHOD_TWO_STAGE, time.perf_counter() - start)
     validate_solution(net, sol, groups)
     return sol

@@ -343,6 +343,7 @@ def test_criterion_6_steiner_exactness_and_fixings():
 # 7. Benchmark structure across methods and case sizes
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_benchmark_structure():
     """Objective values depend on the grouping and dispatch inputs, so the
     harness asserts the relations that must hold for any consistent inputs:

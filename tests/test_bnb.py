@@ -127,6 +127,17 @@ def test_infeasible_instance_raises():
         solve_builtin(net, groups)
 
 
+def test_disconnected_network_has_no_tree_partition():
+    # every leaf has connected clusters, but no line joins them: the leaf's
+    # spanning forest misses the merge, so no leaf may be scored
+    net = build_net(4, [(0, 1), (2, 3)], flows=[1.0, 2.0], gen_buses=(0, 2))
+    groups = CoherencyGroups(groups=(frozenset({0}), frozenset({2})), k=2)
+    with pytest.raises(InfeasibleError):
+        oracle.enumerate_optimal(net, groups)
+    with pytest.raises(InfeasibleError):
+        solve_builtin(net, groups)
+
+
 def test_budget_exhaustion_without_incumbent():
     rng = np.random.default_rng(7)
     net = random_connected_net(rng, 8, 4)

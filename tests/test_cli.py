@@ -1,5 +1,8 @@
 """CLI verbs, exit codes, config precedence, and byte-reproducibility."""
 
+import contextlib
+import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -28,6 +31,26 @@ mpc.branch = [
     2 3 0 0.1 0 0 0 0 0 0 1;
     3 4 0 0.1 0 0 0 0 0 0 1;
     1 4 0 0.1 0 0 0 0 0 0 1;
+];
+"""
+
+# a 4-bus path case: any 2-split is a tree partition that switches nothing
+PATH_CASE = """
+mpc.baseMVA = 100;
+mpc.bus = [
+    1 2 0  0 0 0 1 1 0 0 1 1.1 0.9;
+    2 1 60 0 0 0 1 1 0 0 1 1.1 0.9;
+    3 1 40 0 0 0 1 1 0 0 1 1.1 0.9;
+    4 2 0  0 0 0 1 1 0 0 1 1.1 0.9;
+];
+mpc.gen = [
+    1 70 0 0 0 1 100 1 100 0;
+    4 30 0 0 0 1 100 1 100 0;
+];
+mpc.branch = [
+    1 2 0 0.1 0 0 0 0 0 0 1;
+    2 3 0 0.1 0 0 0 0 0 0 1;
+    3 4 0 0.1 0 0 0 0 0 0 1;
 ];
 """
 
@@ -263,9 +286,24 @@ def test_demo_case_solves(capsys):
             ["export-dot", "--solution", "s.json"], 2, "'switched' must be a list of",
         ),
         ({"c.cfg": "method=two-stage\nk=abc\n"}, ["solve", "--config", "c.cfg"], 2, "line 2"),
+        (
+            {"s.json": json.dumps({
+                "method": "MILP", "k": 2, "clusters": [[1, 2, 3, 5, 7, 8, 9], [4, 6, 1]],
+                "switched": [[1, 4]], "bridges": [[1, 6]], "disruption_mw": 15.9,
+            })},
+            ["export-dot", "--solution", "s.json"], 3, "assigned twice",
+        ),
+        (
+            {"s.json": json.dumps({
+                "method": "MILP", "k": 3, "clusters": [[1, 2, 3, 5, 7, 8, 9], [4, 6]],
+                "switched": [[1, 4]], "bridges": [[1, 6]], "disruption_mw": 15.9,
+            })},
+            ["export-dot", "--solution", "s.json"], 3, "k=3 but 2 clusters",
+        ),
     ],
     ids=["unknown-slack", "groups-no-k", "groups-unknown-bus", "groups-not-json",
-         "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int"],
+         "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int",
+         "solution-bus-twice", "solution-k-mismatch"],
 )
 def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, message):
     for name, text in files.items():
@@ -273,3 +311,81 @@ def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, messa
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     assert main([*argv, "--case", DEMO]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["milp", "ssr", "oracle", "two-stage"])
+def test_cli_prints_zero_disruption_as_float(capsys, tmp_path, method):
+    case = tmp_path / "path4.m"
+    case.write_text(PATH_CASE)
+    assert main(["solve", "--case", str(case), "--k", "2", "--method", method,
+                 "--no-timing"]) == 0
+    out = capsys.readouterr().out
+    assert '"disruption_mw": 0.0,' in out
+    assert json.loads(out)["switched"] == []
+
+
+# `solve --no-timing` for demo9/net030/net057 x k=2..5 x {milp, ssr,
+# two-stage} (built-in B&B) and two-stage on the larger cases, taken before
+# stage 2 was merged into one definition: case, k, method, exit code and
+# SHA-256 of stdout
+PINNED_SOLVE_OUTPUTS = """
+demo9 2 milp 0 5fe5fc3612ed4e782997481a0678ef543b686487fe72089be4abef6cb2a1fca0
+demo9 2 ssr 0 60acde959f54e2b23ad45762622fbac7b98955093b1fbfe4199a48153194df8b
+demo9 2 two-stage 0 9434fa7bf69d09694392404dfddc22f94f2dee9d145125ff6400331cf7dc3d37
+demo9 3 milp 0 f81f08de8b6864705776cf0d8ee72fde9e1c934a822b80b984caf6ccbf6d47ea
+demo9 3 ssr 0 021bad93911e6782b521bad9db060e0bb2b4562b5d068312c6b5fa9d3f58539f
+demo9 3 two-stage 0 c0a4dfabd2b493988abc06a6ffa4375b9d1f9ca9bbd0a95e0134ac1235e31b65
+demo9 4 milp 0 9c7d7aaf8fbfdfd3acfbafca0df6dc0bbc88b53481f86d2be0c1e296edb7ce22
+demo9 4 ssr 0 abfc09a9f30ed5db2cc926758a12a59a29592498da1348b03e54be377da79b01
+demo9 4 two-stage 0 1b81d93e3f43f69418fa7eb4bf3114b1a8e5634434ff18d8a2e1675bf4cf7125
+demo9 5 milp 3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+demo9 5 ssr 3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+demo9 5 two-stage 3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+net030 2 milp 0 306ee801e32d33b6c8be3a4d05bee613b7c7f2cd45380dc901f2d6aa2dd82269
+net030 2 ssr 0 dc4606edb148f197e7e7ab822758f4ae4e8ec96bfad9ee1a2e240ebb399a053a
+net030 2 two-stage 4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+net030 3 milp 0 60549b6a670cc936e344f9a25f1c9305b6be7ce8e0eab54eb0f255ebe1e5a3cb
+net030 3 ssr 0 42464b02e69314ad48f3d58db9a10f8b30b16ba0e3d39cb357876bb2b89dabfc
+net030 3 two-stage 0 e5fce1fd276b6f9bc756e0afcf26ddcb16854d0532160a3173b6dcc298ea2f2a
+net030 4 milp 0 c5ce1bf85c5e442be57a69817375b53aa4abb731dfe7ad9b2e76b0959c6f3a29
+net030 4 ssr 0 d8ca15c8ea11c1dc89936031adc8da9cb0a7f66e1964c1f8607c7b448161545e
+net030 4 two-stage 0 f3ed6a3e1af1583354da91a219459b2bef742bc6da36d15c44192867ecdd5d35
+net030 5 milp 0 465f9dd334fa01f8d439542958e4d5fd0cda5ea072d2efd5b9ec9980237060c1
+net030 5 ssr 0 9806543b366f1ebc030430148fee5fdef383a23124757620e62fc4d5d4890c01
+net030 5 two-stage 0 7775d7ba60d982fa9479d85053ce6e639fa88ec20b47b3b0853dee975513b368
+net057 2 milp 0 7a22643c0c371a8b3964ffd67b9258c75ae76b465861ad3eb5c5bb85a0e53736
+net057 2 ssr 0 2b12e9b49793bfb2597eafadbddc3bb74656588250857fd3064d94ed93d6f949
+net057 2 two-stage 0 18dd852838d9f6982d534b482474f29555e1ad2b04d05620b06963b128835904
+net057 3 milp 0 cf9901d424141a1dbc9180af8b14571186448508fafbab8d33d17c679a45d786
+net057 3 ssr 0 f6c9d488187e54339eb8398208a8ec8e3119cc665662b8c10698272f0b5a9131
+net057 3 two-stage 0 a58f164b69aca912e98ab4f4c602ff7f3e535b58b5f45ff5503a709881e58b56
+net057 4 milp 0 816f6a863c37c4d250d2872e6b0fde92200120e1122197ba8979e23e5ba33ea2
+net057 4 ssr 0 1fa7d2956509c3b3d03810ac611ad4b5e3d931b3fbc4637a029e61e2a359d491
+net057 4 two-stage 0 1e614ec28864b93de3634891c532989d4e63f8b15a791acc0e2f5a3be45ffe4d
+net057 5 milp 0 0547e67528fd8d79aea75c513457852fed738fb1a52ed1b2a0cd90029c6b3e29
+net057 5 ssr 0 de2b4e731ca1b087be9356d012bfd6dcf848462605b89c15d092c0392351aea7
+net057 5 two-stage 0 e194da4cc49168c9e2441e244823833d6ae632eaef9956f587037d4dc168cc88
+net118 2 two-stage 0 372cde57efd2d4ad930d80ffc095e75388853e0a2f7626f9ffc4fa429c9913b6
+net118 3 two-stage 4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+net118 4 two-stage 4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+net118 5 two-stage 4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+net240 2 two-stage 0 99640a91e9ac1d1e68b04f0ecf8960710a78f0f403f22a608e0c1beb22cbfd2c
+net240 3 two-stage 0 d2c18ada7655c73ef3ed3d321143287fef1ad3bd05b3f3d48a898e094a672d93
+net240 4 two-stage 0 b70ba8e96efd8b2a7608d0049f7fbced0f10215030cf72f541bf788311f8eba9
+net240 5 two-stage 0 856c75cf07956e627ccaec33846d8074c3323294bad65414f5c1f3473454b54f
+net300 2 two-stage 4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+net300 3 two-stage 0 456fe26a28087826067a4d57cf673239ff4af5f001c0725346afc0b2d1815649
+net300 4 two-stage 0 72bf3f87b9d2e2f058d9888888c71e31eae743011ac99b969f2153dd35b662f6
+net300 5 two-stage 4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+"""
+
+
+def test_solve_outputs_are_pinned():
+    for row in PINNED_SOLVE_OUTPUTS.split("\n")[1:-1]:
+        case, k, method, code, digest = row.split()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            got = main(["solve", "--case", str(CASES_DIR / f"{case}.m"), "--k", k,
+                        "--method", method, "--no-timing"])
+        assert (got, hashlib.sha256(out.getvalue().encode()).hexdigest()) == (
+            int(code), digest), row

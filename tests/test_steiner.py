@@ -226,6 +226,20 @@ def test_dp_identical_to_reference_loop(monkeypatch, block):
         assert np.array_equal(choice, ref_choice)
 
 
+def test_hop_distances_match_reference_bfs():
+    rng = np.random.default_rng(59)
+    nets = [random_connected_net(rng, int(rng.integers(2, 30)), int(rng.integers(0, 20)))
+            for _ in range(40)]
+    nets.append(build_net(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]))
+    for net in nets:
+        edges = [(ln.from_bus, ln.to_bus) for ln in net.lines]
+        identity = {i: i for i in range(net.n)}
+        want = _hop_distances(net)
+        assert np.array_equal(steiner._hop_distances(edges, identity), want)
+        sources = sorted(rng.choice(net.n, size=min(3, net.n), replace=False).tolist())
+        assert np.array_equal(steiner._hop_distances(edges, identity, sources), want[sources])
+
+
 # line ids of each group's tree on bundled cases, as the scalar DP built them
 PINNED_TREE_EDGES = {
     ("net118", 2): [

@@ -100,6 +100,60 @@ def test_random_multigraphs_match_spanning_tree_brute_force():
         assert len(retained) == k - 1
 
 
+def _reference_prim(rg):
+    """Prim's algorithm as the stage-2 tree was first written: grow from
+    cluster 1, always adding the heaviest crossing edge, ties to the
+    lower line id."""
+    if rg.k == 1:
+        return frozenset(), frozenset(e.line_id for e in rg.edges)
+    in_tree = {1}
+    retained: set[int] = set()
+    while len(in_tree) < rg.k:
+        best = None
+        for e in rg.edges:
+            a_in, b_in = e.cluster_a in in_tree, e.cluster_b in in_tree
+            if a_in == b_in:
+                continue
+            key = (-e.weight, e.line_id)
+            if best is None or key < best[0]:
+                best = (key, e)
+        if best is None:
+            raise NetworkValidationError("reduced graph is disconnected")
+        edge = best[1]
+        retained.add(edge.line_id)
+        in_tree.add(edge.cluster_a if edge.cluster_b in in_tree else edge.cluster_b)
+    switched = frozenset(e.line_id for e in rg.edges if e.line_id not in retained)
+    return frozenset(retained), switched
+
+
+def test_kruskal_matches_reference_prim_on_tied_multigraphs():
+    # weights from {0, 1, 2, 3} tie often, line ids are shuffled so id order
+    # differs from edge order, and no spanning path is planted, so many of
+    # the graphs are disconnected
+    rng = np.random.default_rng(2021)
+    outcomes = {"tree": 0, "disconnected": 0}
+    for _ in range(2500):
+        k = int(rng.integers(1, 7))
+        n_edges = int(rng.integers(0, 3 * k + 1))
+        ids = rng.permutation(100)[:n_edges].tolist()
+        edges = []
+        for lid in ids:
+            a, b = rng.choice(np.arange(1, k + 1), size=2, replace=k == 1).tolist()
+            if a != b:
+                edges.append(ReducedEdge(min(a, b), max(a, b), lid, float(rng.integers(0, 4))))
+        rg = ReducedGraph(k=k, edges=tuple(edges))
+        try:
+            want = _reference_prim(rg)
+        except NetworkValidationError:
+            with pytest.raises(NetworkValidationError):
+                max_weight_spanning_tree(rg)
+            outcomes["disconnected"] += 1
+            continue
+        assert max_weight_spanning_tree(rg) == want
+        outcomes["tree"] += 1
+    assert min(outcomes.values()) >= 500, outcomes
+
+
 def _two_cliques(gen_pairs=((0, 1), (4, 5))):
     edges = []
     for base in (0, 4):
