@@ -37,6 +37,7 @@ from .solution import (
     _pair,
     solution_from_json,
     solution_to_json,
+    validate_solution,
 )
 
 BRIDGE_ENV = "GRIDTREE_BRIDGE_CMD"
@@ -62,11 +63,10 @@ class RunConfig:
     groups: Optional[str] = None
     slack: Optional[int] = None  # external bus id
     bridge_cmd: Optional[str] = None
-    bridge_timeout: float = 600.0
     out: Optional[str] = None
     no_timing: bool = False
     limit: int = oracle.DEFAULT_LIMIT
-    time_limit: Optional[float] = None
+    time_limit: Optional[float] = None  # None: no B&B limit, the bridge's 600 s
 
 
 def _load_config_file(path: str) -> dict:
@@ -145,7 +145,9 @@ def _bridge(cfg: RunConfig) -> Optional[milp.SolverBridge]:
     cmd = cfg.bridge_cmd or os.environ.get(BRIDGE_ENV)
     if not cmd:
         return None
-    return milp.SolverBridge(command=cmd, timeout_s=cfg.bridge_timeout)
+    if cfg.time_limit is None:
+        return milp.SolverBridge(command=cmd)
+    return milp.SolverBridge(command=cmd, timeout_s=cfg.time_limit)
 
 
 def _solve_with_config(cfg: RunConfig):
@@ -279,6 +281,7 @@ def cmd_export_dot(args) -> int:
     if sol_path:
         net, _ = _flowed_network(cfg)
         sol = solution_from_json(net, _read_text(sol_path, "solution file"))
+        validate_solution(net, sol)
         text = render.to_dot(net, sol)
     else:
         net = _load_network(cfg.case)
@@ -312,8 +315,8 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--bridge-cmd", dest="bridge_cmd", help="external solver command template")
-    p.add_argument("--bridge-timeout", dest="bridge_timeout", type=float)
-    p.add_argument("--time-limit", dest="time_limit", type=float, help="built-in solver budget (s)")
+    p.add_argument("--time-limit", dest="time_limit", type=float,
+                   help="solver budget (s): built-in B&B limit, or the bridge's {timeout} (600 unset)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -271,9 +271,7 @@ def solve_dcopf_via_bridge(net: Network, costs: Sequence[GenCost], bridge) -> Fl
 
     model.set_objective([(c.cost_per_mw, f"pg_{c.bus_id}") for c in costs])
 
-    values, status = milp.run_bridge(model, bridge)
-    if status != "optimal":
-        raise InfeasibleError(f"bridge OPF finished with status {status!r}")
+    values = milp.run_bridge(model, bridge)
     theta = np.array([values.get(f"th_{i}", 0.0) for i in range(net.n)])
     flows = _line_flows(net, theta)
 

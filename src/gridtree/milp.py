@@ -28,8 +28,8 @@ from .errors import (
     NetworkValidationError,
     SolverTimeout,
 )
-from .network import Network, Partition, cross_edges, disruption
-from .solution import METHOD_MILP, TreePartitionSolution, validate_solution
+from .network import Network, Partition
+from .solution import METHOD_MILP, TreePartitionSolution, partition_solution, validate_solution
 from .steiner import SteinerFixings, collect_bus_fixings
 
 __all__ = [
@@ -278,26 +278,18 @@ def decode_values(
     method: str = METHOD_MILP,
     runtime_s: float = 0.0,
 ) -> TreePartitionSolution:
-    """Turn solver variable values into a validated solution."""
+    """Turn the solver's ``x`` values into a validated solution.
+
+    Only the partition is read; its bridges and switched lines come from
+    the same stage-2 rule every other route uses.
+    """
     assignment = []
     for i in range(net.n):
         hits = [r for r in range(1, groups.k + 1) if values.get(_xname(i, r), 0.0) > 0.5]
         if len(hits) != 1:
             raise NetworkValidationError(f"bus {i} assigned to {len(hits)} clusters")
         assignment.append(hits[0])
-    partition = Partition(tuple(assignment), groups.k)
-    switched = frozenset(
-        ln.id for ln in net.lines if values.get(_lname("z", ln), 0.0) < 0.5
-    )
-    retained = frozenset(set(cross_edges(net, partition)) - switched)
-    sol = TreePartitionSolution(
-        partition=partition,
-        switched=switched,
-        retained_bridges=retained,
-        disruption_mw=disruption(net, switched),
-        method=method,
-        runtime_s=runtime_s,
-    )
+    sol = partition_solution(net, Partition(tuple(assignment), groups.k), method, runtime_s)
     validate_solution(net, sol, groups)
     return sol
 
@@ -622,12 +614,14 @@ class SolverBridge:
         return shlex.split(cmd)
 
 
-def run_bridge(model: MilpModel, bridge: SolverBridge) -> tuple[dict[str, float], str]:
-    """Export, invoke the solver, and read back (values, status).
+def run_bridge(model: MilpModel, bridge: SolverBridge) -> dict[str, float]:
+    """Export, invoke the solver, and read back the values of a proved optimum.
 
-    Status lines in the solution file look like ``# status optimal``;
-    value lines are ``name value``.  Unknown variable names are ignored
-    and missing binaries default to zero at decode time.
+    The solution file holds a ``# status <word>`` line and ``name value``
+    lines; unknown variable names are ignored and missing binaries default
+    to zero at decode time.  Only ``optimal`` is an answer: ``infeasible``
+    raises InfeasibleError, ``unbounded`` BridgeError, and any other word,
+    or none, SolverTimeout.
     """
     with tempfile.TemporaryDirectory(prefix="gridtree_") as tmp:
         model_path = str(Path(tmp) / "model.lp")
@@ -650,7 +644,7 @@ def run_bridge(model: MilpModel, bridge: SolverBridge) -> tuple[dict[str, float]
         if not sol_file.exists():
             raise BridgeError("solver wrote no solution file")
         values: dict[str, float] = {}
-        status = "unknown"
+        status = None
         for raw in sol_file.read_text().splitlines():
             line = raw.strip()
             if not line:
@@ -669,13 +663,13 @@ def run_bridge(model: MilpModel, bridge: SolverBridge) -> tuple[dict[str, float]
                     values[name] = float(val)
                 except ValueError:
                     raise BridgeError(f"bad value for {name}: {val!r}")
+    if status == "optimal":
+        return values
     if status == "infeasible":
         raise InfeasibleError("external solver reported the model infeasible")
     if status == "unbounded":
         raise BridgeError("external solver reported the model unbounded")
-    if status in ("timeout", "unknown") and not values:
-        raise SolverTimeout("external solver returned no usable solution")
-    return values, status
+    raise SolverTimeout(f"solver stopped before proving optimality (status {status or 'missing'})")
 
 
 def solve_via_bridge(
@@ -688,9 +682,7 @@ def solve_via_bridge(
     """Build the model, solve it externally, and validate the decode."""
     start = time.perf_counter()
     model = build_model(net, groups, ssr=ssr)
-    values, status = run_bridge(model, bridge)
-    if status != "optimal":
-        raise SolverTimeout(f"solver stopped with status {status!r} before proving optimality")
+    values = run_bridge(model, bridge)
     elapsed = time.perf_counter() - start
     try:
         return decode_values(net, groups, values, method=method, runtime_s=elapsed)

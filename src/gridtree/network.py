@@ -160,18 +160,6 @@ class Partition:
             missing = sorted(set(range(1, self.k + 1)) - seen)
             raise NetworkValidationError(f"empty clusters: {missing}")
 
-    @classmethod
-    def from_clusters(cls, clusters: Sequence[Iterable[int]], n: int) -> "Partition":
-        assignment = [0] * n
-        for r, members in enumerate(clusters, start=1):
-            for i in members:
-                if assignment[i] != 0:
-                    raise NetworkValidationError(f"bus {i} assigned twice")
-                assignment[i] = r
-        if any(a == 0 for a in assignment):
-            raise NetworkValidationError("partition does not cover all buses")
-        return cls(tuple(assignment), len(clusters))
-
     def clusters(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.k)]
         for i, r in enumerate(self.assignment):

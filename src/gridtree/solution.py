@@ -150,11 +150,20 @@ def solution_from_json(net: Network, text: str) -> TreePartitionSolution:
             out.add(pair_to_line[key])
         return frozenset(out)
 
-    clusters = [[net.index_of(bus_id) for bus_id in members] for members in doc["clusters"]]
+    clusters = doc["clusters"]
     if doc["k"] != len(clusters):
         raise NetworkValidationError(f"k={doc['k']} but {len(clusters)} clusters listed")
+    assignment = [0] * net.n
+    for r, members in enumerate(clusters, start=1):
+        for bus_id in members:
+            i = net.index_of(bus_id)
+            if assignment[i]:
+                raise NetworkValidationError(f"bus {bus_id} assigned twice")
+            assignment[i] = r
+    if not all(assignment):
+        raise NetworkValidationError("partition does not cover all buses")
     return TreePartitionSolution(
-        partition=Partition.from_clusters(clusters, net.n),
+        partition=Partition(tuple(assignment), len(clusters)),
         switched=line_ids(doc["switched"]),
         retained_bridges=line_ids(doc["bridges"]),
         disruption_mw=doc["disruption_mw"],

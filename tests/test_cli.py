@@ -4,10 +4,12 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from gridtree import milpsolve
 from gridtree.cli import main
 
 from conftest import CASES_DIR
@@ -248,6 +250,42 @@ def test_seed_flag_is_a_usage_error(capsys, argv):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, timeout", [(["--time-limit", "7"], "7.0"), ([], "600.0")])
+def test_time_limit_is_the_bridge_timeout(capsys, tmp_path, flags, timeout):
+    seen = tmp_path / "seen.txt"
+    script = tmp_path / "fake.py"
+    script.write_text(
+        "import sys\n"
+        f"open({str(seen)!r}, 'w').write(sys.argv[3])\n"
+        "open(sys.argv[2], 'w').write('# status infeasible\\n')\n"
+    )
+    cmd = f"python3 {script} {{model}} {{solution}} {{timeout}}"
+    assert main(["solve", "--case", DEMO, "--k", "2", "--bridge-cmd", cmd, *flags]) == 4
+    assert seen.read_text() == timeout
+
+
+def test_bridge_timeout_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--case", DEMO, "--k", "2", "--bridge-timeout", "5"])
+    assert exc.value.code == 2
+
+
+def _help_text(entry, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        entry([*argv, "--help"])
+    return out.getvalue()
+
+
+def test_readme_flags_exist():
+    # every --flag the README shows must be accepted by a gridtree verb or milpsolve
+    verbs = re.search(r"\{([\w,-]+)\}", _help_text(main, [])).group(1).split(",")
+    helps = [_help_text(milpsolve.main, [])] + [_help_text(main, [verb]) for verb in verbs]
+    known = set(re.findall(r"--[a-z][\w-]*", "".join(helps)))
+    readme = (CASES_DIR.parent / "README.md").read_text()
+    assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", readme)) - known == set()
+
+
 def test_bench_k_values_must_be_integers(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--cases", DEMO, "--k-values", "2,x", "--methods", "oracle"])
@@ -291,7 +329,7 @@ def test_demo_case_solves(capsys):
                 "method": "MILP", "k": 2, "clusters": [[1, 2, 3, 5, 7, 8, 9], [4, 6, 1]],
                 "switched": [[1, 4]], "bridges": [[1, 6]], "disruption_mw": 15.9,
             })},
-            ["export-dot", "--solution", "s.json"], 3, "assigned twice",
+            ["export-dot", "--solution", "s.json"], 3, "bus 1 assigned twice",
         ),
         (
             {"s.json": json.dumps({
@@ -300,10 +338,17 @@ def test_demo_case_solves(capsys):
             })},
             ["export-dot", "--solution", "s.json"], 3, "k=3 but 2 clusters",
         ),
+        (
+            {"s.json": json.dumps({
+                "method": "ORACLE", "k": 2, "clusters": [[1, 2, 3, 5, 7, 8, 9], [4, 6]],
+                "switched": [], "bridges": [[1, 6]], "disruption_mw": 15.9,
+            })},
+            ["export-dot", "--solution", "s.json"], 3, "do not equal the cross edges",
+        ),
     ],
     ids=["unknown-slack", "groups-no-k", "groups-unknown-bus", "groups-not-json",
          "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int",
-         "solution-bus-twice", "solution-k-mismatch"],
+         "solution-bus-twice", "solution-k-mismatch", "solution-bad-switched"],
 )
 def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, message):
     for name, text in files.items():

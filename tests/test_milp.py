@@ -12,6 +12,7 @@ from gridtree.coherency import slow_coherency
 from gridtree.coherency import CoherencyGroups
 from gridtree.errors import (
     BridgeError,
+    GridTreeError,
     InfeasibleError,
     ModelBuildError,
     SolverTimeout,
@@ -130,6 +131,16 @@ def test_decode_defaults_missing_binaries_to_zero(four_cycle):
     decoded = decode_values(net, groups, values)
     assert decoded.switched == sol.switched
     assert decoded.partition.assignment == sol.partition.assignment
+
+
+def test_decode_reads_only_the_partition(four_cycle):
+    net, groups = four_cycle
+    sol = oracle.enumerate_optimal(net, groups)
+    values = {k: v for k, v in solution_to_values(net, sol).items() if k.startswith("x_")}
+    values.update({f"z_{ln.from_bus}_{ln.to_bus}": 0.0 for ln in net.lines})  # all "switched"
+    decoded = decode_values(net, groups, values)
+    assert (decoded.switched, decoded.retained_bridges, decoded.disruption_mw) == (
+        sol.switched, sol.retained_bridges, sol.disruption_mw)
 
 
 def test_conflicting_fixings_raise(four_cycle):
@@ -265,10 +276,33 @@ def test_bridge_invalid_solution_rejected(four_cycle, tmp_path):
 
 def test_run_bridge_parses_status_and_values(bridge):
     model = toy_model()
-    values, status = run_bridge(model, bridge)
-    assert status == "optimal"
+    values = run_bridge(model, bridge)
     assert values["a"] == pytest.approx(0.0)
     assert values["b"] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("# status feasible\nx_0_1 1\n", SolverTimeout),
+        ("# status timeout\n", SolverTimeout),
+        ("x_0_1 1\n", SolverTimeout),
+        ("# status unbounded\n", BridgeError),
+        ("# status infeasible\n", InfeasibleError),
+    ],
+    ids=["feasible", "timeout", "no-status", "unbounded", "infeasible"],
+)
+def test_every_bridge_route_reads_the_status_the_same_way(four_cycle, tmp_path, text, error):
+    script = tmp_path / "fake.py"
+    script.write_text(f"import sys\nopen(sys.argv[2], 'w').write({text!r})\n")
+    fake = SolverBridge(command=f"python3 {script} {{model}} {{solution}}")
+    net, groups = four_cycle
+    costs = [dcflow.GenCost(bus_id=1, cost_per_mw=1.0, pmax=100.0)]
+    for route in (lambda: solve_via_bridge(net, groups, fake),
+                  lambda: dcflow.solve_dcopf_via_bridge(net, costs, fake)):
+        with pytest.raises(GridTreeError) as exc:
+            route()
+        assert type(exc.value) is error
 
 
 def test_parse_lp_rejects_unsupported():
