@@ -1,15 +1,30 @@
 """Self-contained exact solver for the tree partitioning problem.
 
-Branches over bus-to-cluster assignments in a connectivity-guided DFS
-(the next bus is the unassigned one with the most assigned neighbours).
+Branches over bus-to-cluster assignments in a DFS that only builds the
+children a bus can still take.  At every node, cluster r's region is
+what its lowest member reaches through r's members and the free
+buses; a cluster with no members yet may take any free bus.  This is
+sound: in a completion that puts free bus b in r, cluster r is
+connected, so a path inside r joins b to r's members, and every bus on
+it is one of r's members or free now.  The node is pruned when a
+cluster's members are not all in its region (they can no longer be
+joined) or when a free bus lies in no region (it can join no cluster;
+on a connected network the first test already implies this one, but a
+component that holds no cluster member is left uncovered).
+Otherwise the domain of a free bus is the set of clusters whose region
+holds it, and only the children (b, r) with r in b's domain are built:
+every other child has no connected completion.  The next bus is the
+free one with the smallest domain (fail first), ties going to the most
+assigned neighbours and then to the lowest index, so a bus that one
+cluster alone can take is placed with a single child.
+
 Leaves are scored with the stage-2 closed form (total cross weight
-minus the maximum-weight spanning tree of the reduced graph).  Pruning
-combines a reachability test, which discards partial assignments whose
-clusters can no longer be connected, with an admissible disruption
-bound: the weight of the forced cross lines F (both ends assigned, to
-different clusters) minus a maximum-weight spanning forest of F on the
-cluster labels.  Every leaf below the node has a cross set C containing
-F and scores w(C) - w(T) for a spanning tree T of its cluster graph;
+minus the maximum-weight spanning tree of the reduced graph).  Subtrees
+are also pruned by an admissible disruption bound: the weight of the
+forced cross lines F (both ends assigned, to different clusters) minus
+a maximum-weight spanning forest of F on the cluster labels.  Every
+leaf below the node has a cross set C containing F and scores
+w(C) - w(T) for a spanning tree T of its cluster graph;
 T restricted to F is a forest, so it weighs at most the forest bound's
 credit, and the lines of T outside F are cross lines outside F, so the
 score is at least w(F) minus that credit.  At a leaf every line is
@@ -87,6 +102,7 @@ class _Search:
         self.forced_cross = 0.0
         self.cross_ranks = 0  # bit r set: the line of weight rank r is forced cross
         self.assigned_mask = 0
+        self.all_buses = (1 << self.n) - 1
         self.cluster_mask = [0] * (k + 1)
         self.n_unassigned = self.n
         self.fixed_order = sorted(fixed)
@@ -150,11 +166,17 @@ class _Search:
                 comp = [cb if c == ca else c for c in comp]
         return credit, credited, merges
 
-    def clusters_reachable(self) -> bool:
-        free = ~self.assigned_mask
+    def regions(self) -> Optional[list[int]]:
+        """Bus mask of each cluster's region (see the module docstring), or
+        None when a cluster's members are split or a free bus is in none."""
+        free = self.all_buses & ~self.assigned_mask
+        covered = 0
+        regions = []
         for r in range(1, self.k + 1):
             members = self.cluster_mask[r]
             if members == 0:
+                regions.append(free)
+                covered |= free
                 continue
             allowed = members | free
             comp = members & -members
@@ -169,8 +191,12 @@ class _Search:
                 frontier = reach & allowed & ~comp
                 comp |= frontier
             if members & ~comp:
-                return False
-        return True
+                return None
+            regions.append(comp)
+            covered |= comp
+        if free & ~covered:
+            return None
+        return regions
 
     # -- DFS ----------------------------------------------------------------
 
@@ -182,12 +208,24 @@ class _Search:
             if time.perf_counter() - self.started > self.time_limit_s:
                 raise _Stop()
 
-    def next_bus(self) -> int:
+    def next_bus(self, regions: list[int]) -> int:
+        """The free bus with the fewest clusters in its domain; ties go to
+        the most assigned neighbours, then to the lowest index."""
+        free = self.all_buses & ~self.assigned_mask
+        at_least = [free] + [0] * (self.k + 1)  # [j]: free buses in >= j regions
+        for region in regions:
+            for j in range(self.k, 0, -1):
+                at_least[j] |= at_least[j - 1] & region
+        for j in range(1, self.k + 1):  # every free bus is in some region
+            fewest = at_least[j] & ~at_least[j + 1]
+            if fewest:
+                break
         best_bus, best_score = -1, -1
-        for b in range(self.n):  # ascending scan makes index the tie-break
-            if self.assign[b] != 0:
-                continue
-            score = bin(self.nbr_mask[b] & self.assigned_mask).count("1")
+        while fewest:  # ascending scan makes index the tie-break
+            low = fewest & -fewest
+            fewest ^= low
+            b = low.bit_length() - 1
+            score = (self.nbr_mask[b] & self.assigned_mask).bit_count()
             if score > best_score:
                 best_bus, best_score = b, score
         return best_bus
@@ -200,7 +238,8 @@ class _Search:
             limit = self.incumbent[0] + _TIE_EPS * (1.0 + abs(self.incumbent[0]))
             if bound > limit:
                 return
-        if not self.clusters_reachable():
+        regions = self.regions()
+        if regions is None:
             return
         if self.n_unassigned == 0:
             # every line is decided, so the bound's forest is the bridge tree
@@ -214,8 +253,10 @@ class _Search:
             if self.incumbent is None or scored < self.incumbent:
                 self.incumbent = scored
             return
-        bus = self.next_bus()
+        bus = self.next_bus(regions)
         for r in range(1, self.k + 1):
+            if not regions[r - 1] >> bus & 1:
+                continue
             crossed = self.place(bus, r)
             try:
                 self.dfs()

@@ -93,7 +93,7 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
         elif f.name in file_values:
             line_no, raw = file_values[f.name]
             if f.type in ("int", "Optional[int]", "float", "Optional[float]"):
-                convert = int if "int" in f.type else float
+                convert = int if "int" in f.type else _seconds  # time_limit is the float key
                 try:
                     setattr(cfg, f.name, convert(raw))
                 except ValueError:
@@ -101,6 +101,8 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
                         f"config key {f.name} needs a {convert.__name__}, got {raw!r}",
                         line_no=line_no,
                     )
+                except argparse.ArgumentTypeError as exc:
+                    raise CaseParseError(f"config key {f.name} {exc}", line_no=line_no)
             elif f.type == "bool":
                 setattr(cfg, f.name, raw.lower() in ("1", "true", "yes"))
             else:
@@ -301,6 +303,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+        if value >= 0:  # false for NaN
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"needs a number of seconds >= 0, got {text!r}")
+
+
 def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--out", help="output path (default stdout)")
@@ -315,7 +327,7 @@ def _add_common(p: argparse.ArgumentParser):
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--bridge-cmd", dest="bridge_cmd", help="external solver command template")
-    p.add_argument("--time-limit", dest="time_limit", type=float,
+    p.add_argument("--time-limit", dest="time_limit", type=_seconds,
                    help="solver budget (s): built-in B&B limit, or the bridge's {timeout} (600 unset)")
 
 

@@ -86,6 +86,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.gap is not None and not args.gap >= 0:
         ap.error(f"--gap must be >= 0, got {args.gap!r}")
+    if args.time_limit is not None and not args.time_limit >= 0:
+        ap.error(f"--time-limit must be >= 0, got {args.time_limit!r}")
 
     model = parse_lp(Path(args.model).read_text())
     result, names = _solve(model, args.time_limit, args.gap)

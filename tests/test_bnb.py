@@ -120,6 +120,16 @@ def test_net030_k5_is_proved_within_node_budget():
     assert stats.nodes < 100_000
 
 
+def test_net118_k3_is_proved_within_node_budget():
+    # branching over all k clusters of the most-connected bus needed 151,594
+    # nodes here; branching fail-first over cluster domains 19,242
+    net = case_net("net118")
+    groups = coherency.slow_coherency(net, 3)
+    _sol, stats = solve_builtin(net, groups, node_limit=40_000)
+    assert stats.proved_optimal
+    assert stats.nodes < 40_000
+
+
 def test_infeasible_instance_raises():
     net = build_net(3, [(0, 1), (1, 2)], gen_buses=(0, 1, 2))
     groups = CoherencyGroups(groups=(frozenset({0, 2}), frozenset({1})), k=2)
@@ -132,6 +142,16 @@ def test_disconnected_network_has_no_tree_partition():
     # spanning forest misses the merge, so no leaf may be scored
     net = build_net(4, [(0, 1), (2, 3)], flows=[1.0, 2.0], gen_buses=(0, 2))
     groups = CoherencyGroups(groups=(frozenset({0}), frozenset({2})), k=2)
+    with pytest.raises(InfeasibleError):
+        oracle.enumerate_optimal(net, groups)
+    with pytest.raises(InfeasibleError):
+        solve_builtin(net, groups)
+
+
+def test_component_without_a_cluster_member_is_infeasible():
+    # no cluster can reach buses 2-4, so the root's regions leave them uncovered
+    net = build_net(5, [(0, 1), (2, 3), (3, 4)], flows=[1.0, 2.0, 3.0], gen_buses=(0, 1))
+    groups = CoherencyGroups(groups=(frozenset({0}), frozenset({1})), k=2)
     with pytest.raises(InfeasibleError):
         oracle.enumerate_optimal(net, groups)
     with pytest.raises(InfeasibleError):

@@ -250,6 +250,23 @@ def test_seed_flag_is_a_usage_error(capsys, argv):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--case", DEMO, "--k", "2"],
+        ["solve", "--case", DEMO, "--k", "2", "--bridge-cmd", "true {model} {solution}"],
+        ["bench", "--cases", DEMO, "--k-values", "2", "--methods", "oracle"],
+    ],
+    ids=["solve-builtin", "solve-bridge", "bench"],
+)
+def test_time_limit_flag_must_be_nonnegative(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--time-limit", value])
+    assert exc.value.code == 2
+    assert "--time-limit: needs a number of seconds >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, timeout", [(["--time-limit", "7"], "7.0"), ([], "600.0")])
 def test_time_limit_is_the_bridge_timeout(capsys, tmp_path, flags, timeout):
     seen = tmp_path / "seen.txt"
@@ -325,6 +342,14 @@ def test_demo_case_solves(capsys):
         ),
         ({"c.cfg": "method=two-stage\nk=abc\n"}, ["solve", "--config", "c.cfg"], 2, "line 2"),
         (
+            {"c.cfg": "method=two-stage\ntime_limit=-1\n"}, ["solve", "--config", "c.cfg"],
+            2, "line 2: config key time_limit needs a number of seconds >= 0",
+        ),
+        (
+            {"c.cfg": "time_limit=nan\nmethod=two-stage\n"}, ["solve", "--config", "c.cfg"],
+            2, "line 1: config key time_limit needs a number of seconds >= 0",
+        ),
+        (
             {"s.json": json.dumps({
                 "method": "MILP", "k": 2, "clusters": [[1, 2, 3, 5, 7, 8, 9], [4, 6, 1]],
                 "switched": [[1, 4]], "bridges": [[1, 6]], "disruption_mw": 15.9,
@@ -348,6 +373,7 @@ def test_demo_case_solves(capsys):
     ],
     ids=["unknown-slack", "groups-no-k", "groups-unknown-bus", "groups-not-json",
          "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int",
+         "config-negative-time-limit", "config-nan-time-limit",
          "solution-bus-twice", "solution-k-mismatch", "solution-bad-switched"],
 )
 def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, message):

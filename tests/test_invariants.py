@@ -148,6 +148,38 @@ def test_bnb_forest_bound_is_admissible_with_many_clusters(k):
     assert checked >= 10 and positive >= 5
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_bnb_regions_never_cut_a_feasible_completion(k):
+    # a node that regions() prunes has no feasible completion, and neither
+    # has a child that puts a free bus in a cluster outside its domain
+    rng = np.random.default_rng(310 + k)
+    prunes = skipped = 0
+    for _ in range(60):
+        net = random_connected_net(rng, k + 4, int(rng.integers(0, 4)))
+        groups = random_groups(rng, net, k, max_size=1)
+        state = [0] * net.n
+        for b in rng.permutation(net.n)[: int(rng.integers(k - 1, net.n))]:
+            state[b] = int(rng.integers(1, k + 1))
+        search = _Search(net, k, {}, None, None)
+        for i, r in enumerate(state):
+            if r:
+                search.place(i, r)
+        regions = search.regions()
+        if regions is None:
+            assert _best_completion(net, groups, state) is None
+            prunes += 1
+            continue
+        for b in (i for i, r in enumerate(state) if r == 0):
+            for r in range(1, k + 1):
+                if regions[r - 1] >> b & 1:
+                    continue
+                child = list(state)
+                child[b] = r
+                assert _best_completion(net, groups, child) is None
+                skipped += 1
+    assert prunes >= 10 and skipped >= 10, (prunes, skipped)
+
+
 def test_ssr_fixings_preserve_feasibility():
     # whenever the unrestricted problem is feasible, the overlap-corrected
     # fixings must leave at least one solution

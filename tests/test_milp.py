@@ -334,3 +334,12 @@ def test_milpsolve_rejects_negative_gap(tmp_path):
     with pytest.raises(SystemExit) as exc:
         milpsolve.main([str(model_path), str(tmp_path / "toy.sol"), "--gap", "-0.1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_milpsolve_rejects_negative_time_limit(tmp_path, value):
+    model_path = tmp_path / "toy.lp"
+    model_path.write_text(write_lp(toy_model()))
+    with pytest.raises(SystemExit) as exc:
+        milpsolve.main([str(model_path), str(tmp_path / "toy.sol"), "--time-limit", value])
+    assert exc.value.code == 2
