@@ -16,7 +16,15 @@ holds it, and only the children (b, r) with r in b's domain are built:
 every other child has no connected completion.  The next bus is the
 free one with the smallest domain (fail first), ties going to the most
 assigned neighbours and then to the lowest index, so a bus that one
-cluster alone can take is placed with a single child.
+cluster alone can take is placed with a single child.  Its children are
+visited in descending order of the flow on its lines to each cluster's
+members (ties to the lower label), so the first leaves keep much of the
+flow and the incumbent bounds the rest of the search early.  Placing a
+bus changes only the regions that held it (and the region of a cluster
+that gets its first member), so only those are flooded again.  Unplacing
+a bus restores the masks they replaced and the saved forced cross flow,
+so an interrupted search unwinds to the exact root state, float sums
+included.
 
 Leaves are scored with the stage-2 closed form (total cross weight
 minus the maximum-weight spanning tree of the reduced graph).  Subtrees
@@ -36,7 +44,9 @@ merge, and otherwise scores the cross lines the forest did not credit.
 A subtree is pruned only when its bound exceeds the incumbent by more
 than a relative tolerance, so every leaf that ties the optimum is still
 scored, and ties between equal-objective optima resolve to the
-lexicographically smallest assignment vector.
+lexicographically smallest assignment vector.  The (value, assignment)
+comparison does not depend on the order in which leaves are met, so the
+child order changes only how many nodes are visited, never the answer.
 """
 
 from __future__ import annotations
@@ -107,38 +117,53 @@ class _Search:
         self.n_unassigned = self.n
         self.fixed_order = sorted(fixed)
 
+        self.region = [0] * (k + 1)  # [r]: cluster r's region once regions() ran
+        self.stale = (1 << (k + 1)) - 2  # bit r set: region[r] must be re-flooded
+        self.saved: list[tuple[int, int]] = []  # (r, region[r] before its re-flood)
+        # what place() changes and unplace() restores, one entry per placement
+        self.undo: list[tuple[float, int, int, int]] = []
+
         self.nodes = 0
         self.incumbent: Optional[tuple[float, tuple[int, ...]]] = None  # (value, assignment)
 
     # -- state updates ------------------------------------------------------
 
-    def place(self, bus: int, r: int) -> list[int]:
-        """Assign ``bus`` to ``r``; returns the line positions it forces cross.
+    def place(self, bus: int, r: int) -> None:
+        """Assign ``bus`` to ``r`` and mark the regions this may change.
 
         A line is decided once both ends are assigned, so every line met
-        here was undecided.
+        here was undecided.  Another cluster's region only loses ``bus``
+        from its allowed set, so it changes only if it held ``bus``; r's
+        allowed set stays the same, so its region changes only if r had
+        no members (its region was every free bus) or did not hold ``bus``.
         """
-        crossed = []
+        bit = 1 << bus
+        self.undo.append((self.forced_cross, self.cross_ranks, self.stale, len(self.saved)))
+        for s in range(1, self.k + 1):
+            if s != r and self.region[s] & bit:
+                self.stale |= 1 << s
+        if not self.cluster_mask[r] or not self.region[r] & bit:
+            self.stale |= 1 << r
         self.assign[bus] = r
-        self.assigned_mask |= 1 << bus
-        self.cluster_mask[r] |= 1 << bus
+        self.assigned_mask |= bit
+        self.cluster_mask[r] |= bit
         self.n_unassigned -= 1
         for pos, other in self.lines_at[bus]:
             o = self.assign[other]
             if o and o != r:
                 self.forced_cross += self.weight[pos]
                 self.cross_ranks |= 1 << self.rank[pos]
-                crossed.append(pos)
-        return crossed
 
-    def unplace(self, bus: int, r: int, crossed: list[int]) -> None:
+    def unplace(self, bus: int, r: int) -> None:
+        """Undo the last ``place(bus, r)`` and the re-floods made since."""
+        self.forced_cross, self.cross_ranks, self.stale, mark = self.undo.pop()
+        while len(self.saved) > mark:
+            s, region = self.saved.pop()
+            self.region[s] = region
         self.assign[bus] = 0
         self.assigned_mask &= ~(1 << bus)
         self.cluster_mask[r] &= ~(1 << bus)
         self.n_unassigned += 1
-        for pos in crossed:
-            self.forced_cross -= self.weight[pos]
-            self.cross_ranks ^= 1 << self.rank[pos]
 
     # -- pruning ------------------------------------------------------------
 
@@ -168,15 +193,22 @@ class _Search:
 
     def regions(self) -> Optional[list[int]]:
         """Bus mask of each cluster's region (see the module docstring), or
-        None when a cluster's members are split or a free bus is in none."""
+        None when a cluster's members are split or a free bus is in none.
+
+        Only the clusters that place() marked stale are flooded again; the
+        masks they held are saved for unplace().
+        """
         free = self.all_buses & ~self.assigned_mask
-        covered = 0
-        regions = []
-        for r in range(1, self.k + 1):
+        stale = self.stale
+        while stale:
+            bit = stale & -stale
+            stale ^= bit
+            r = bit.bit_length() - 1
+            self.saved.append((r, self.region[r]))
             members = self.cluster_mask[r]
             if members == 0:
-                regions.append(free)
-                covered |= free
+                self.region[r] = free
+                self.stale ^= bit
                 continue
             allowed = members | free
             comp = members & -members
@@ -192,8 +224,12 @@ class _Search:
                 comp |= frontier
             if members & ~comp:
                 return None
-            regions.append(comp)
-            covered |= comp
+            self.region[r] = comp
+            self.stale ^= bit
+        regions = self.region[1:]
+        covered = 0
+        for region in regions:
+            covered |= region
         if free & ~covered:
             return None
         return regions
@@ -254,14 +290,16 @@ class _Search:
                 self.incumbent = scored
             return
         bus = self.next_bus(regions)
-        for r in range(1, self.k + 1):
-            if not regions[r - 1] >> bus & 1:
-                continue
-            crossed = self.place(bus, r)
+        kept = [0.0] * (self.k + 1)  # [r]: flow on bus's lines into cluster r
+        for pos, other in self.lines_at[bus]:
+            kept[self.assign[other]] += self.weight[pos]
+        domain = [r for r in range(1, self.k + 1) if regions[r - 1] >> bus & 1]
+        for r in sorted(domain, key=lambda r: -kept[r]):
+            self.place(bus, r)
             try:
                 self.dfs()
             finally:
-                self.unplace(bus, r, crossed)
+                self.unplace(bus, r)
 
 
 def solve_builtin(

@@ -15,6 +15,7 @@ import re
 import shlex
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -628,10 +629,13 @@ def run_bridge(model: MilpModel, bridge: SolverBridge) -> dict[str, float]:
         solution_path = str(Path(tmp) / "model.sol")
         export_lp(model, model_path)
         cmd = bridge.render(model_path, solution_path)
+        # grace period past the solver's own limit before a hard kill; a
+        # deadline the OS timers cannot hold means no kill at all
+        deadline = bridge.timeout_s + 30.0
         try:
-            # grace period past the solver's own limit before a hard kill
             proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=bridge.timeout_s + 30.0
+                cmd, capture_output=True, text=True,
+                timeout=deadline if deadline < threading.TIMEOUT_MAX else None,
             )
         except subprocess.TimeoutExpired:
             raise SolverTimeout(f"solver exceeded {bridge.timeout_s}s: {cmd[0]}")

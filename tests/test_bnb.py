@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from gridtree import coherency, oracle, steiner
-from gridtree.bnb import solve_builtin
+from gridtree.bnb import _Search, _Stop, solve_builtin
 from gridtree.coherency import CoherencyGroups
 from gridtree.errors import BudgetError, InfeasibleError
 from gridtree.milp import SolverBridge, solve_via_bridge
 from gridtree.solution import validate_solution
+from gridtree.steiner import collect_bus_fixings
 
 from conftest import BRIDGE_CMD, build_net, case_net, random_connected_net, random_groups
 
@@ -128,6 +129,121 @@ def test_net118_k3_is_proved_within_node_budget():
     _sol, stats = solve_builtin(net, groups, node_limit=40_000)
     assert stats.proved_optimal
     assert stats.nodes < 40_000
+
+
+def test_net118_k5_ssr_is_proved_within_node_budget():
+    # children in label order left this cell unproved after 150,000 nodes
+    # (incumbent 756.43 MW); the most-kept-flow child first proves it in 80,702
+    net = case_net("net118")
+    groups = coherency.slow_coherency(net, 5)
+    fixings = steiner.build_fixings(
+        net, [steiner.steiner_tree(net, g) for g in groups.groups]
+    )
+    sol, stats = solve_builtin(net, groups, ssr=fixings, node_limit=150_000)
+    assert stats.proved_optimal
+    assert sol.disruption_mw == pytest.approx(380.90312, abs=1e-5)
+
+
+@pytest.mark.slow
+def test_net118_k5_milp_is_proved_within_node_budget():
+    # 362,616 nodes, about 7 s
+    net = case_net("net118")
+    groups = coherency.slow_coherency(net, 5)
+    sol, stats = solve_builtin(net, groups, node_limit=500_000)
+    assert stats.proved_optimal
+    assert sol.disruption_mw == pytest.approx(380.90312, abs=1e-5)
+
+
+def test_interrupted_search_unwinds_to_the_exact_root_state():
+    # adding and then subtracting line weights drifted forced_cross off its
+    # root value (1.47e-09 MW after 200,000 nodes here), and the reported
+    # bound with it
+    net = case_net("net118")
+    groups = coherency.slow_coherency(net, 5)
+    fixed = collect_bus_fixings(net, groups)
+    search = _Search(net, groups.k, fixed, 20_000, None)
+    for i in search.fixed_order:
+        search.place(i, fixed[i])
+    at_root, root_bound = search.forced_cross, search.bound()
+    with pytest.raises(_Stop):
+        search.dfs()
+    assert search.forced_cross == at_root
+    assert search.bound() == root_bound
+    _sol, stats = solve_builtin(net, groups, node_limit=20_000)
+    assert not stats.proved_optimal
+    assert stats.best_bound == root_bound < stats.incumbent_mw
+
+
+def _reference_regions(search):
+    """Each cluster's region flooded from scratch, as regions() once did."""
+    free = search.all_buses & ~search.assigned_mask
+    covered = 0
+    regions = []
+    for r in range(1, search.k + 1):
+        members = search.cluster_mask[r]
+        if members == 0:
+            regions.append(free)
+            covered |= free
+            continue
+        allowed = members | free
+        comp = members & -members
+        frontier = comp
+        while frontier:
+            reach = 0
+            m = frontier
+            while m:
+                low = m & -m
+                reach |= search.nbr_mask[low.bit_length() - 1]
+                m ^= low
+            frontier = reach & allowed & ~comp
+            comp |= frontier
+        if members & ~comp:
+            return None
+        regions.append(comp)
+        covered |= comp
+    if free & ~covered:
+        return None
+    return regions
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_incremental_regions_match_a_fresh_flood(k):
+    # random DFS walks: place a free bus (mostly inside its domain), or undo
+    # the last placement, and compare regions() with a from-scratch flood
+    # after every step; half the walks start with no cluster members at all
+    rng = np.random.default_rng(620 + k)
+    pruned = steps = 0
+    for trial in range(40):
+        net = random_connected_net(rng, int(rng.integers(2 * k, 2 * k + 8)),
+                                   int(rng.integers(0, 6)))
+        search = _Search(net, k, {}, None, None)
+        if trial % 2:
+            groups = random_groups(rng, net, k, max_size=2)
+            for b, r in sorted(collect_bus_fixings(net, groups).items()):
+                search.place(b, r)
+        placed = []
+        regions = search.regions()
+        assert regions == _reference_regions(search)
+        for _ in range(60):
+            free = [b for b in range(net.n) if not search.assign[b]]
+            if placed and (regions is None or not free or rng.random() < 0.35):
+                search.unplace(*placed.pop())
+            elif free and regions is not None:
+                b = int(rng.choice(free))
+                domain = [r for r in range(1, k + 1) if regions[r - 1] >> b & 1]
+                if domain and rng.random() < 0.8:
+                    r = int(rng.choice(domain))
+                else:
+                    r = int(rng.integers(1, k + 1))
+                search.place(b, r)
+                placed.append((b, r))
+            else:
+                break
+            regions = search.regions()
+            assert regions == _reference_regions(search)
+            pruned += regions is None
+            steps += 1
+    assert steps >= 1000 and pruned >= 50, (steps, pruned)
 
 
 def test_infeasible_instance_raises():

@@ -12,7 +12,7 @@ import pytest
 from gridtree import milpsolve
 from gridtree.cli import main
 
-from conftest import CASES_DIR
+from conftest import BRIDGE_CMD, CASES_DIR
 
 DEMO = str(CASES_DIR / "demo9.m")
 
@@ -280,6 +280,17 @@ def test_time_limit_is_the_bridge_timeout(capsys, tmp_path, flags, timeout):
     assert main(["solve", "--case", DEMO, "--k", "2", "--bridge-cmd", cmd, *flags]) == 4
     assert seen.read_text() == timeout
 
+
+@pytest.mark.parametrize("limit", ["inf", "1e308", "1e10"])
+def test_huge_time_limit_runs_the_bridge_without_a_kill_deadline(capsys, limit):
+    # a subprocess timeout at or above threading.TIMEOUT_MAX (about 9.2e9 s)
+    # overflows, so the solver child runs with no deadline instead
+    argv = ["solve", "--case", DEMO, "--k", "2", "--no-timing",
+            "--bridge-cmd", BRIDGE_CMD + " --time-limit {timeout}"]
+    assert main(argv) == 0
+    want = json.loads(capsys.readouterr().out)["disruption_mw"]
+    assert main([*argv, "--time-limit", limit]) == 0
+    assert json.loads(capsys.readouterr().out)["disruption_mw"] == want
 
 def test_bridge_timeout_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
