@@ -254,13 +254,13 @@ def cmd_bench(args) -> int:
                     _net, _groups, sol = _solve_with_config(cell)
                     objective[(name, k, method)] = sol.disruption_mw
                     rows.append(
-                        [name, k, method, sol.disruption_mw, sol.runtime_s, None, "ok"]
+                        [name, k, method, sol.disruption_mw, sol.runtime_s, "ok"]
                     )
                 except GridTreeError as exc:
-                    rows.append([name, k, method, None, None, None, type(exc).__name__])
+                    rows.append([name, k, method, None, None, type(exc).__name__])
 
     lines = ["case,k,method,objective_mw,runtime_s,pct_vs_milp,status"]
-    for name, k, method, obj, runtime, _pct, status in rows:
+    for name, k, method, obj, runtime, status in rows:
         base = objective.get((name, k, "milp"))
         if obj is None:
             pct_txt, obj_txt, rt_txt = "", "", ""

@@ -367,18 +367,25 @@ def _expr(terms, constant=0.0) -> str:
     return " ".join(parts)
 
 
-def _wrap(text: str, indent: str = "   ", width: int = 72) -> list[str]:
+def _wrap(text: str, width: int = 72) -> list[str]:
     words = text.split()
     lines, cur = [], ""
     for w in words:
         if cur and len(cur) + len(w) + 1 > width:
-            lines.append(indent + cur)
+            lines.append(" " + cur)
             cur = w
         else:
             cur = f"{cur} {w}" if cur else w
     if cur:
-        lines.append(indent + cur)
+        lines.append(" " + cur)
     return lines
+
+
+# the only section headers write_lp writes and parse_lp reads; every other
+# line is indented by one space
+_MINIMIZE, _SUBJECT_TO, _BOUNDS, _BINARY, _END = _HEADERS = (
+    "Minimize", "Subject To", "Bounds", "Binary", "End"
+)
 
 
 def write_lp(model: MilpModel) -> str:
@@ -389,11 +396,11 @@ def write_lp(model: MilpModel) -> str:
     precision; for arbitrary doubles the export-parse-export cycle is
     idempotent instead (identical text on the second pass).
     """
-    out = [f"\\ {model.name}", "Minimize"]
-    out += _wrap("obj: " + _expr(model.objective, model.objective_constant), indent=" ")
-    out.append("Subject To")
+    out = [f"\\ {model.name}", _MINIMIZE]
+    out += _wrap("obj: " + _expr(model.objective, model.objective_constant))
+    out.append(_SUBJECT_TO)
     for con in model.constraints:
-        out += _wrap(f"{con.name}: {_expr(con.terms)} {con.sense} {_fmt(con.rhs)}", indent=" ")
+        out += _wrap(f"{con.name}: {_expr(con.terms)} {con.sense} {_fmt(con.rhs)}")
     bounds = []
     for var in sorted(model.variables, key=lambda v: v.name):
         if var.kind == "binary":
@@ -412,13 +419,13 @@ def write_lp(model: MilpModel) -> str:
             hi = "inf" if ub == math.inf else _fmt(ub)
             bounds.append(f" {lo} <= {var.name} <= {hi}")
     if bounds:
-        out.append("Bounds")
+        out.append(_BOUNDS)
         out += bounds
     binaries = sorted(v.name for v in model.variables if v.kind == "binary")
     if binaries:
-        out.append("Binary")
-        out += _wrap(" ".join(binaries), indent=" ")
-    out.append("End")
+        out.append(_BINARY)
+        out += _wrap(" ".join(binaries))
+    out.append(_END)
     return "\n".join(out) + "\n"
 
 
@@ -426,164 +433,97 @@ def export_lp(model: MilpModel, path) -> None:
     Path(path).write_text(write_lp(model))
 
 
-_TOKEN = re.compile(r"(<=|>=|=|\+|-|:|[A-Za-z_][A-Za-z0-9_.]*|[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?)")
-_SECTIONS = {
-    "minimize": "objective",
-    "min": "objective",
-    "subject": "constraints",
-    "st": "constraints",
-    "bounds": "bounds",
-    "binary": "binary",
-    "binaries": "binary",
-    "bin": "binary",
-    "end": "end",
-    "general": "general",
-}
+def _number(word: str, where: str) -> float:
+    try:
+        return float(word)
+    except ValueError:
+        raise BridgeError(f"expected a number, got {word!r} in LP text {where!r}") from None
+
+
+def _linear(words: list[str], where: str) -> tuple[list[tuple[float, str]], float]:
+    """Read ``[sign] [coef] name ...`` plus a trailing constant, as _expr writes it."""
+    terms, sign, coef = [], 1.0, None
+    for word in words:
+        is_name = word[0].isalpha() or word[0] == "_"
+        if coef is not None and not is_name:
+            raise BridgeError(f"a number is not followed by a name in LP text {where!r}")
+        if word in ("+", "-"):
+            sign = -1.0 if word == "-" else 1.0
+        elif is_name:
+            terms.append(((1.0 if coef is None else coef) * sign, word))
+            sign, coef = 1.0, None
+        else:
+            coef = _number(word, where)
+    return terms, 0.0 if coef is None else sign * coef
 
 
 def parse_lp(text: str) -> MilpModel:
-    """Parse the LP subset produced by write_lp back into a model."""
-    model = MilpModel(name="parsed")
-    lines = []
-    for raw in text.splitlines():
-        body = raw.split("\\")[0].rstrip()
-        if body.strip():
-            lines.append(body)
+    """Read the LP dialect write_lp writes back into a model.
 
-    # re-join into logical sections
+    Headers are unindented and come from ``_HEADERS``; text after ``\\`` is
+    a comment.  In Minimize and Subject To a line whose first word ends in
+    ``:`` opens a row and any other line continues it; a row reads
+    ``name: expression sense rhs``.  Bounds lines are ``name = v``,
+    ``lo <= name <= hi`` or ``name free``.  Anything else is a BridgeError.
+    """
+    found: dict[str, list[list[str]]] = {header: [] for header in _HEADERS}
     section = None
-    chunks: dict[str, list[str]] = {"objective": [], "constraints": [], "bounds": [], "binary": []}
-    for ln in lines:
-        head = ln.strip().split()
-        key = head[0].lower() if head else ""
-        if key in _SECTIONS:
-            tag = _SECTIONS[key]
-            if tag == "end":
-                break
-            if tag == "general":
-                raise BridgeError("general integer variables are not supported")
-            section = tag
-            rest = ln.strip()[len(head[0]):].strip()
-            if section == "constraints" and rest.lower().startswith("to"):
-                rest = rest[2:].strip()
-            if rest:
-                chunks[section].append(rest)
+    for raw in text.splitlines():
+        line = raw.split("\\")[0].rstrip()
+        if not line:
             continue
+        if not line[0].isspace():
+            if line not in _HEADERS:
+                raise BridgeError(f"unknown LP section {line!r}")
+            if line == _END:
+                break
+            section = line
+            continue
+        words = line.split()
         if section is None:
-            raise BridgeError(f"unexpected text before sections: {ln!r}")
-        chunks[section].append(ln.strip())
-
-    binary_names = set()
-    for ln in chunks["binary"]:
-        binary_names.update(ln.split())
-
-    seen_vars: dict[str, dict] = {}
-
-    def touch(name):
-        if name not in seen_vars:
-            seen_vars[name] = {"lb": None, "ub": None, "fixed": None, "free": False}
-
-    def parse_expr(tokens):
-        """Linear expression -> (terms, constant); consumes all tokens."""
-        terms, constant = [], 0.0
-        sign, coef, pending = 1.0, None, False
-        for tok in tokens:
-            if tok == "+" or tok == "-":
-                if pending and coef is not None:
-                    constant += sign * coef
-                sign, coef, pending = (1.0 if tok == "+" else -1.0), None, True
-            elif re.fullmatch(r"[0-9]*\.?[0-9]+(?:[eE][+-]?[0-9]+)?", tok):
-                if pending and coef is not None:
-                    constant += sign * coef
-                coef = float(tok)
-                pending = True
-            else:
-                touch(tok)
-                terms.append(((coef if coef is not None else 1.0) * sign, tok))
-                sign, coef, pending = 1.0, None, False
-        if pending and coef is not None:
-            constant += sign * coef
-        return terms, constant
-
-    # objective
-    obj_text = " ".join(chunks["objective"])
-    tokens = _TOKEN.findall(obj_text)
-    if tokens and len(tokens) > 1 and tokens[1] == ":":
-        tokens = tokens[2:]
-    obj_terms, obj_const = parse_expr(tokens)
-
-    # constraints: split logical constraints by detecting "name :" starts
-    con_text = " ".join(chunks["constraints"])
-    con_tokens = _TOKEN.findall(con_text)
-    pieces: list[list[str]] = []
-    i = 0
-    while i < len(con_tokens):
-        if i + 1 < len(con_tokens) and con_tokens[i + 1] == ":":
-            pieces.append([con_tokens[i], ":"])
-            i += 2
+            raise BridgeError(f"LP text before any section: {line!r}")
+        if section in (_MINIMIZE, _SUBJECT_TO) and not words[0].endswith(":"):
+            if not found[section]:
+                raise BridgeError(f"LP line continues no row: {line!r}")
+            found[section][-1] += words
         else:
-            if not pieces:
-                pieces.append([f"c{len(pieces)}", ":"])
-            pieces[-1].append(con_tokens[i])
-            i += 1
-    parsed_cons = []
-    for piece in pieces:
-        name = piece[0]
-        body = piece[2:]
-        sense_pos = [j for j, t in enumerate(body) if t in ("<=", ">=", "=")]
-        if len(sense_pos) != 1:
-            raise BridgeError(f"constraint {name}: expected one relational operator")
-        j = sense_pos[0]
-        lhs_terms, lhs_const = parse_expr(body[:j])
-        rhs_terms, rhs_const = parse_expr(body[j + 1:])
-        if rhs_terms:
-            raise BridgeError(f"constraint {name}: variables on the right-hand side")
-        parsed_cons.append((name, lhs_terms, body[j], rhs_const - lhs_const))
+            found[section].append(words)
+    else:
+        raise BridgeError("LP text has no End line")
 
-    # bounds
-    for ln in chunks["bounds"]:
-        tokens = ln.split()
-        lowered = [t.lower() for t in tokens]
-        if len(tokens) == 2 and lowered[1] == "free":
-            touch(tokens[0])
-            seen_vars[tokens[0]]["free"] = True
-        elif len(tokens) == 3 and tokens[1] == "=":
-            touch(tokens[0])
-            val = float(tokens[2])
-            seen_vars[tokens[0]]["lb"] = val
-            seen_vars[tokens[0]]["ub"] = val
-        elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-            touch(tokens[2])
-            lo = -math.inf if lowered[0] in ("-inf", "-infinity") else float(tokens[0])
-            hi = math.inf if lowered[4] in ("inf", "infinity", "+inf") else float(tokens[4])
-            seen_vars[tokens[2]]["lb"] = lo
-            seen_vars[tokens[2]]["ub"] = hi
-        elif len(tokens) == 3 and tokens[1] in ("<=", ">="):
-            touch(tokens[0])
-            if tokens[1] == "<=":
-                seen_vars[tokens[0]]["ub"] = float(tokens[2])
-            else:
-                seen_vars[tokens[0]]["lb"] = float(tokens[2])
+    if len(found[_MINIMIZE]) != 1:
+        raise BridgeError("LP text needs exactly one objective row")
+    objective = _linear(found[_MINIMIZE][0][1:], " ".join(found[_MINIMIZE][0]))
+    rows = []
+    for words in found[_SUBJECT_TO]:
+        row = " ".join(words)
+        senses = [i for i, w in enumerate(words) if w in ("<=", ">=", "=")]
+        if len(senses) != 1 or senses[0] != len(words) - 2:
+            raise BridgeError(f"LP row is not `name: expression sense rhs`: {row!r}")
+        terms, constant = _linear(words[1:-2], row)
+        rows.append((words[0][:-1], terms, words[-2], _number(words[-1], row) - constant))
+    bounds: dict[str, tuple[float, float]] = {}
+    for words in found[_BOUNDS]:
+        line = " ".join(words)
+        if len(words) == 3 and words[1] == "=":
+            bounds[words[0]] = (_number(words[2], line),) * 2
+        elif len(words) == 5 and words[1] == words[3] == "<=":
+            bounds[words[2]] = (_number(words[0], line), _number(words[4], line))
+        elif len(words) == 2 and words[1] == "free":
+            bounds[words[0]] = (-math.inf, math.inf)
         else:
-            raise BridgeError(f"unsupported bounds line: {ln!r}")
+            raise BridgeError(f"unsupported LP bounds line {line!r}")
+    binaries = {name for words in found[_BINARY] for name in words}
 
-    for name in binary_names:
-        touch(name)
-
-    for name in sorted(seen_vars):
-        info = seen_vars[name]
-        kind = "binary" if name in binary_names else "continuous"
-        lb, ub = info["lb"], info["ub"]
-        if info["free"]:
-            lb, ub = -math.inf, math.inf
-        if kind == "binary" and lb is None and ub is None:
-            model.add_variable(name, kind)
-        else:
-            model.add_variable(name, kind, lb, ub)
-
-    for name, terms, sense, rhs in parsed_cons:
-        model.add_constraint(name, terms, sense, rhs)
-    model.set_objective(obj_terms, obj_const)
+    names = binaries | set(bounds) | {v for _, v in objective[0]}
+    names.update(v for _, terms, _, _ in rows for _, v in terms)
+    model = MilpModel(name="parsed")
+    for name in sorted(names):
+        kind = "binary" if name in binaries else "continuous"
+        model.add_variable(name, kind, *bounds.get(name, (None, None)))
+    for row in rows:
+        model.add_constraint(*row)
+    model.set_objective(*objective)
     return model
 
 
@@ -596,7 +536,9 @@ class SolverBridge:
     """Command template invoking an external solver on an LP file.
 
     The template must contain ``{model}`` and ``{solution}`` placeholders;
-    ``{timeout}`` is substituted when present.
+    ``{timeout}`` is substituted when present.  The template is split into
+    words first and the placeholders are filled inside each word, so paths
+    with spaces stay one argument.
     """
 
     command: str
@@ -607,12 +549,12 @@ class SolverBridge:
             raise ModelBuildError("bridge command needs {model} and {solution} placeholders")
 
     def render(self, model_path: str, solution_path: str) -> list[str]:
-        cmd = (
-            self.command.replace("{model}", model_path)
+        return [
+            word.replace("{model}", model_path)
             .replace("{solution}", solution_path)
             .replace("{timeout}", str(self.timeout_s))
-        )
-        return shlex.split(cmd)
+            for word in shlex.split(self.command)
+        ]
 
 
 def run_bridge(model: MilpModel, bridge: SolverBridge) -> dict[str, float]:

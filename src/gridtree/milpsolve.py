@@ -1,9 +1,13 @@
 """Bundled LP/MILP solver command for the external-solver bridge.
 
-Reads a CPLEX-LP model file, solves it with HiGHS (through scipy), and
-writes a solution file of ``name value`` lines preceded by a
-``# status ...`` comment.  Any solver with the same file interface can
-replace it in a bridge command template:
+Reads the LP dialect that ``gridtree.milp.write_lp`` writes: the sections
+Minimize, Subject To, Bounds, Binary and End, and bounds lines of the forms
+``name = v``, ``lo <= name <= hi`` and ``name free``.  Any other LP file is
+rejected; it belongs to an external solver.  The model is solved with
+HiGHS (through scipy), and the solution file gets a ``# status ...`` line,
+an ``# objective ...`` line when there is a point, and ``name value``
+lines.  Any solver with the same file interface can replace it in a
+bridge command template:
 
     python3 -m gridtree.milpsolve {model} {solution} --time-limit {timeout}
 """
@@ -22,9 +26,8 @@ from .milp import parse_lp
 
 
 def _solve(model, time_limit, gap):
-    names = [v.name for v in model.variables]
-    index = {name: i for i, name in enumerate(names)}
-    nvar = len(names)
+    index = {v.name: i for i, v in enumerate(model.variables)}
+    nvar = len(index)
 
     cost = np.zeros(nvar)
     for coef, name in model.objective:
@@ -45,15 +48,8 @@ def _solve(model, time_limit, gap):
             rows.append(ci)
             cols.append(index[name])
             vals.append(coef)
-        if con.sense == "<=":
-            c_lo.append(-np.inf)
-            c_hi.append(con.rhs)
-        elif con.sense == ">=":
-            c_lo.append(con.rhs)
-            c_hi.append(np.inf)
-        else:
-            c_lo.append(con.rhs)
-            c_hi.append(con.rhs)
+        c_lo.append(-np.inf if con.sense == "<=" else con.rhs)
+        c_hi.append(np.inf if con.sense == ">=" else con.rhs)
     a = sparse.csr_matrix(
         (vals, (rows, cols)), shape=(len(model.constraints), nvar)
     )
@@ -70,15 +66,16 @@ def _solve(model, time_limit, gap):
         integrality=integrality,
         bounds=Bounds(lb, ub),
         options=options,
-    ), names
+    )
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="gridtree-milpsolve",
-        description="Solve a CPLEX-LP file with HiGHS and write name/value lines.",
+        description="Solve an LP file in the dialect gridtree's write_lp writes "
+        "(Minimize, Subject To, Bounds, Binary, End) with HiGHS and write name/value lines.",
     )
-    ap.add_argument("model", help="input LP file")
+    ap.add_argument("model", help="input LP file, as gridtree.milp.write_lp writes it")
     ap.add_argument("solution", help="output solution file")
     ap.add_argument("--time-limit", type=float, default=None)
     ap.add_argument("--gap", type=float, default=None,
@@ -90,28 +87,16 @@ def main(argv=None) -> int:
         ap.error(f"--time-limit must be >= 0, got {args.time_limit!r}")
 
     model = parse_lp(Path(args.model).read_text())
-    result, names = _solve(model, args.time_limit, args.gap)
+    result = _solve(model, args.time_limit, args.gap)
 
-    if result.status == 0:
-        status = "optimal"
-    elif result.status == 2:
-        status = "infeasible"
-    elif result.status == 3:
-        status = "unbounded"
-    elif result.x is not None:
-        status = "feasible"
-    else:
-        status = "timeout"
-
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(
+        result.status, "timeout" if result.x is None else "feasible"
+    )
     out = [f"# status {status}"]
     if result.x is not None:
-        index = {name: i for i, name in enumerate(names)}
-        objective = model.objective_constant + float(
-            sum(c * result.x[index[v]] for c, v in model.objective)
-        )
-        out.append(f"# objective {objective:.12g}")
-        for name, val in zip(names, result.x):
-            out.append(f"{name} {val:.17g}")
+        values = dict(zip((v.name for v in model.variables), result.x.tolist()))
+        out.append(f"# objective {model.objective_value(values):.12g}")
+        out += [f"{name} {val:.17g}" for name, val in values.items()]
     Path(args.solution).write_text("\n".join(out) + "\n")
     return 0
 

@@ -70,7 +70,6 @@ class Line:
     susceptance: float
     flow_mw: float = 0.0
     capacity_mw: Optional[float] = None
-    status: bool = True
 
     def other(self, bus: int) -> int:
         return self.to_bus if bus == self.from_bus else self.from_bus
@@ -221,6 +220,12 @@ def _read_table(lines: list[str], name: str) -> list[tuple[int, list[float]]]:
     raise CaseParseError(f"table mpc.{name} not terminated", line_no=start + 1)
 
 
+def _bus_id(value: float, column: str, line_no: int) -> int:
+    if not value.is_integer():
+        raise CaseParseError(f"{column} must be an integer bus id, got {value!r}", line_no=line_no)
+    return int(value)
+
+
 def merge_parallel(records: Sequence[RawBranch]) -> list[Line]:
     """Merge parallel branches into one line per unordered bus pair.
 
@@ -289,7 +294,7 @@ def parse_case(text: str) -> Network:
     for line_no, row in bus_rows:
         if len(row) < 3:
             raise CaseParseError("bus row needs at least 3 columns", line_no=line_no)
-        bus_id = int(row[0])
+        bus_id = _bus_id(row[0], "BUS_I", line_no)
         if bus_id in load:
             raise NetworkValidationError(f"duplicate bus id {bus_id}")
         ids.append(bus_id)
@@ -301,7 +306,7 @@ def parse_case(text: str) -> Network:
     for line_no, row in gen_rows:
         if len(row) < 2:
             raise CaseParseError("gen row needs at least 2 columns", line_no=line_no)
-        bus_id = int(row[0])
+        bus_id = _bus_id(row[0], "GEN_BUS", line_no)
         if bus_id not in index:
             raise CaseParseError(f"gen references unknown bus {bus_id}", line_no=line_no)
         gen[bus_id] = gen.get(bus_id, 0.0) + row[1]
@@ -310,7 +315,7 @@ def parse_case(text: str) -> Network:
     for line_no, row in branch_rows:
         if len(row) < 11:
             raise CaseParseError("branch row needs at least 11 columns", line_no=line_no)
-        f_id, t_id = int(row[0]), int(row[1])
+        f_id, t_id = _bus_id(row[0], "F_BUS", line_no), _bus_id(row[1], "T_BUS", line_no)
         if f_id not in index or t_id not in index:
             raise CaseParseError(
                 f"branch references unknown bus {f_id if f_id not in index else t_id}",

@@ -16,9 +16,15 @@ import time
 
 from .coherency import CoherencyGroups
 from .errors import BudgetError, InfeasibleError
-from .network import Network, Partition, ReducedEdge, ReducedGraph, disruption
+from .network import (
+    Network,
+    Partition,
+    ReducedEdge,
+    ReducedGraph,
+    disruption,
+    max_weight_spanning_tree,
+)
 from .solution import METHOD_ORACLE, TreePartitionSolution, validate_solution
-from .twostage import max_weight_spanning_tree
 
 __all__ = ["enumerate_optimal", "DEFAULT_LIMIT"]
 

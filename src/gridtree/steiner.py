@@ -102,9 +102,7 @@ class _Contraction:
         # rep pair -> line id
         self.edges: dict[tuple[int, int], int] = {}
         for ln in net.lines:
-            key = (min(ln.from_bus, ln.to_bus), max(ln.from_bus, ln.to_bus))
-            if key not in self.edges or ln.id < self.edges[key]:
-                self.edges[key] = ln.id
+            self.edges[(min(ln.from_bus, ln.to_bus), max(ln.from_bus, ln.to_bus))] = ln.id
 
     def contract_terminal_edges(self):
         while True:

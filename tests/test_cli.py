@@ -15,6 +15,7 @@ from gridtree.cli import main
 from conftest import BRIDGE_CMD, CASES_DIR
 
 DEMO = str(CASES_DIR / "demo9.m")
+DEMO_TEXT = Path(DEMO).read_text()
 
 TOY_CASE = """
 mpc.baseMVA = 100;
@@ -381,17 +382,31 @@ def test_demo_case_solves(capsys):
             })},
             ["export-dot", "--solution", "s.json"], 3, "do not equal the cross edges",
         ),
+        (
+            {"c.m": DEMO_TEXT.replace("\t2\t1\t159.2\t", "\t2.5\t1\t159.2\t")},
+            ["parse", "--case", "c.m"], 2, "line 6: BUS_I must be an integer bus id, got 2.5",
+        ),
+        (
+            {"c.m": DEMO_TEXT.replace("\t4\t38.0\t", "\t4.25\t38.0\t")},
+            ["parse", "--case", "c.m"], 2, "line 17: GEN_BUS must be an integer bus id, got 4.25",
+        ),
+        (
+            {"c.m": DEMO_TEXT.replace("\t2\t8\t0\t", "\t2.7\t8\t0\t")},
+            ["parse", "--case", "c.m"], 2, "line 30: F_BUS must be an integer bus id, got 2.7",
+        ),
     ],
     ids=["unknown-slack", "groups-no-k", "groups-unknown-bus", "groups-not-json",
          "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int",
          "config-negative-time-limit", "config-nan-time-limit",
-         "solution-bus-twice", "solution-k-mismatch", "solution-bad-switched"],
+         "solution-bus-twice", "solution-k-mismatch", "solution-bad-switched",
+         "case-fractional-bus-id", "case-fractional-gen-bus", "case-fractional-branch-bus"],
 )
 def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
-    assert main([*argv, "--case", DEMO]) == code
+    # rows that bring their own case keep it; the rest solve demo9
+    assert main(argv if "--case" in argv else [*argv, "--case", DEMO]) == code
     assert message in capsys.readouterr().err
 
 

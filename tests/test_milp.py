@@ -3,6 +3,8 @@
 from types import SimpleNamespace
 
 import hashlib
+import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -210,6 +212,9 @@ def test_lp_text_of_bundled_cases_is_pinned(case):
             text = write_lp(build_model(net, groups, ssr=ssr))
             digest = hashlib.sha256(text.encode()).hexdigest()
             assert digest == PINNED_LP_SHA256[(case, k, ssr is not None)], (k, ssr is not None)
+            # the header line carries the model name
+            again = write_lp(parse_lp(text))
+            assert again.split("\n", 1)[1] == text.split("\n", 1)[1], (k, ssr is not None)
 
 
 def test_ssr_fixings_appear_as_bounds(four_cycle):
@@ -240,6 +245,25 @@ def test_bridge_reports_infeasible(bridge):
     groups = CoherencyGroups(groups=(frozenset({0, 2}), frozenset({1})), k=2)
     with pytest.raises(InfeasibleError):
         solve_via_bridge(net, groups, bridge)
+
+
+def test_bridge_runs_from_a_temp_dir_whose_path_has_a_space(four_cycle, tmp_path, monkeypatch):
+    spaced = tmp_path / "with space"
+    spaced.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+    net, groups = four_cycle
+    sol = solve_via_bridge(net, groups, SolverBridge(command=BRIDGE_CMD, timeout_s=120))
+    assert sol.disruption_mw == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "template", ["solve {model} --out={solution}", "solve \"{model}\" '--out={solution}'"]
+)
+def test_bridge_render_keeps_each_path_one_argument(template):
+    bridge = SolverBridge(command=template)
+    assert bridge.render("/a b/model.lp", "/a b/model.sol") == [
+        "solve", "/a b/model.lp", "--out=/a b/model.sol"
+    ]
 
 
 def test_bridge_rejects_bad_template():
@@ -308,6 +332,25 @@ def test_every_bridge_route_reads_the_status_the_same_way(four_cycle, tmp_path, 
 def test_parse_lp_rejects_unsupported():
     with pytest.raises(BridgeError):
         parse_lp("Minimize\n obj: x\nSubject To\n c: x >= 1 <= 2\nEnd\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("Binary\n", "General\n", "unknown LP section 'General'"),
+        ("Minimize\n", " x + b\nMinimize\n", "LP text before any section: ' x + b'"),
+        (" 0 <= b <= 2.5\n", " b >= 0\n", "unsupported LP bounds line 'b >= 0'"),
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 b\n", "'limit: a - 2 b'"),
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 b <= 1 <= 2\n", "'limit: a - 2 b <= 1 <= 2'"),
+        (" limit: a - 2 b <= 1\n", " a - 2 b <= 1\n", "LP line continues no row: ' a - 2 b <= 1'"),
+    ],
+    ids=["general-section", "text-before-sections", "one-sided-bound", "row-without-sense",
+         "row-with-two-senses", "continuation-before-any-row"],
+)
+def test_parse_lp_rejects_what_write_lp_never_writes(old, new, message):
+    assert old in GOLDEN_TOY_LP
+    with pytest.raises(BridgeError, match=re.escape(message)):
+        parse_lp(GOLDEN_TOY_LP.replace(old, new))
 
 
 @pytest.mark.parametrize(
