@@ -1,5 +1,19 @@
 """Self-contained exact solver for the tree partitioning problem.
 
+The search runs on the network with its degree-2 chains contracted.  A
+chain is a maximal run of degree-2 buses, none of them a group bus or
+otherwise fixed (``network.degree2_chains``); it becomes one line
+between its two end buses that carries the chain's least |flow|.  Every
+cluster holds its non-empty coherent group, which lies outside the
+chain, so in a feasible partition each chain bus shares its cluster
+with one of the chain's ends: the chain is cut at most once.  Moving
+that cut to a lighter line of the chain never raises the value (the
+cross weight falls by the difference, the bridge tree's weight by at
+most that much), so the contracted optimum equals the original one.
+A chain stays as it is when its line would run parallel to another (a
+direct line, or a second chain between the same ends), when its two
+ends are the same bus, and when an end is a leaf bus.
+
 Branches over bus-to-cluster assignments in a DFS that only builds the
 children a bus can still take.  At every node, cluster r's region is
 what its lowest member reaches through r's members and the free
@@ -43,27 +57,43 @@ bridges off that forest: it is infeasible when the forest misses a
 merge, and otherwise scores the cross lines the forest did not credit.
 A subtree is pruned only when its bound exceeds the incumbent by more
 than a relative tolerance, so every leaf that ties the optimum is still
-scored, and ties between equal-objective optima resolve to the
-lexicographically smallest assignment vector.  The (value, assignment)
-comparison does not depend on the order in which leaves are met, so the
-child order changes only how many nodes are visited, never the answer.
+scored, and the search keeps each leaf that ties the final incumbent.
+Each kept leaf is expanded back to the original buses: a chain whose
+ends share a cluster joins it, and a chain between two clusters is cut
+at each of its lines in turn.  The answer is the least (value,
+assignment) pair over all expansions, scored on the original network,
+so ties between equal-objective optima resolve to the lexicographically
+smallest assignment vector.  That is the enumeration's answer: it maps
+to a contracted leaf of optimal value, which is kept, and it is one of
+that leaf's expansions.  Cutting only at the lightest line would not
+do: when the chain's cross line is a bridge every cut scores the same,
+and another cut can give the smaller assignment.  The comparison does
+not depend on the order in which leaves are met, so the child order
+changes only how many nodes are visited, never the answer.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .coherency import CoherencyGroups
 from .errors import BudgetError, InfeasibleError
-from .network import Network, Partition, disruption
+from .network import Bus, Line, Network, Partition, degree2_chains, disruption
 from .solution import METHOD_MILP, TreePartitionSolution, partition_solution, validate_solution
 from .steiner import SteinerFixings, collect_bus_fixings
 
 __all__ = ["BnBStats", "solve_builtin"]
 
 _TIE_EPS = 1e-9
+
+
+def _tie_limit(value: float) -> float:
+    """The largest value that still ties ``value`` to within the tolerance."""
+    return value + _TIE_EPS * (1.0 + abs(value))
 
 
 @dataclass(frozen=True)
@@ -124,7 +154,9 @@ class _Search:
         self.undo: list[tuple[float, int, int, int]] = []
 
         self.nodes = 0
-        self.incumbent: Optional[tuple[float, tuple[int, ...]]] = None  # (value, assignment)
+        self.incumbent: Optional[float] = None  # the least leaf value so far
+        # (value, assignment) of every leaf that ties the incumbent
+        self.tied: list[tuple[float, tuple[int, ...]]] = []
 
     # -- state updates ------------------------------------------------------
 
@@ -270,10 +302,8 @@ class _Search:
         self.tick()
         credit, credited, merges_missing = self.forest()
         bound = max(0.0, self.forced_cross - credit)
-        if self.incumbent is not None:
-            limit = self.incumbent[0] + _TIE_EPS * (1.0 + abs(self.incumbent[0]))
-            if bound > limit:
-                return
+        if self.incumbent is not None and bound > _tie_limit(self.incumbent):
+            return
         regions = self.regions()
         if regions is None:
             return
@@ -285,9 +315,12 @@ class _Search:
             value = disruption(
                 self.net, (lid for lid, r in zip(self.line_ids, self.rank) if switched >> r & 1)
             )
-            scored = (value, tuple(self.assign))
-            if self.incumbent is None or scored < self.incumbent:
-                self.incumbent = scored
+            if self.incumbent is None or value < self.incumbent:
+                self.incumbent = value
+                limit = _tie_limit(value)
+                self.tied = [leaf for leaf in self.tied if leaf[0] <= limit]
+            if value <= _tie_limit(self.incumbent):
+                self.tied.append((value, tuple(self.assign)))
             return
         bus = self.next_bus(regions)
         kept = [0.0] * (self.k + 1)  # [r]: flow on bus's lines into cluster r
@@ -302,6 +335,67 @@ class _Search:
                 self.unplace(bus, r)
 
 
+class _Contracted:
+    """``net`` with its degree-2 chains of free buses replaced by their
+    lightest lines, and the way back to the original buses.
+
+    A chain is contracted when its ends are two different buses, neither
+    a leaf, and no direct line or other chain joins them, so the
+    contracted network keeps one line per bus pair.  The line keeps its
+    id, so ``disruption`` reads the same flow on it.
+    """
+
+    def __init__(self, net: Network, fixed: dict[int, int]):
+        self.n = net.n
+        chains = degree2_chains(net, fixed)
+        pairs = Counter(c.ends for c in chains)
+        pairs.update((ln.from_bus, ln.to_bus) for ln in net.lines)
+        self.chains = [
+            c for c in chains
+            if c.ends[0] != c.ends[1] and pairs[c.ends] == 1
+            and min(len(net.incident[end]) for end in c.ends) > 1
+        ]
+        inner = {b for c in self.chains for b in c.buses}
+        self.buses = [b for b in range(net.n) if b not in inner]  # contracted -> original
+        index = {b: i for i, b in enumerate(self.buses)}
+        gone = {lid for c in self.chains for lid in c.lines}
+        # (line, original end buses) of every line the contracted network keeps
+        kept = [(ln, ln.from_bus, ln.to_bus) for ln in net.lines if ln.id not in gone]
+        for c in self.chains:
+            lightest = min((net.line_by_id[lid] for lid in c.lines),
+                           key=lambda ln: (abs(ln.flow_mw), ln.id))
+            kept.append((lightest, *c.ends))
+        # built field by field: dataclasses.replace costs several times more
+        self.net = Network(
+            tuple(Bus(bus.id, i, bus.injection_mw, bus.is_generator, bus.gen_mw, bus.load_mw)
+                  for i, bus in enumerate(net.buses[b] for b in self.buses)),
+            tuple(Line(ln.id, index[a], index[b], ln.susceptance, ln.flow_mw, ln.capacity_mw)
+                  for ln, a, b in kept),
+            net.base_mva,
+        )
+        self.fixed = {index[b]: r for b, r in fixed.items()}
+
+    def expand(self, assign: tuple[int, ...]):
+        """Every original assignment that the contracted ``assign`` stands
+        for: a chain between two clusters is cut at each of its lines."""
+        full = [0] * self.n
+        for i, b in enumerate(self.buses):
+            full[b] = assign[i]
+        cut = []
+        for c in self.chains:
+            ra, rb = full[c.ends[0]], full[c.ends[1]]
+            if ra == rb:
+                for b in c.buses:
+                    full[b] = ra
+            else:
+                cut.append((c.buses, ra, rb))
+        for positions in itertools.product(*(range(len(buses) + 1) for buses, _, _ in cut)):
+            for (buses, ra, rb), p in zip(cut, positions):
+                for j, b in enumerate(buses):
+                    full[b] = ra if j < p else rb
+            yield tuple(full)
+
+
 def solve_builtin(
     net: Network,
     groups: CoherencyGroups,
@@ -313,22 +407,21 @@ def solve_builtin(
     """Exact optimum by combinatorial branch-and-bound.
 
     Designed for desk-scale instances (tens of buses).  When a node or
-    time budget interrupts the search, the best incumbent is returned
-    with ``proved_optimal`` false; with no incumbent a BudgetError is
-    raised instead.
+    time budget interrupts the search, the best expansion of the leaves
+    kept so far is returned with ``proved_optimal`` false; with no
+    incumbent a BudgetError is raised instead.
     """
-    fixed = collect_bus_fixings(net, groups, ssr)
-
-    search = _Search(net, groups.k, fixed, node_limit, time_limit_s)
+    started = time.perf_counter()
+    work = _Contracted(net, collect_bus_fixings(net, groups, ssr))
+    search = _Search(work.net, groups.k, work.fixed, node_limit, time_limit_s)
     for i in search.fixed_order:
-        search.place(i, fixed[i])
+        search.place(i, work.fixed[i])
 
     proved = True
     try:
         search.dfs()
     except _Stop:
         proved = False
-    elapsed = time.perf_counter() - search.started
 
     if search.incumbent is None:
         if not proved:
@@ -337,18 +430,27 @@ def solve_builtin(
             )
         raise InfeasibleError("no coherency-respecting tree partition exists")
 
-    value, key = search.incumbent
+    sol = min(
+        (
+            partition_solution(net, Partition(full, groups.k), method, 0.0)
+            for _value, leaf in search.tied
+            for full in work.expand(leaf)
+        ),
+        key=lambda s: (s.disruption_mw, s.partition.assignment),
+    )
+    elapsed = time.perf_counter() - started
+    sol = replace(sol, runtime_s=elapsed)
     # an interrupted search has unwound to the root, whose bound is the
     # least on any path: adding a line to F raises w(F) by its weight
-    # and the forest by at most that much
-    best_bound = value if proved else min(value, search.bound())
+    # and the forest by at most that much; it bounds the original optimum
+    # because the contracted optimum equals it
+    best_bound = sol.disruption_mw if proved else min(sol.disruption_mw, search.bound())
     stats = BnBStats(
         nodes=search.nodes,
         best_bound=best_bound,
-        incumbent_mw=value,
+        incumbent_mw=sol.disruption_mw,
         proved_optimal=proved,
         wall_time_s=elapsed,
     )
-    sol = partition_solution(net, Partition(key, groups.k), method, elapsed)
     validate_solution(net, sol, groups)
     return sol, stats

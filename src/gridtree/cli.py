@@ -93,7 +93,7 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
         elif f.name in file_values:
             line_no, raw = file_values[f.name]
             if f.type in ("int", "Optional[int]", "float", "Optional[float]"):
-                convert = int if "int" in f.type else _seconds  # time_limit is the float key
+                convert = {"limit": _positive_int, "time_limit": _seconds}.get(f.name, int)
                 try:
                     setattr(cfg, f.name, convert(raw))
                 except ValueError:
@@ -303,6 +303,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"needs a positive integer, got {text!r}")
+
+
 def _seconds(text: str) -> float:
     try:
         value = float(text)
@@ -356,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--groups", help="groups JSON file (skips slow coherency)")
-    p.add_argument("--limit", type=int, help="oracle enumeration limit")
+    p.add_argument("--limit", type=_positive_int, help="oracle enumeration limit")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 

@@ -6,7 +6,9 @@ Minimize, Subject To, Bounds, Binary and End, and bounds lines of the forms
 rejected; it belongs to an external solver.  The model is solved with
 HiGHS (through scipy), and the solution file gets a ``# status ...`` line,
 an ``# objective ...`` line when there is a point, and ``name value``
-lines.  Any solver with the same file interface can replace it in a
+lines.  An unreadable model, an LP outside the dialect or an unwritable
+solution file ends with one ``gridtree-milpsolve: error: ...`` line on
+stderr and exit code 2.  Any solver with the same file interface can replace it in a
 bridge command template:
 
     python3 -m gridtree.milpsolve {model} {solution} --time-limit {timeout}
@@ -22,6 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from .errors import BridgeError
 from .milp import parse_lp
 
 
@@ -69,6 +72,12 @@ def _solve(model, time_limit, gap):
     )
 
 
+def _fail(message: str) -> int:
+    """Report bad input or output as one stderr line; the exit code is 2."""
+    sys.stderr.write(f"gridtree-milpsolve: error: {message}\n")
+    return 2
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="gridtree-milpsolve",
@@ -86,7 +95,12 @@ def main(argv=None) -> int:
     if args.time_limit is not None and not args.time_limit >= 0:
         ap.error(f"--time-limit must be >= 0, got {args.time_limit!r}")
 
-    model = parse_lp(Path(args.model).read_text())
+    try:
+        model = parse_lp(Path(args.model).read_text())
+    except BridgeError as exc:
+        return _fail(f"{args.model}: {exc}")
+    except OSError as exc:
+        return _fail(f"cannot read model file {args.model!r}: {exc.strerror or exc}")
     result = _solve(model, args.time_limit, args.gap)
 
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(
@@ -97,7 +111,10 @@ def main(argv=None) -> int:
         values = dict(zip((v.name for v in model.variables), result.x.tolist()))
         out.append(f"# objective {model.objective_value(values):.12g}")
         out += [f"{name} {val:.17g}" for name, val in values.items()]
-    Path(args.solution).write_text("\n".join(out) + "\n")
+    try:
+        Path(args.solution).write_text("\n".join(out) + "\n")
+    except OSError as exc:
+        return _fail(f"cannot write solution file {args.solution!r}: {exc.strerror or exc}")
     return 0
 
 

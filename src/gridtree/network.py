@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from .errors import CaseParseError, NetworkValidationError
 
@@ -24,6 +24,7 @@ __all__ = [
     "Partition",
     "ReducedEdge",
     "ReducedGraph",
+    "Chain",
     "RawBranch",
     "parse_case",
     "serialize_case",
@@ -37,6 +38,7 @@ __all__ = [
     "apply_switching",
     "components",
     "is_connected",
+    "degree2_chains",
     "json_object",
     "network_to_json",
     "network_from_json",
@@ -414,6 +416,57 @@ def components(net: Network, buses: Iterable[int]) -> list[list[int]]:
 
 def is_connected(net: Network) -> bool:
     return len(components(net, range(net.n))) == 1
+
+
+@dataclass(frozen=True)
+class Chain:
+    """A maximal run of degree-2 buses and the two buses it joins.
+
+    ``buses`` runs from ``ends[0]`` to ``ends[1]`` and ``lines`` holds
+    the line ids along it, one more than there are buses.
+    """
+
+    ends: tuple[int, int]
+    buses: tuple[int, ...]
+    lines: tuple[int, ...]
+
+
+def degree2_chains(net: Network, keep: Container[int] = ()) -> list[Chain]:
+    """Maximal runs of degree-2 buses outside ``keep``, in the order of
+    their lowest bus.
+
+    The ends are the first buses off the run on either side, with
+    ``ends[0] <= ends[1]``; both ends are the same bus when the run
+    closes a loop through it.  A cycle made only of run buses joins no
+    other bus and is left out.
+    """
+    inner = [len(net.incident[b]) == 2 and b not in keep for b in range(net.n)]
+    seen = [False] * net.n
+    chains = []
+    for start in range(net.n):
+        if not inner[start] or seen[start]:
+            continue
+        seen[start] = True
+        halves = []  # per side of start: (end bus, buses outward, lines outward)
+        for lid, bus in net.incident[start]:
+            buses, lines = [], [lid]
+            while inner[bus] and bus != start:
+                seen[bus] = True
+                buses.append(bus)
+                lid, bus = next(step for step in net.incident[bus] if step[0] != lid)
+                lines.append(lid)
+            halves.append((bus, buses, lines))
+        (end_a, buses_a, lines_a), (end_b, buses_b, lines_b) = halves
+        if end_a == start:
+            continue
+        buses = buses_a[::-1] + [start] + buses_b
+        lines = lines_a[::-1] + lines_b
+        if (end_a, buses[0]) > (end_b, buses[-1]):
+            end_a, end_b = end_b, end_a
+            buses.reverse()
+            lines.reverse()
+        chains.append(Chain((end_a, end_b), tuple(buses), tuple(lines)))
+    return chains
 
 
 def cross_edges(net: Network, p: Partition) -> list[int]:

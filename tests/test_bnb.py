@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridtree import coherency, oracle, steiner
-from gridtree.bnb import _Search, _Stop, solve_builtin
+from gridtree.bnb import _Contracted, _Search, _Stop, solve_builtin
 from gridtree.coherency import CoherencyGroups
 from gridtree.errors import BudgetError, InfeasibleError
 from gridtree.milp import SolverBridge, solve_via_bridge
@@ -244,6 +244,118 @@ def test_incremental_regions_match_a_fresh_flood(k):
             pruned += regions is None
             steps += 1
     assert steps >= 1000 and pruned >= 50, (steps, pruned)
+
+
+# free buses the oracle may enumerate, per k: at most about 20,000 assignments
+_FREE_BUSES = {2: 14, 3: 9, 4: 7, 5: 6}
+
+
+def _chained_instance(rng, k, unit_mw):
+    """A random core whose lines mostly become chains of 1-3 new buses:
+    alone, beside the direct line, or two between the same ends; some
+    instances also get a loop out of a core bus and back.  Resampled
+    until the oracle can enumerate it."""
+    while True:
+        core = random_connected_net(rng, int(rng.integers(max(3, k), k + 3)),
+                                    int(rng.integers(1, 4)))
+        n = core.n
+        edges = []
+
+        def chain(a, b, size):
+            nonlocal n
+            path = [a, *range(n, n + size), b]
+            n += size
+            edges.extend(zip(path, path[1:]))
+
+        for ln in core.lines:
+            a, b = ln.from_bus, ln.to_bus
+            roll = rng.random()
+            if roll < 0.15 or roll >= 0.75:
+                edges.append((a, b))
+            if roll < 0.75:
+                chain(a, b, int(rng.integers(1, 4)))
+            if 0.65 <= roll < 0.75:
+                chain(a, b, int(rng.integers(1, 3)))
+        if rng.random() < 0.4:
+            bus = int(rng.integers(0, core.n))
+            chain(bus, bus, int(rng.integers(2, 4)))
+        flows = rng.uniform(-10.0, 10.0, size=len(edges))
+        if unit_mw:
+            flows = np.round(flows / 7.0)  # -1, 0 or 1 MW: many leaves tie
+        net = build_net(n, edges, flows=flows)
+        pairs = net.n >= 2 * k and rng.random() < 0.5
+        groups = random_groups(rng, net, k, max_size=2 if pairs else 1)
+        if net.n - len(groups.all_members()) <= _FREE_BUSES[k]:
+            return net, groups
+
+
+@pytest.mark.parametrize("ssr", [False, True], ids=["milp", "ssr"])
+@pytest.mark.parametrize("unit_mw", [False, True], ids=["real", "unit-mw-ties"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_contracted_chains_match_the_oracle(k, unit_mw, ssr):
+    # the search runs on the network with its degree-2 chains contracted and
+    # expands its tied leaves at every cut position; the oracle enumerates
+    # the original buses, with the SSR-fixed buses added to their groups
+    rng = np.random.default_rng(700 + 10 * k + 2 * unit_mw + ssr)
+    contracted = cut = 0
+    for _ in range(20):
+        net, groups = _chained_instance(rng, k, unit_mw)
+        fixings = None
+        if ssr:
+            fixings = steiner.build_fixings(
+                net, [steiner.steiner_tree(net, g) for g in groups.groups]
+            )
+        fixed = collect_bus_fixings(net, groups, fixings)
+        restricted = CoherencyGroups(
+            groups=tuple(frozenset(b for b, r in fixed.items() if r == s)
+                         for s in range(1, k + 1)),
+            k=k,
+        )
+        chains = _Contracted(net, fixed).chains
+        contracted += bool(chains)
+        try:
+            want = oracle.enumerate_optimal(net, restricted)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solve_builtin(net, groups, ssr=fixings)
+            continue
+        got, stats = solve_builtin(net, groups, ssr=fixings)
+        assert stats.proved_optimal
+        assert got.disruption_mw.hex() == want.disruption_mw.hex()
+        assert got.partition.assignment == want.partition.assignment
+        assert got.switched == want.switched
+        a = want.partition.assignment
+        cut += sum(a[c.ends[0]] != a[c.ends[1]] for c in chains)
+    assert contracted >= 12 and cut >= 5, (contracted, cut)
+
+
+def test_interrupted_contracted_search_returns_a_validated_incumbent():
+    # net057 k=5 contracts five chains; 100 nodes do not prove it
+    net = case_net("net057")
+    groups = coherency.slow_coherency(net, 5)
+    work = _Contracted(net, collect_bus_fixings(net, groups))
+    assert len(work.chains) == 5 and work.net.n == net.n - 5
+    search = _Search(work.net, groups.k, work.fixed, None, None)
+    for i in search.fixed_order:
+        search.place(i, work.fixed[i])
+    sol, stats = solve_builtin(net, groups, node_limit=100)
+    assert not stats.proved_optimal and stats.nodes == 101
+    assert stats.incumbent_mw == sol.disruption_mw >= DESK_OPTIMA[("net057", 5)][0]
+    assert stats.best_bound == search.bound() < stats.incumbent_mw
+    assert len(sol.partition.assignment) == net.n
+    validate_solution(net, sol, groups)
+
+
+def test_desk_cells_take_fewer_nodes_with_chains_contracted():
+    # the 16 desk cells took 11,950 nodes on the uncontracted network
+    nodes = 0
+    for case, k in DESK_OPTIMA:
+        net = case_net(case)
+        groups = coherency.slow_coherency(net, k)
+        fixings = steiner.build_fixings(net, [steiner.steiner_tree(net, g) for g in groups.groups])
+        for ssr in (None, fixings):
+            nodes += solve_builtin(net, groups, ssr=ssr)[1].nodes
+    assert nodes < 9_000
 
 
 def test_infeasible_instance_raises():

@@ -268,6 +268,35 @@ def test_time_limit_flag_must_be_nonnegative(capsys, argv, value):
     assert "--time-limit: needs a number of seconds >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "ten"])
+def test_limit_flag_must_be_positive(capsys, value):
+    # -5 exited 5 with "32 assignments exceed the enumeration limit -5"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--case", DEMO, "--k", "2", "--method", "oracle", "--limit", value])
+    assert exc.value.code == 2
+    assert f"--limit: needs a positive integer, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        (
+            "python3 -c \"import pathlib, sys; from gridtree.milpsolve import main; "
+            "p = pathlib.Path(sys.argv[1]); p.write_text(p.read_text().replace('Binary', 'General')); "
+            "sys.exit(main(sys.argv[1:]))\" {model} {solution}",
+            "unknown LP section 'General'",
+        ),
+        ("python3 -m gridtree.milpsolve {model}.missing {solution}", "cannot read model file"),
+    ],
+    ids=["malformed-lp", "missing-model"],
+)
+def test_milpsolve_error_line_ends_a_bridge_failure(capsys, template, message):
+    assert main(["solve", "--case", DEMO, "--k", "2", "--bridge-cmd", template]) == 6
+    err = capsys.readouterr().err
+    assert "solver exited with 2: gridtree-milpsolve: error: " in err and message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags, timeout", [(["--time-limit", "7"], "7.0"), ([], "600.0")])
 def test_time_limit_is_the_bridge_timeout(capsys, tmp_path, flags, timeout):
     seen = tmp_path / "seen.txt"
@@ -362,6 +391,14 @@ def test_demo_case_solves(capsys):
             2, "line 1: config key time_limit needs a number of seconds >= 0",
         ),
         (
+            {"c.cfg": "method=oracle\nlimit=-5\n"}, ["solve", "--config", "c.cfg"],
+            2, "line 2: config key limit needs a positive integer, got '-5'",
+        ),
+        (
+            {"c.cfg": "limit=0\nmethod=oracle\n"}, ["solve", "--config", "c.cfg"],
+            2, "line 1: config key limit needs a positive integer, got '0'",
+        ),
+        (
             {"s.json": json.dumps({
                 "method": "MILP", "k": 2, "clusters": [[1, 2, 3, 5, 7, 8, 9], [4, 6, 1]],
                 "switched": [[1, 4]], "bridges": [[1, 6]], "disruption_mw": 15.9,
@@ -398,6 +435,7 @@ def test_demo_case_solves(capsys):
     ids=["unknown-slack", "groups-no-k", "groups-unknown-bus", "groups-not-json",
          "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int",
          "config-negative-time-limit", "config-nan-time-limit",
+         "config-negative-limit", "config-zero-limit",
          "solution-bus-twice", "solution-k-mismatch", "solution-bad-switched",
          "case-fractional-bus-id", "case-fractional-gen-bus", "case-fractional-branch-bus"],
 )

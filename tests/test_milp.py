@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import hashlib
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -334,7 +336,8 @@ def test_parse_lp_rejects_unsupported():
         parse_lp("Minimize\n obj: x\nSubject To\n c: x >= 1 <= 2\nEnd\n")
 
 
-@pytest.mark.parametrize(
+# (edit of GOLDEN_TOY_LP, what parse_lp says about the result)
+MALFORMED_LPS = pytest.mark.parametrize(
     "old, new, message",
     [
         ("Binary\n", "General\n", "unknown LP section 'General'"),
@@ -347,10 +350,53 @@ def test_parse_lp_rejects_unsupported():
     ids=["general-section", "text-before-sections", "one-sided-bound", "row-without-sense",
          "row-with-two-senses", "continuation-before-any-row"],
 )
+
+
+@MALFORMED_LPS
 def test_parse_lp_rejects_what_write_lp_never_writes(old, new, message):
     assert old in GOLDEN_TOY_LP
     with pytest.raises(BridgeError, match=re.escape(message)):
         parse_lp(GOLDEN_TOY_LP.replace(old, new))
+
+
+def _one_error_line(err: str) -> str:
+    assert err.startswith("gridtree-milpsolve: error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+@MALFORMED_LPS
+def test_milpsolve_reports_a_malformed_lp_in_one_line(capsys, tmp_path, old, new, message):
+    model_path = tmp_path / "bad.lp"
+    model_path.write_text(GOLDEN_TOY_LP.replace(old, new))
+    assert milpsolve.main([str(model_path), str(tmp_path / "bad.sol")]) == 2
+    assert message in _one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "bad.sol").exists()
+
+
+@pytest.mark.parametrize(
+    "model, solution, message",
+    [
+        ("missing.lp", "toy.sol", "cannot read model file"),
+        ("toy.lp", "no-such-dir/toy.sol", "cannot write solution file"),
+    ],
+    ids=["missing-model", "unwritable-solution"],
+)
+def test_milpsolve_reports_unusable_files_in_one_line(capsys, tmp_path, model, solution, message):
+    (tmp_path / "toy.lp").write_text(write_lp(toy_model()))
+    assert milpsolve.main([str(tmp_path / model), str(tmp_path / solution)]) == 2
+    assert message in _one_error_line(capsys.readouterr().err)
+
+
+def test_milpsolve_process_exits_2_without_a_traceback(tmp_path):
+    model_path = tmp_path / "bad.lp"
+    model_path.write_text(GOLDEN_TOY_LP.replace("Binary\n", "General\n"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridtree.milpsolve", str(model_path), str(tmp_path / "bad.sol")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "unknown LP section 'General'" in _one_error_line(proc.stderr)
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,13 @@ import pytest
 
 from gridtree.errors import CaseParseError, NetworkValidationError
 from gridtree.network import (
+    Chain,
     Partition,
     RawBranch,
     apply_switching,
     bridges,
     cross_edges,
+    degree2_chains,
     is_connected,
     is_tree_partition,
     merge_parallel,
@@ -269,3 +271,37 @@ def test_network_json_field_names():
     assert set(doc) == {"buses", "lines", "base_mva"}
     assert set(doc["buses"][0]) == {"id", "injection_mw"}
     assert set(doc["lines"][0]) == {"from", "to", "susceptance", "flow_mw", "capacity_mw"}
+
+
+def test_degree2_chains_on_a_hand_built_graph():
+    # buses 0 and 5 are junctions; 9 is a leaf; 13-14-15 is a cycle of
+    # degree-2 buses that joins no other bus
+    edges = [
+        (0, 1), (1, 2), (2, 5),  # lines 0-2: a chain 0..5 through 1, 2
+        (0, 5), (0, 3), (3, 5),  # lines 3-5: a direct line, and a chain beside it
+        (5, 6), (6, 7), (7, 5),  # lines 6-8: a loop from 5 back to 5
+        (0, 8), (8, 9),          # lines 9-10: a chain out to the leaf 9
+        (5, 10), (10, 11), (11, 12), (12, 0),  # lines 11-14
+        (13, 14), (14, 15), (15, 13),          # lines 15-17
+    ]
+    net = build_net(16, edges)
+    through_11 = Chain((0, 5), (12, 11, 10), (14, 13, 12, 11))
+    assert degree2_chains(net) == [
+        Chain((0, 5), (1, 2), (0, 1, 2)),
+        Chain((0, 5), (3,), (4, 5)),
+        Chain((5, 5), (6, 7), (6, 7, 8)),
+        Chain((0, 9), (8,), (9, 10)),
+        through_11,
+    ]
+    # a kept degree-2 bus ends the runs on both sides of it, and turns the
+    # bare cycle into a loop through itself
+    assert degree2_chains(net, keep={11, 13})[-3:] == [
+        Chain((5, 11), (10,), (11, 12)),
+        Chain((0, 11), (12,), (14, 13)),
+        Chain((13, 13), (14, 15), (15, 16, 17)),
+    ]
+    for chain in degree2_chains(net):
+        walk = [chain.ends[0], *chain.buses, chain.ends[1]]
+        for a, b, lid in zip(walk, walk[1:], chain.lines):
+            ln = net.line_by_id[lid]
+            assert {ln.from_bus, ln.to_bus} == {a, b}
