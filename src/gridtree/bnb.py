@@ -10,9 +10,10 @@ with one of the chain's ends: the chain is cut at most once.  Moving
 that cut to a lighter line of the chain never raises the value (the
 cross weight falls by the difference, the bridge tree's weight by at
 most that much), so the contracted optimum equals the original one.
-A chain stays as it is when its line would run parallel to another (a
-direct line, or a second chain between the same ends), when its two
-ends are the same bus, and when an end is a leaf bus.
+A chain beside a line or another chain becomes a parallel line, and a
+chain whose ends are the same bus a self-loop, which is never cross;
+the search reads only line ends and weights, so it runs on that
+multigraph.
 
 Branches over bus-to-cluster assignments in a DFS that only builds the
 children a bus can still take.  At every node, cluster r's region is
@@ -76,13 +77,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .coherency import CoherencyGroups
 from .errors import BudgetError, InfeasibleError
-from .network import Bus, Line, Network, Partition, degree2_chains, disruption
+from .network import Line, Network, Partition, degree2_chains, disruption
 from .solution import METHOD_MILP, TreePartitionSolution, partition_solution, validate_solution
 from .steiner import SteinerFixings, collect_bus_fixings
 
@@ -102,7 +102,6 @@ class BnBStats:
     best_bound: float
     incumbent_mw: Optional[float]
     proved_optimal: bool
-    wall_time_s: float
 
 
 class _Stop(Exception):
@@ -110,23 +109,28 @@ class _Stop(Exception):
 
 
 class _Search:
-    def __init__(self, net: Network, k: int, fixed: dict[int, int],
+    """The DFS over ``n`` buses joined by ``lines``, (line, end, end)
+    triples whose ends are bus positions; lines may run parallel or be
+    self-loops.  Each line keeps its id and flow in ``net``, which scores
+    the leaves."""
+
+    def __init__(self, net: Network, n: int, lines: list[tuple[Line, int, int]], k: int,
                  node_limit, time_limit_s):
         self.net = net
         self.k = k
-        self.n = net.n
+        self.n = n
         self.node_limit = node_limit
         self.time_limit_s = time_limit_s
         self.started = time.perf_counter()
 
-        self.line_ids = [ln.id for ln in net.lines]
-        self.ends = [(ln.from_bus, ln.to_bus) for ln in net.lines]
-        self.weight = [abs(ln.flow_mw) for ln in net.lines]
+        self.line_ids = [ln.id for ln, _a, _b in lines]
+        self.ends = [(a, b) for _ln, a, b in lines]
+        self.weight = [abs(ln.flow_mw) for ln, _a, _b in lines]
         # positions sorted by weight descending, id ascending for determinism
         by_weight = sorted(
-            range(len(net.lines)), key=lambda p: (-self.weight[p], self.line_ids[p])
+            range(len(lines)), key=lambda p: (-self.weight[p], self.line_ids[p])
         )
-        self.rank = [0] * len(net.lines)
+        self.rank = [0] * len(lines)
         for r, pos in enumerate(by_weight):
             self.rank[pos] = r
         self.by_rank = [(self.weight[p], *self.ends[p]) for p in by_weight]
@@ -145,7 +149,6 @@ class _Search:
         self.all_buses = (1 << self.n) - 1
         self.cluster_mask = [0] * (k + 1)
         self.n_unassigned = self.n
-        self.fixed_order = sorted(fixed)
 
         self.region = [0] * (k + 1)  # [r]: cluster r's region once regions() ran
         self.stale = (1 << (k + 1)) - 2  # bit r set: region[r] must be re-flooded
@@ -336,49 +339,34 @@ class _Search:
 
 
 class _Contracted:
-    """``net`` with its degree-2 chains of free buses replaced by their
-    lightest lines, and the way back to the original buses.
+    """``net`` with every degree-2 chain of free buses replaced by its
+    lightest line (ties to the lower id), and the way back to the
+    original buses.
 
-    A chain is contracted when its ends are two different buses, neither
-    a leaf, and no direct line or other chain joins them, so the
-    contracted network keeps one line per bus pair.  The line keeps its
-    id, so ``disruption`` reads the same flow on it.
+    The line keeps its id, so ``disruption`` reads the same flow on it.
+    ``lines`` holds (line, end, end) with the ends as positions in
+    ``buses``.
     """
 
     def __init__(self, net: Network, fixed: dict[int, int]):
-        self.n = net.n
-        chains = degree2_chains(net, fixed)
-        pairs = Counter(c.ends for c in chains)
-        pairs.update((ln.from_bus, ln.to_bus) for ln in net.lines)
-        self.chains = [
-            c for c in chains
-            if c.ends[0] != c.ends[1] and pairs[c.ends] == 1
-            and min(len(net.incident[end]) for end in c.ends) > 1
-        ]
+        self.net = net
+        self.chains = degree2_chains(net, fixed)
         inner = {b for c in self.chains for b in c.buses}
         self.buses = [b for b in range(net.n) if b not in inner]  # contracted -> original
         index = {b: i for i, b in enumerate(self.buses)}
         gone = {lid for c in self.chains for lid in c.lines}
-        # (line, original end buses) of every line the contracted network keeps
         kept = [(ln, ln.from_bus, ln.to_bus) for ln in net.lines if ln.id not in gone]
         for c in self.chains:
             lightest = min((net.line_by_id[lid] for lid in c.lines),
                            key=lambda ln: (abs(ln.flow_mw), ln.id))
             kept.append((lightest, *c.ends))
-        # built field by field: dataclasses.replace costs several times more
-        self.net = Network(
-            tuple(Bus(bus.id, i, bus.injection_mw, bus.is_generator, bus.gen_mw, bus.load_mw)
-                  for i, bus in enumerate(net.buses[b] for b in self.buses)),
-            tuple(Line(ln.id, index[a], index[b], ln.susceptance, ln.flow_mw, ln.capacity_mw)
-                  for ln, a, b in kept),
-            net.base_mva,
-        )
+        self.lines = [(ln, index[a], index[b]) for ln, a, b in kept]
         self.fixed = {index[b]: r for b, r in fixed.items()}
 
     def expand(self, assign: tuple[int, ...]):
         """Every original assignment that the contracted ``assign`` stands
         for: a chain between two clusters is cut at each of its lines."""
-        full = [0] * self.n
+        full = [0] * self.net.n
         for i, b in enumerate(self.buses):
             full[b] = assign[i]
         cut = []
@@ -413,9 +401,9 @@ def solve_builtin(
     """
     started = time.perf_counter()
     work = _Contracted(net, collect_bus_fixings(net, groups, ssr))
-    search = _Search(work.net, groups.k, work.fixed, node_limit, time_limit_s)
-    for i in search.fixed_order:
-        search.place(i, work.fixed[i])
+    search = _Search(net, len(work.buses), work.lines, groups.k, node_limit, time_limit_s)
+    for b, r in sorted(work.fixed.items()):
+        search.place(b, r)
 
     proved = True
     try:
@@ -438,19 +426,13 @@ def solve_builtin(
         ),
         key=lambda s: (s.disruption_mw, s.partition.assignment),
     )
-    elapsed = time.perf_counter() - started
-    sol = replace(sol, runtime_s=elapsed)
+    sol = replace(sol, runtime_s=time.perf_counter() - started)
     # an interrupted search has unwound to the root, whose bound is the
     # least on any path: adding a line to F raises w(F) by its weight
     # and the forest by at most that much; it bounds the original optimum
     # because the contracted optimum equals it
     best_bound = sol.disruption_mw if proved else min(sol.disruption_mw, search.bound())
-    stats = BnBStats(
-        nodes=search.nodes,
-        best_bound=best_bound,
-        incumbent_mw=sol.disruption_mw,
-        proved_optimal=proved,
-        wall_time_s=elapsed,
-    )
+    stats = BnBStats(nodes=search.nodes, best_bound=best_bound,
+                     incumbent_mw=sol.disruption_mw, proved_optimal=proved)
     validate_solution(net, sol, groups)
     return sol, stats

@@ -55,6 +55,9 @@ _EXIT_CODES = (
 )
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 @dataclass
 class RunConfig:
     case: Optional[str] = None
@@ -104,7 +107,12 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
                 except argparse.ArgumentTypeError as exc:
                     raise CaseParseError(f"config key {f.name} {exc}", line_no=line_no)
             elif f.type == "bool":
-                setattr(cfg, f.name, raw.lower() in ("1", "true", "yes"))
+                if raw.lower() not in _BOOLS:
+                    raise CaseParseError(
+                        f"config key {f.name} needs 1/true/yes or 0/false/no, got {raw!r}",
+                        line_no=line_no,
+                    )
+                setattr(cfg, f.name, _BOOLS[raw.lower()])
             else:
                 setattr(cfg, f.name, raw)
     return cfg
@@ -238,16 +246,11 @@ def cmd_steiner(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _merged_config(args)
     cases = [c for c in args.cases.split(",") if c]
-    methods = [m for m in args.methods.split(",") if m]
-    for m in methods:
-        if m not in METHODS:
-            raise ModelBuildError(f"unknown method {m!r}; choose from {METHODS}")
-
     rows = []
     objective: dict[tuple[str, int, str], float] = {}
     for case in cases:
         for k in args.k_values:
-            for method in methods:
+            for method in args.methods:
                 cell = dataclasses.replace(cfg, case=case, k=k, method=method)
                 name = Path(case).stem
                 try:
@@ -301,6 +304,14 @@ def _int_list(text: str) -> list[int]:
         return [int(x) for x in text.split(",") if x]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+
+
+def _method_list(text: str) -> list[str]:
+    methods = [m for m in text.split(",") if m]
+    for m in methods:
+        if m not in METHODS:
+            raise argparse.ArgumentTypeError(f"unknown method {m!r}; choose from {METHODS}")
+    return methods
 
 
 def _positive_int(text: str) -> int:
@@ -382,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--k-values", dest="k_values", type=_int_list, required=True,
         help="comma-separated k values",
     )
-    p.add_argument("--methods", required=True, help="comma-separated methods")
+    p.add_argument("--methods", type=_method_list, required=True,
+                   help="comma-separated methods")
     _add_output_flags(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_bench)

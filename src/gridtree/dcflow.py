@@ -228,7 +228,7 @@ def solve_dcopf_via_bridge(net: Network, costs: Sequence[GenCost], bridge) -> Fl
     Buses without a cost entry keep their case-file generation as a fixed
     injection.  Returns a dispatch-consistent flow solution.
     """
-    from . import milp  # local import: milp depends on network only
+    from . import milp  # local import: milp -> coherency -> dcflow is an import cycle
 
     if bridge is None:
         raise UnsupportedOperation("DC-OPF requires a configured solver bridge")

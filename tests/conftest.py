@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gridtree import dcflow
+from gridtree.bnb import _Search
 from gridtree.coherency import CoherencyGroups
 from gridtree.network import Bus, Line, Network, parse_case
 
@@ -57,6 +58,12 @@ def case_net(name):
     """A bundled case with its DC flows at balanced injections, slack bus 0."""
     net = parse_case((CASES_DIR / f"{name}.m").read_text())
     return dcflow.with_flows(net, dcflow.solve_dc(net, 0, dcflow.balanced_injections(net)))
+
+
+def uncontracted_search(net, k, node_limit=None):
+    """The built-in B&B's search on ``net`` itself, with no chain contracted."""
+    lines = [(ln, ln.from_bus, ln.to_bus) for ln in net.lines]
+    return _Search(net, net.n, lines, k, node_limit, None)
 
 
 def random_connected_net(rng, n, extra, flow_scale=10.0, ext_offset=1):

@@ -10,10 +10,18 @@ from gridtree.bnb import _Contracted, _Search, _Stop, solve_builtin
 from gridtree.coherency import CoherencyGroups
 from gridtree.errors import BudgetError, InfeasibleError
 from gridtree.milp import SolverBridge, solve_via_bridge
+from gridtree.network import degree2_chains
 from gridtree.solution import validate_solution
 from gridtree.steiner import collect_bus_fixings
 
-from conftest import BRIDGE_CMD, build_net, case_net, random_connected_net, random_groups
+from conftest import (
+    BRIDGE_CMD,
+    build_net,
+    case_net,
+    random_connected_net,
+    random_groups,
+    uncontracted_search,
+)
 
 
 def test_four_cycle_optimum(four_cycle):
@@ -161,9 +169,9 @@ def test_interrupted_search_unwinds_to_the_exact_root_state():
     net = case_net("net118")
     groups = coherency.slow_coherency(net, 5)
     fixed = collect_bus_fixings(net, groups)
-    search = _Search(net, groups.k, fixed, 20_000, None)
-    for i in search.fixed_order:
-        search.place(i, fixed[i])
+    search = uncontracted_search(net, groups.k, 20_000)
+    for b, r in sorted(fixed.items()):
+        search.place(b, r)
     at_root, root_bound = search.forced_cross, search.bound()
     with pytest.raises(_Stop):
         search.dfs()
@@ -216,7 +224,7 @@ def test_incremental_regions_match_a_fresh_flood(k):
     for trial in range(40):
         net = random_connected_net(rng, int(rng.integers(2 * k, 2 * k + 8)),
                                    int(rng.integers(0, 6)))
-        search = _Search(net, k, {}, None, None)
+        search = uncontracted_search(net, k)
         if trial % 2:
             groups = random_groups(rng, net, k, max_size=2)
             for b, r in sorted(collect_bus_fixings(net, groups).items()):
@@ -253,8 +261,10 @@ _FREE_BUSES = {2: 14, 3: 9, 4: 7, 5: 6}
 def _chained_instance(rng, k, unit_mw):
     """A random core whose lines mostly become chains of 1-3 new buses:
     alone, beside the direct line, or two between the same ends; some
-    instances also get a loop out of a core bus and back.  Resampled
-    until the oracle can enumerate it."""
+    instances also get a loop out of a core bus and back, and some a
+    chain out of a core bus to a new leaf bus, which is left to
+    ``random_groups`` (mostly free) in half of them and put in a group in
+    the rest.  Resampled until the oracle can enumerate it."""
     while True:
         core = random_connected_net(rng, int(rng.integers(max(3, k), k + 3)),
                                     int(rng.integers(1, 4)))
@@ -266,6 +276,13 @@ def _chained_instance(rng, k, unit_mw):
             path = [a, *range(n, n + size), b]
             n += size
             edges.extend(zip(path, path[1:]))
+
+        def hang():
+            nonlocal n
+            leaf = n
+            n += 1
+            chain(int(rng.integers(0, core.n)), leaf, int(rng.integers(1, 3)))
+            return leaf
 
         for ln in core.lines:
             a, b = ln.from_bus, ln.to_bus
@@ -279,12 +296,22 @@ def _chained_instance(rng, k, unit_mw):
         if rng.random() < 0.4:
             bus = int(rng.integers(0, core.n))
             chain(bus, bus, int(rng.integers(2, 4)))
+        roll = rng.random()
+        leaf = hang() if roll < 0.5 else None
+        group_leaf = leaf if roll < 0.25 else None
         flows = rng.uniform(-10.0, 10.0, size=len(edges))
         if unit_mw:
             flows = np.round(flows / 7.0)  # -1, 0 or 1 MW: many leaves tie
         net = build_net(n, edges, flows=flows)
         pairs = net.n >= 2 * k and rng.random() < 0.5
         groups = random_groups(rng, net, k, max_size=2 if pairs else 1)
+        if group_leaf is not None and group_leaf not in groups.all_members():
+            s = int(rng.integers(0, k))
+            groups = CoherencyGroups(
+                groups=tuple(g | {group_leaf} if r == s else g
+                             for r, g in enumerate(groups.groups)),
+                k=k,
+            )
         if net.n - len(groups.all_members()) <= _FREE_BUSES[k]:
             return net, groups
 
@@ -312,6 +339,7 @@ def test_contracted_chains_match_the_oracle(k, unit_mw, ssr):
             k=k,
         )
         chains = _Contracted(net, fixed).chains
+        assert chains == degree2_chains(net, fixed)
         contracted += bool(chains)
         try:
             want = oracle.enumerate_optimal(net, restricted)
@@ -330,14 +358,14 @@ def test_contracted_chains_match_the_oracle(k, unit_mw, ssr):
 
 
 def test_interrupted_contracted_search_returns_a_validated_incumbent():
-    # net057 k=5 contracts five chains; 100 nodes do not prove it
+    # net057 k=5 contracts ten chains; 100 nodes do not prove it
     net = case_net("net057")
     groups = coherency.slow_coherency(net, 5)
     work = _Contracted(net, collect_bus_fixings(net, groups))
-    assert len(work.chains) == 5 and work.net.n == net.n - 5
-    search = _Search(work.net, groups.k, work.fixed, None, None)
-    for i in search.fixed_order:
-        search.place(i, work.fixed[i])
+    assert len(work.chains) == 10 and len(work.buses) == net.n - 10
+    search = _Search(net, len(work.buses), work.lines, groups.k, None, None)
+    for b, r in sorted(work.fixed.items()):
+        search.place(b, r)
     sol, stats = solve_builtin(net, groups, node_limit=100)
     assert not stats.proved_optimal and stats.nodes == 101
     assert stats.incumbent_mw == sol.disruption_mw >= DESK_OPTIMA[("net057", 5)][0]
@@ -347,7 +375,9 @@ def test_interrupted_contracted_search_returns_a_validated_incumbent():
 
 
 def test_desk_cells_take_fewer_nodes_with_chains_contracted():
-    # the 16 desk cells took 11,950 nodes on the uncontracted network
+    # the 16 desk cells took 11,950 nodes on the uncontracted network, and
+    # 8,275 when chains beside a line or chain, loops and chains to a leaf
+    # bus were left uncontracted
     nodes = 0
     for case, k in DESK_OPTIMA:
         net = case_net(case)
@@ -355,7 +385,7 @@ def test_desk_cells_take_fewer_nodes_with_chains_contracted():
         fixings = steiner.build_fixings(net, [steiner.steiner_tree(net, g) for g in groups.groups])
         for ssr in (None, fixings):
             nodes += solve_builtin(net, groups, ssr=ssr)[1].nodes
-    assert nodes < 9_000
+    assert nodes < 8_000
 
 
 def test_infeasible_instance_raises():
@@ -395,10 +425,14 @@ def test_budget_exhaustion_without_incumbent():
 
 
 def test_budget_returns_unproved_incumbent():
-    # long path: the first DFS descent reaches a feasible leaf early
-    net = build_net(12, [(i, i + 1) for i in range(11)], flows=list(range(1, 12)),
-                    gen_buses=(0, 11))
-    groups = CoherencyGroups(groups=(frozenset([0]), frozenset([11])), k=2)
+    # a 2x6 ladder whose four corners are group buses has no free degree-2
+    # bus, so contraction cannot shrink it (a 12-bus path is proved at the
+    # root in 1 node); the first DFS descent reaches a feasible leaf early
+    rails = [(i, i + 1) for i in range(5)] + [(i, i + 1) for i in range(6, 11)]
+    net = build_net(12, rails + [(i, i + 6) for i in range(6)], flows=list(range(1, 17)),
+                    gen_buses=(0, 5, 6, 11))
+    groups = CoherencyGroups(groups=(frozenset([0, 6]), frozenset([5, 11])), k=2)
+    assert _Contracted(net, collect_bus_fixings(net, groups)).chains == []
     sol, stats = solve_builtin(net, groups, node_limit=40)
     assert not stats.proved_optimal
     assert stats.incumbent_mw is not None

@@ -345,10 +345,13 @@ def test_readme_flags_exist():
 
 
 def test_bench_k_values_must_be_integers(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--cases", DEMO, "--k-values", "2,x", "--methods", "oracle"])
-    assert exc.value.code == 2
-    assert "--k-values" in capsys.readouterr().err
+    # and --methods must name known methods: both are usage errors
+    for k_values, methods, flag in [("2,x", "oracle", "--k-values"),
+                                    ("2", "milp,bogus", "--methods")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--cases", DEMO, "--k-values", k_values, "--methods", methods])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_demo_case_solves(capsys):
@@ -399,6 +402,10 @@ def test_demo_case_solves(capsys):
             2, "line 1: config key limit needs a positive integer, got '0'",
         ),
         (
+            {"c.cfg": "method=two-stage\nno_timing=maybe\n"}, ["solve", "--config", "c.cfg"],
+            2, "line 2: config key no_timing needs 1/true/yes or 0/false/no, got 'maybe'",
+        ),
+        (
             {"s.json": json.dumps({
                 "method": "MILP", "k": 2, "clusters": [[1, 2, 3, 5, 7, 8, 9], [4, 6, 1]],
                 "switched": [[1, 4]], "bridges": [[1, 6]], "disruption_mw": 15.9,
@@ -435,7 +442,7 @@ def test_demo_case_solves(capsys):
     ids=["unknown-slack", "groups-no-k", "groups-unknown-bus", "groups-not-json",
          "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int",
          "config-negative-time-limit", "config-nan-time-limit",
-         "config-negative-limit", "config-zero-limit",
+         "config-negative-limit", "config-zero-limit", "config-bad-bool",
          "solution-bus-twice", "solution-k-mismatch", "solution-bad-switched",
          "case-fractional-bus-id", "case-fractional-gen-bus", "case-fractional-branch-bus"],
 )

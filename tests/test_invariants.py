@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from gridtree import bnb, oracle, steiner
-from gridtree.bnb import _Search
 from gridtree.steiner import collect_bus_fixings
 from gridtree.errors import InfeasibleError
 from gridtree.network import Partition, apply_switching, cross_edges, is_connected
 
-from conftest import build_net, random_connected_net, random_groups
+from conftest import build_net, random_connected_net, random_groups, uncontracted_search
 
 
 def test_connected_with_k_minus_1_cross_edges_implies_connected_clusters():
@@ -96,7 +95,7 @@ def test_bnb_bound_is_admissible_on_partial_assignments():
         net = random_connected_net(rng, 6, int(rng.integers(1, 4)))
         groups = random_groups(rng, net, 2, max_size=1)
         fixed = collect_bus_fixings(net, groups)
-        search = _Search(net, 2, fixed, None, None)
+        search = uncontracted_search(net, 2)
         for b, r in fixed.items():
             search.place(b, r)
         partial = list(search.assign)
@@ -108,7 +107,7 @@ def test_bnb_bound_is_admissible_on_partial_assignments():
             deeper[free[0]] = int(rng.integers(1, 3))
             states.append(deeper)
         for state in states:
-            fresh = _Search(net, 2, {}, None, None)
+            fresh = uncontracted_search(net, 2)
             for i, r in enumerate(state):
                 if r:
                     fresh.place(i, r)
@@ -135,7 +134,7 @@ def test_bnb_forest_bound_is_admissible_with_many_clusters(k):
         free = [i for i, r in enumerate(state) if r == 0]
         for b in rng.permutation(free)[: int(rng.integers(1, len(free)))]:
             state[b] = int(rng.integers(1, k + 1))
-        search = _Search(net, k, {}, None, None)
+        search = uncontracted_search(net, k)
         for i, r in enumerate(state):
             if r:
                 search.place(i, r)
@@ -160,7 +159,7 @@ def test_bnb_regions_never_cut_a_feasible_completion(k):
         state = [0] * net.n
         for b in rng.permutation(net.n)[: int(rng.integers(k - 1, net.n))]:
             state[b] = int(rng.integers(1, k + 1))
-        search = _Search(net, k, {}, None, None)
+        search = uncontracted_search(net, k)
         for i, r in enumerate(state):
             if r:
                 search.place(i, r)
