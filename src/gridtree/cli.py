@@ -55,7 +55,36 @@ _EXIT_CODES = (
 )
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _reader(wants: str, convert, ok=lambda value: True):
+    """An option's reader, text -> value.
+
+    It is the flag's argparse ``type=`` and also reads the config key of
+    the same name, so the two cannot disagree.
+    """
+    def read(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (ValueError, KeyError):
+            pass
+        raise argparse.ArgumentTypeError(f"needs {wants}, got {text!r}")
+    return read
+
+
+_int = _reader("an integer", int)
+_positive_int = _reader("a positive integer", int, lambda n: n > 0)
+_seconds = _reader("a number of seconds >= 0", float, lambda s: s >= 0)  # false for NaN
+_method = _reader(f"one of {', '.join(METHODS)}", str, lambda m: m in METHODS)
+_switch = _reader("1/true/yes or 0/false/no", lambda text: _SWITCH[text.lower()])
+
+
+def _list_of(read):
+    """Reader of a comma-separated list whose items go through ``read``."""
+    return lambda text: [read(x) for x in text.split(",") if x]
 
 
 @dataclass
@@ -72,57 +101,47 @@ class RunConfig:
     time_limit: Optional[float] = None  # None: no B&B limit, the bridge's 600 s
 
 
-def _load_config_file(path: str) -> dict:
-    """Config key -> (line number, raw value)."""
-    values = {}
-    for line_no, raw in enumerate(_read_text(path, "config file").splitlines(), start=1):
+# RunConfig field -> the reader of its config key (and of its flag, if typed)
+_READERS = {
+    "case": str, "k": _int, "method": _method, "groups": str, "slack": _int,
+    "bridge_cmd": str, "out": str, "no_timing": _switch, "limit": _positive_int,
+    "time_limit": _seconds,
+}
+
+
+def _merged_config(args: argparse.Namespace) -> RunConfig:
+    """Flags > config file (key=value lines; other keys ignored) > defaults."""
+    cfg = RunConfig()
+    path = getattr(args, "config", None)
+    lines = _read_text(path, "config file").splitlines() if path else []
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#")[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise CaseParseError(f"config line is not key=value: {raw!r}", line_no=line_no)
         key, val = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = (line_no, val.strip())
-    return values
-
-
-def _merged_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for f in dataclasses.fields(RunConfig):
-        flag = getattr(args, f.name, None)
+        key = key.strip().replace("-", "_")
+        if key in _READERS:
+            try:
+                setattr(cfg, key, _READERS[key](val.strip()))
+            except argparse.ArgumentTypeError as exc:
+                raise CaseParseError(f"config key {key} {exc}", line_no=line_no)
+    for name in _READERS:
+        flag = getattr(args, name, None)
         if flag is not None and flag is not False:
-            setattr(cfg, f.name, flag)
-        elif f.name in file_values:
-            line_no, raw = file_values[f.name]
-            if f.type in ("int", "Optional[int]", "float", "Optional[float]"):
-                convert = {"limit": _positive_int, "time_limit": _seconds}.get(f.name, int)
-                try:
-                    setattr(cfg, f.name, convert(raw))
-                except ValueError:
-                    raise CaseParseError(
-                        f"config key {f.name} needs a {convert.__name__}, got {raw!r}",
-                        line_no=line_no,
-                    )
-                except argparse.ArgumentTypeError as exc:
-                    raise CaseParseError(f"config key {f.name} {exc}", line_no=line_no)
-            elif f.type == "bool":
-                if raw.lower() not in _BOOLS:
-                    raise CaseParseError(
-                        f"config key {f.name} needs 1/true/yes or 0/false/no, got {raw!r}",
-                        line_no=line_no,
-                    )
-                setattr(cfg, f.name, _BOOLS[raw.lower()])
-            else:
-                setattr(cfg, f.name, raw)
+            setattr(cfg, name, flag)
     return cfg
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise CaseParseError(f"cannot write output file {out!r}: {exc.strerror or exc}")
 
 
 def _read_text(path: str, what: str) -> str:
@@ -216,8 +235,6 @@ def cmd_coherency(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _merged_config(args)
-    if cfg.method not in METHODS:
-        raise ModelBuildError(f"unknown method {cfg.method!r}; choose from {METHODS}")
     net, _groups, sol = _solve_with_config(cfg)
     _emit(solution_to_json(net, sol, include_runtime=not cfg.no_timing), cfg.out)
     return 0
@@ -299,45 +316,10 @@ def cmd_export_dot(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
-
-
-def _method_list(text: str) -> list[str]:
-    methods = [m for m in text.split(",") if m]
-    for m in methods:
-        if m not in METHODS:
-            raise argparse.ArgumentTypeError(f"unknown method {m!r}; choose from {METHODS}")
-    return methods
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value > 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"needs a positive integer, got {text!r}")
-
-
-def _seconds(text: str) -> float:
-    try:
-        value = float(text)
-        if value >= 0:  # false for NaN
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"needs a number of seconds >= 0, got {text!r}")
-
-
 def _add_output_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--slack", type=int, help="slack bus external id (default: first bus)")
+    p.add_argument("--slack", type=_int, help="slack bus external id (default: first bus)")
     p.add_argument("--no-timing", action="store_true", help="zero runtime fields in outputs")
 
 
@@ -369,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coherency", help="compute slow-coherency generator groups")
     _add_common(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.set_defaults(func=cmd_coherency)
 
     p = sub.add_parser("solve", help="compute a tree partition")
     _add_common(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--k", type=_int)
+    p.add_argument("--method", type=_method, help=f"{', '.join(METHODS)} (default milp)")
     p.add_argument("--groups", help="groups JSON file (skips slow coherency)")
     p.add_argument("--limit", type=_positive_int, help="oracle enumeration limit")
     _add_solver_flags(p)
@@ -383,17 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steiner", help="Steiner trees connecting each coherent group")
     _add_common(p)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_int)
     p.add_argument("--groups", help="groups JSON file")
     p.set_defaults(func=cmd_steiner)
 
     p = sub.add_parser("bench", help="benchmark methods across cases (CSV)")
     p.add_argument("--cases", required=True, help="comma-separated case files")
-    p.add_argument(
-        "--k-values", dest="k_values", type=_int_list, required=True,
-        help="comma-separated k values",
-    )
-    p.add_argument("--methods", type=_method_list, required=True,
+    p.add_argument("--k-values", dest="k_values", type=_list_of(_int), required=True,
+                   help="comma-separated k values")
+    p.add_argument("--methods", type=_list_of(_method), required=True,
                    help="comma-separated methods")
     _add_output_flags(p)
     _add_solver_flags(p)

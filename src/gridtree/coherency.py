@@ -95,12 +95,9 @@ def spectral_embedding(net: Network, gens: Sequence[int], k: int, h: np.ndarray)
 def _farthest_first_seeds(rows: np.ndarray, k: int) -> list[int]:
     n = rows.shape[0]
     d = np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2)
-    best = (-1.0, 0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] > best[0]:
-                best = (d[i, j], i, j)
-    seeds = [best[1], best[2]]
+    upper = np.triu_indices(n, 1)
+    pair = int(np.argmax(d[upper]))  # the first farthest pair in row-major order
+    seeds = [int(upper[0][pair]), int(upper[1][pair])]
     while len(seeds) < k:
         min_d = d[:, seeds].min(axis=1)
         min_d[seeds] = -1.0

@@ -354,6 +354,24 @@ def test_bench_k_values_must_be_integers(capsys):
         assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("k", "abc"), ("slack", "1.5"), ("method", "bogus"), ("limit", "0"), ("time_limit", "-1")],
+)
+def test_flag_and_config_key_read_alike(capsys, tmp_path, name, value):
+    # one reader per option: the flag and the config key fail with its message
+    flag = "--" + name.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--case", DEMO, flag, value])
+    assert exc.value.code == 2
+    reader_message = capsys.readouterr().err.split(f"argument {flag}: ", 1)[1].strip()
+    assert reader_message.startswith("needs ") and repr(value) in reader_message
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{name}={value}\n")
+    assert main(["solve", "--case", DEMO, "--config", str(cfg)]) == 2
+    assert f"line 1: config key {name} {reader_message}" in capsys.readouterr().err
+
+
 def test_demo_case_solves(capsys):
     code, out = run(capsys, "solve", "--case", DEMO, "--k", "2", "--method", "milp")
     assert code == 0
@@ -406,6 +424,18 @@ def test_demo_case_solves(capsys):
             2, "line 2: config key no_timing needs 1/true/yes or 0/false/no, got 'maybe'",
         ),
         (
+            {"c.cfg": "method=bogus\n"}, ["solve", "--config", "c.cfg"],
+            2, "line 1: config key method needs one of two-stage, milp, ssr, oracle, got 'bogus'",
+        ),
+        (
+            {"c.cfg": "k=abc\n"}, ["solve", "--config", "c.cfg", "--k", "2"],
+            2, "line 1: config key k needs an integer, got 'abc'",
+        ),
+        (
+            {}, ["parse", "--out", "/nonexistent/dir/x.json"],
+            2, "cannot write output file '/nonexistent/dir/x.json': No such file or directory",
+        ),
+        (
             {"s.json": json.dumps({
                 "method": "MILP", "k": 2, "clusters": [[1, 2, 3, 5, 7, 8, 9], [4, 6, 1]],
                 "switched": [[1, 4]], "bridges": [[1, 6]], "disruption_mw": 15.9,
@@ -443,6 +473,7 @@ def test_demo_case_solves(capsys):
          "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int",
          "config-negative-time-limit", "config-nan-time-limit",
          "config-negative-limit", "config-zero-limit", "config-bad-bool",
+         "config-bad-method", "config-bad-int-under-flag", "out-unwritable",
          "solution-bus-twice", "solution-k-mismatch", "solution-bad-switched",
          "case-fractional-bus-id", "case-fractional-gen-bus", "case-fractional-branch-bus"],
 )

@@ -8,6 +8,7 @@ import pytest
 
 from gridtree.coherency import (
     CoherencyGroups,
+    _farthest_first_seeds,
     groups_from_json,
     groups_to_json,
     kron_reduction,
@@ -255,3 +256,31 @@ def test_bundled_case_groups_are_pinned(case):
                 slow_coherency(net, k)
         else:
             assert [sorted(g) for g in slow_coherency(net, k).groups] == expected, k
+
+
+def _farthest_first_seeds_by_scan(rows, k):
+    # reference: scan the pairs in row-major order, keeping the first strict maximum
+    n = rows.shape[0]
+    d = np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2)
+    best = (-1.0, 0, 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i, j] > best[0]:
+                best = (d[i, j], i, j)
+    seeds = [best[1], best[2]]
+    while len(seeds) < k:
+        min_d = d[:, seeds].min(axis=1)
+        min_d[seeds] = -1.0
+        seeds.append(int(np.argmax(min_d)))
+    return seeds[:k]
+
+
+def test_farthest_first_seeds_match_the_pair_scan():
+    # rows on a small integer grid: many tied distances and duplicate rows
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        n = int(rng.integers(3, 12))
+        rows = rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(float)
+        k = int(rng.integers(2, n))
+        assert _farthest_first_seeds(rows, k) == _farthest_first_seeds_by_scan(rows, k)
+    assert _farthest_first_seeds(np.ones((4, 2)), 2) == [0, 1]
