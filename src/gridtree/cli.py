@@ -131,7 +131,24 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, name, None)
         if flag is not None and flag is not False:
             setattr(cfg, name, flag)
+    if cfg.out:
+        _probe_out(cfg.out)
     return cfg
+
+
+def _unwritable(out: str, exc: OSError) -> CaseParseError:
+    return CaseParseError(f"cannot write output file {out!r}: {exc.strerror or exc}")
+
+
+def _probe_out(out: str) -> None:
+    """Fail before any work if ``out`` cannot be written; leaves no new file."""
+    existed = os.path.exists(out)
+    try:
+        open(out, "a").close()
+    except OSError as exc:
+        raise _unwritable(out, exc)
+    if not existed:
+        os.remove(out)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -141,7 +158,7 @@ def _emit(text: str, out: Optional[str]) -> None:
     try:
         Path(out).write_text(text)
     except OSError as exc:
-        raise CaseParseError(f"cannot write output file {out!r}: {exc.strerror or exc}")
+        raise _unwritable(out, exc)
 
 
 def _read_text(path: str, what: str) -> str:
@@ -351,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coherency", help="compute slow-coherency generator groups")
     _add_common(p)
-    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--k", type=_int)
     p.set_defaults(func=cmd_coherency)
 
     p = sub.add_parser("solve", help="compute a tree partition")

@@ -4,7 +4,8 @@ The solver is Dreyfus-Wagner dynamic programming over terminal subsets
 (unit edge weights).  Two optimal-preserving reductions keep terminal
 counts small on real grids before the exponential DP runs: edges joining
 two terminals are contracted, and non-terminal leaves are pruned.  The
-terminal budget applies after reduction.
+terminal budget applies after reduction.  The DP and the walk-back both
+run on the whole reduced graph and share one all-pairs hop table.
 
 The DP is vectorised per subset mask.  The split step scores every
 unordered split of the mask at once, in blocks of ``_SPLIT_BLOCK``
@@ -87,65 +88,61 @@ def collect_bus_fixings(
     return fixed
 
 
-class _Contraction:
-    """Working multigraph with union-find node merging.
+def _reduce(net: Network, terminals: set[int]):
+    """The graph the DP runs on: lines joining two terminals contracted,
+    then non-terminal leaves pruned, both repeatedly.
 
-    Each surviving unordered supernode pair keeps one representative
-    original line (lowest id); merged terminal components remember the
-    contracted lines, which always belong to the final tree.
+    Returns (edges, terminals, forced): each surviving unordered node pair
+    keeps one representative original line (lowest id); the contracted
+    lines always belong to the final tree.
     """
+    terminals = set(terminals)
+    forced: list[int] = []
+    # node pair -> line id
+    edges: dict[tuple[int, int], int] = {}
+    for ln in net.lines:
+        edges[(min(ln.from_bus, ln.to_bus), max(ln.from_bus, ln.to_bus))] = ln.id
 
-    def __init__(self, net: Network, terminals: set[int]):
-        self.net = net
-        self.terminals = set(terminals)
-        self.forced_edges: list[int] = []
-        # rep pair -> line id
-        self.edges: dict[tuple[int, int], int] = {}
-        for ln in net.lines:
-            self.edges[(min(ln.from_bus, ln.to_bus), max(ln.from_bus, ln.to_bus))] = ln.id
+    while True:
+        candidates = [
+            (lid, key)
+            for key, lid in edges.items()
+            if key[0] in terminals and key[1] in terminals
+        ]
+        if not candidates:
+            break
+        lid, (a, b) = min(candidates)
+        keep, gone = min(a, b), max(a, b)
+        forced.append(lid)
+        terminals.discard(gone)
+        rebuilt: dict[tuple[int, int], int] = {}
+        for (u, v), e in edges.items():
+            ru = keep if u == gone else u
+            rv = keep if v == gone else v
+            if ru == rv:
+                continue
+            k2 = (min(ru, rv), max(ru, rv))
+            if k2 not in rebuilt or e < rebuilt[k2]:
+                rebuilt[k2] = e
+        edges = rebuilt
 
-    def contract_terminal_edges(self):
-        while True:
-            candidates = [
-                (lid, key)
-                for key, lid in self.edges.items()
-                if key[0] in self.terminals and key[1] in self.terminals
-            ]
-            if not candidates:
-                return
-            lid, (a, b) = min(candidates)
-            keep, gone = min(a, b), max(a, b)
-            self.forced_edges.append(lid)
-            self.terminals.discard(gone)
-            rebuilt: dict[tuple[int, int], int] = {}
-            for (u, v), e in self.edges.items():
-                ru = keep if u == gone else u
-                rv = keep if v == gone else v
-                if ru == rv:
-                    continue
-                k2 = (min(ru, rv), max(ru, rv))
-                if k2 not in rebuilt or e < rebuilt[k2]:
-                    rebuilt[k2] = e
-            self.edges = rebuilt
-
-    def prune_leaves(self):
-        while True:
-            degree: Counter = Counter()
-            for a, b in self.edges:
-                degree[a] += 1
-                degree[b] += 1
-            drop = {
-                node
-                for node in degree
-                if node not in self.terminals and degree[node] <= 1
-            }
-            if not drop:
-                return
-            self.edges = {
-                (a, b): e
-                for (a, b), e in self.edges.items()
-                if a not in drop and b not in drop
-            }
+    while True:
+        degree: Counter = Counter()
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
+        drop = {
+            node
+            for node in degree
+            if node not in terminals and degree[node] <= 1
+        }
+        if not drop:
+            return edges, terminals, forced
+        edges = {
+            (a, b): e
+            for (a, b), e in edges.items()
+            if a not in drop and b not in drop
+        }
 
 
 def _submask_table(bits: int) -> list[np.ndarray]:
@@ -204,15 +201,13 @@ def _dreyfus_wagner(dist, terminals):
     return dp, choice
 
 
-def _hop_distances(edges: Iterable[tuple[int, int]], index: Mapping[int, int],
-                   sources=None) -> np.ndarray:
-    """Hop counts over the undirected ``edges`` between nodes at the given
-    ``index`` positions: one row per source position (every node by
-    default), one column per node, ``_INF`` where unreachable."""
+def _hop_distances(edges: Iterable[tuple[int, int]], index: Mapping[int, int]) -> np.ndarray:
+    """All-pairs hop counts over the undirected ``edges`` between nodes at
+    the given ``index`` positions, ``_INF`` where unreachable."""
     rows = [index[a] for a, _ in edges]
     cols = [index[b] for _, b in edges]
     graph = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(index), len(index)))
-    hops = shortest_path(graph, directed=False, unweighted=True, indices=sources)
+    hops = shortest_path(graph, directed=False, unweighted=True)
     return np.where(np.isinf(hops), _INF, hops).astype(np.int64)
 
 
@@ -229,34 +224,23 @@ def steiner_tree(net: Network, terminals: Iterable[int]) -> SteinerTree:
         if not 0 <= b < net.n:
             raise NetworkValidationError(f"terminal {b} out of range")
 
-    work = _Contraction(net, term_set)
-    work.contract_terminal_edges()
-    work.prune_leaves()
+    edges, reduced_terms, forced = _reduce(net, term_set)
 
-    terms = sorted(work.terminals)
+    terms = sorted(reduced_terms)
     if len(terms) > MAX_TERMINALS:
         raise BudgetError(
             f"{len(terms)} terminals after reduction exceed the exact budget "
             f"({MAX_TERMINALS}); split the group or use fewer terminals"
         )
 
-    chosen: set[int] = set(work.forced_edges)
+    chosen: set[int] = set(forced)
     if len(terms) > 1:
-        all_nodes = sorted({v for key in work.edges for v in key} | set(terms))
-        # hop levels from each terminal; nodes further from every terminal
-        # than a known feasible tree size cannot appear in an optimal tree
-        pos = {v: i for i, v in enumerate(all_nodes)}
-        term_dist = _hop_distances(work.edges, pos, [pos[t] for t in terms])
-        upper = term_dist[0, [pos[t] for t in terms[1:]]].sum()
-        nodes = [v for v, d in zip(all_nodes, term_dist.min(axis=0)) if d <= upper]
+        nodes = sorted({v for key in edges for v in key} | set(terms))
         index = {v: i for i, v in enumerate(nodes)}
         n = len(nodes)
-        # the DP sees distances on the kept subgraph, which can exceed
-        # full-graph ones, so they are measured there
-        kept = {key: lid for key, lid in work.edges.items() if key[0] in index and key[1] in index}
-        dist = _hop_distances(kept, index)
+        dist = _hop_distances(edges, index)
         neighbor: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (a, b), lid in kept.items():
+        for (a, b), lid in edges.items():
             neighbor[index[a]].append((index[b], lid))
             neighbor[index[b]].append((index[a], lid))
         for lst in neighbor:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gridtree import milpsolve
+from gridtree import cli, milpsolve
 from gridtree.cli import main
 
 from conftest import BRIDGE_CMD, CASES_DIR
@@ -92,6 +92,15 @@ def test_coherency_verb(capsys, toy_case):
     doc = json.loads(out)
     assert doc["k"] == 2
     assert sorted(map(sorted, doc["groups"])) == [[1], [3]]
+
+
+def test_coherency_reads_k_from_config(capsys, tmp_path):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("k=3\n")
+    code, out = run(capsys, "coherency", "--case", DEMO, "--config", str(cfg))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["k"] == 3 and len(doc["groups"]) == 3
 
 
 def test_solve_each_method(capsys, toy_case):
@@ -322,6 +331,14 @@ def test_huge_time_limit_runs_the_bridge_without_a_kill_deadline(capsys, limit):
     assert main([*argv, "--time-limit", limit]) == 0
     assert json.loads(capsys.readouterr().out)["disruption_mw"] == want
 
+
+def test_bridge_env_is_the_default_bridge_and_the_flag_wins(capsys, monkeypatch):
+    monkeypatch.setenv("GRIDTREE_BRIDGE_CMD", "false {model} {solution}")
+    argv = ["solve", "--case", DEMO, "--k", "2", "--method", "milp"]
+    assert main(argv) == 6
+    assert main([*argv, "--bridge-cmd", BRIDGE_CMD]) == 0
+
+
 def test_bridge_timeout_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--case", DEMO, "--k", "2", "--bridge-timeout", "5"])
@@ -484,6 +501,34 @@ def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, messa
     # rows that bring their own case keep it; the rest solve demo9
     assert main(argv if "--case" in argv else [*argv, "--case", DEMO]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse"], ["flows"], ["coherency", "--k", "2"], ["solve", "--k", "2"],
+    ["steiner", "--k", "2"], ["export-dot"],
+    ["bench", "--cases", DEMO, "--k-values", "2", "--methods", "milp"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_rejected_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def no_work(*_args):
+        pytest.fail("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "_load_network", no_work)
+    monkeypatch.setattr(cli, "_solve_with_config", no_work)
+    out = tmp_path / "missing" / "x.csv"
+    case = [] if argv[0] == "bench" else ["--case", DEMO]
+    assert main([*argv, *case, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write output file {str(out)!r}: No such file or directory\n"
+
+
+def test_out_probe_leaves_no_file_behind_on_failure(capsys, tmp_path):
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--case", DEMO, "--k", "5", "--out", str(out)]) == 3
+    assert not out.exists()
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    assert main(["solve", "--case", DEMO, "--k", "5", "--out", str(kept)]) == 3
+    assert kept.read_text() == "old\n"
 
 
 @pytest.mark.parametrize("method", ["milp", "ssr", "oracle", "two-stage"])
