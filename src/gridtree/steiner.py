@@ -4,8 +4,28 @@ The solver is Dreyfus-Wagner dynamic programming over terminal subsets
 (unit edge weights).  Two optimal-preserving reductions keep terminal
 counts small on real grids before the exponential DP runs: edges joining
 two terminals are contracted, and non-terminal leaves are pruned.  The
-terminal budget applies after reduction.  The DP and the walk-back both
-run on the whole reduced graph and share one all-pairs hop table.
+terminal budget applies after reduction.
+
+An exact node elimination then shrinks the graph the DP runs on.  Wong's
+dual ascent on the reduced graph, bidirected with unit arc costs and
+rooted at the lowest terminal, gives a lower bound LB on the edge count
+and reduced arc costs of 0 or 1.  Each node v scores LB + d(root, v) +
+min over the other terminals t of d(v, t), in reduced-cost distances; no
+Steiner tree through v has fewer edges than its score.  The DP and its
+walk-back run on the terminals plus the nodes scoring at most U = LB,
+with the nodes in ascending order, and once more with U = c if that run's
+optimum c exceeds LB (c is at least the optimum, so the second run is
+exact).  When a terminal is cut off from the root the DP runs on the
+whole reduced graph, which reports the terminals as unreachable.
+
+The tree is the one the DP builds on the whole reduced graph.  Every
+node of every minimum tree is kept, and so is every node of every
+shortest path between the ends of a walk in the reconstruction (swapping
+that path in gives another minimum tree).  The kept nodes keep their
+relative order, every entry on the reconstruction keeps its value, and
+the other entries can only grow; a larger value never wins a strict
+comparison, so the root, every split and walk choice, and every
+walk-back step are the same.
 
 The DP is vectorised per subset mask.  The split step scores every
 unordered split of the mask at once, in blocks of ``_SPLIT_BLOCK``
@@ -15,15 +35,17 @@ argmin.  Ties are broken deterministically: among equal splits the
 largest submask (the part without the mask's top terminal) wins, and
 among equal walks the lowest source node index wins; a split or walk
 replaces the incumbent only when strictly better, and a walk is tried
-only after all splits.  With t terminals and n nodes the cost is about
-3^t * n / 2 element operations for splits plus 2^t * n^2 for walks, and
-memory is two (2^t, n) int32 tables plus O(_SPLIT_BLOCK * n + n^2)
-temporaries.
+only after all splits.  With t terminals and n kept nodes the cost is
+about 3^t * n / 2 element operations for splits plus 2^t * n^2 for walks,
+and memory is two (2^t, n) int32 tables plus O(_SPLIT_BLOCK * n + n^2)
+temporaries.  The ascent and the scores cost far less: each raise floods
+the terminals' zero-cost components, and there are LB raises.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -211,6 +233,127 @@ def _hop_distances(edges: Iterable[tuple[int, int]], index: Mapping[int, int]) -
     return np.where(np.isinf(hops), _INF, hops).astype(np.int64)
 
 
+def _dp_tree(nodes: list[int], edges: Mapping[tuple[int, int], int],
+             terms: list[int]) -> tuple[int, set[int]]:
+    """Dreyfus-Wagner DP and walk-back on the subgraph of ``nodes`` (ascending)
+    and ``edges`` between them: (edge count, line ids) of the tree spanning
+    ``terms``, or (``_INF``, empty set) when the terminals are not connected
+    there."""
+    index = {v: i for i, v in enumerate(nodes)}
+    dist = _hop_distances(edges, index)
+    neighbor: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    for (a, b), lid in edges.items():
+        neighbor[index[a]].append((index[b], lid))
+        neighbor[index[b]].append((index[a], lid))
+    for lst in neighbor:
+        lst.sort()
+
+    dp, choice = _dreyfus_wagner(dist, [index[v] for v in terms])
+    full = (1 << len(terms)) - 1
+    root = int(np.argmin(dp[full]))
+    cost = int(dp[full, root])
+    chosen: set[int] = set()
+    if cost >= _INF:
+        return int(_INF), chosen
+
+    def shortest_path_edges(u: int, v: int):
+        # walk back from v to u along any shortest path, lowest index first
+        while v != u:
+            for w, lid in neighbor[v]:
+                if dist[u, w] == dist[u, v] - 1:
+                    chosen.add(lid)
+                    v = w
+                    break
+
+    stack = [(full, root)]
+    while stack:
+        mask, v = stack.pop()
+        c = int(choice[mask, v])
+        if c == -1:
+            continue
+        if c >= 0:  # split into two subsets rooted at v
+            stack.append((c, v))
+            stack.append((mask ^ c, v))
+        else:  # walk from u to v
+            u = -2 - c
+            shortest_path_edges(u, v)
+            stack.append((mask, u))
+    return cost, chosen
+
+
+def _ascent_scores(nodes: list[int], edges: Iterable[tuple[int, int]],
+                   terms: list[int]) -> Optional[tuple[int, list[float]]]:
+    """Wong's dual ascent on the bidirected unit-cost graph, rooted at the
+    lowest terminal, and a lower bound on every tree through each node.
+
+    Returns (lb, score) with ``score`` aligned with ``nodes``: lb bounds
+    every Steiner tree's edge count, and score[i] bounds every Steiner tree
+    through nodes[i] (lb itself for a terminal, ``inf`` for a node no
+    tree can reach).  Returns None when some terminal's zero-cost
+    component has no entering arc, i.e. it is cut off from the root.
+    """
+    index = {v: i for i, v in enumerate(nodes)}
+    n = len(nodes)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[index[a]].append(index[b])
+        adj[index[b]].append(index[a])
+    root, *others = [index[v] for v in terms]
+    # zero_in[v]: tails u of the arcs u->v whose reduced cost fell to 0;
+    # every other arc still costs 1, so each raise lowers a cut by exactly 1
+    zero_in: list[set[int]] = [set() for _ in range(n)]
+
+    def reaching(t: int) -> set[int]:
+        seen = {t}
+        stack = [t]
+        while stack:
+            v = stack.pop()
+            for u in zero_in[v] - seen:
+                seen.add(u)
+                stack.append(u)
+        return seen
+
+    lb = 0
+    while True:
+        active = [cut for cut in map(reaching, others) if root not in cut]
+        if not active:
+            break
+        # raise the cut with the fewest entering arcs, ties to the lower terminal
+        entering = min(([(u, v) for v in cut for u in adj[v] if u not in cut]
+                        for cut in active), key=len)
+        if not entering:
+            return None
+        for u, v in entering:
+            zero_in[v].add(u)
+        lb += 1
+
+    def zero_one_distances(sources: list[int], forward: bool) -> list[float]:
+        # reduced-cost distances from the sources (forward) or to them
+        dist = [math.inf] * n
+        queue = deque(sources)
+        for s in sources:
+            dist[s] = 0
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                free = v in zero_in[u] if forward else u in zero_in[v]
+                d = dist[v] + (0 if free else 1)
+                if d < dist[u]:
+                    dist[u] = d
+                    if free:
+                        queue.appendleft(u)
+                    else:
+                        queue.append(u)
+        return dist
+
+    from_root = zero_one_distances([root], True)
+    to_term = zero_one_distances(others, False)
+    score = [lb + a + b for a, b in zip(from_root, to_term)]
+    for t in (root, *others):
+        score[t] = lb
+    return lb, score
+
+
 def steiner_tree(net: Network, terminals: Iterable[int]) -> SteinerTree:
     """Minimum-edge Steiner tree spanning the terminal buses.
 
@@ -236,46 +379,25 @@ def steiner_tree(net: Network, terminals: Iterable[int]) -> SteinerTree:
     chosen: set[int] = set(forced)
     if len(terms) > 1:
         nodes = sorted({v for key in edges for v in key} | set(terms))
-        index = {v: i for i, v in enumerate(nodes)}
-        n = len(nodes)
-        dist = _hop_distances(edges, index)
-        neighbor: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (a, b), lid in edges.items():
-            neighbor[index[a]].append((index[b], lid))
-            neighbor[index[b]].append((index[a], lid))
-        for lst in neighbor:
-            lst.sort()
+        bound = _ascent_scores(nodes, edges, terms)
+        if bound is None:
+            cost, lines = _dp_tree(nodes, edges, terms)
+        else:
+            lb, score = bound
 
-        term_idx = [index[v] for v in terms]
-        dp, choice = _dreyfus_wagner(dist, term_idx)
+            def dp_within(upper: int) -> tuple[int, set[int]]:
+                # every node of every tree with at most `upper` edges is kept
+                kept = {v for v, s in zip(nodes, score) if s <= upper}
+                sub = {key: lid for key, lid in edges.items()
+                       if key[0] in kept and key[1] in kept}
+                return _dp_tree(sorted(kept), sub, terms)
 
-        full = (1 << len(terms)) - 1
-        if dp[full].min() >= _INF:
+            cost, lines = dp_within(lb)
+            if cost > lb:  # cost >= the optimum, so this run is exact
+                cost, lines = dp_within(cost)
+        if cost >= _INF:
             raise NetworkValidationError("terminals are not mutually reachable")
-        root = int(np.argmin(dp[full]))
-
-        def shortest_path_edges(u: int, v: int):
-            # walk back from v to u along any shortest path, lowest index first
-            while v != u:
-                for w, lid in neighbor[v]:
-                    if dist[u, w] == dist[u, v] - 1:
-                        chosen.add(lid)
-                        v = w
-                        break
-
-        stack = [(full, root)]
-        while stack:
-            mask, v = stack.pop()
-            c = int(choice[mask, v])
-            if c == -1:
-                continue
-            if c >= 0:  # split into two subsets rooted at v
-                stack.append((c, v))
-                stack.append((mask ^ c, v))
-            else:  # walk from u to v
-                u = -2 - c
-                shortest_path_edges(u, v)
-                stack.append((mask, u))
+        chosen |= lines
 
     tree_nodes: set[int] = set(term_set)
     for lid in chosen:

@@ -101,6 +101,62 @@ def test_terminal_budget_error():
         steiner_tree(net, list(range(1, 17)))
 
 
+def test_unreachable_terminals_raise():
+    # two components: a triangle and a path
+    net = build_net(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)])
+    with pytest.raises(NetworkValidationError, match="terminals are not mutually reachable"):
+        steiner_tree(net, [0, 4])
+
+
+def _outcome(net, terminals):
+    try:
+        tree = steiner_tree(net, terminals)
+    except NetworkValidationError as exc:
+        return type(exc), str(exc)
+    return tree.nodes, tree.edges
+
+
+def test_elimination_gives_the_whole_graph_tree(monkeypatch):
+    rng = np.random.default_rng(113)
+    instances = []
+    for i in range(600):
+        n = int(rng.integers(2, 41))
+        net = random_connected_net(rng, n, int(rng.integers(0, n)))
+        if i % 10 == 0 and n >= 4:  # split in two components
+            cut = int(rng.integers(1, n))
+            net = build_net(n, [(ln.from_bus, ln.to_bus) for ln in net.lines
+                                if (ln.from_bus < cut) == (ln.to_bus < cut)])
+        t = int(rng.integers(1, min(9, n) + 1))
+        instances.append((net, rng.choice(n, size=t, replace=False).tolist()))
+
+    got = [_outcome(net, terminals) for net, terminals in instances]
+    # instances whose ascent bound is below the optimum need the second DP run
+    loose = 0
+    for (net, terminals), result in zip(instances, got):
+        edges, reduced, forced = steiner._reduce(net, set(terminals))
+        if len(reduced) < 2 or isinstance(result[0], type):
+            continue
+        nodes = sorted({v for key in edges for v in key} | reduced)
+        lb, _score = steiner._ascent_scores(nodes, edges, sorted(reduced))
+        loose += lb < len(result[1]) - len(forced)
+    assert loose >= 1
+
+    # no bound: the DP runs on the whole reduced graph
+    monkeypatch.setattr(steiner, "_ascent_scores", lambda *args: None)
+    assert got == [_outcome(net, terminals) for net, terminals in instances]
+
+
+def test_elimination_shrinks_net300_largest_group():
+    net = parse_case((CASES_DIR / "net300.m").read_text())
+    group = max(coherency.slow_coherency(net, 4).groups, key=len)
+    edges, reduced, _forced = steiner._reduce(net, set(group))
+    assert len(reduced) == 14
+    nodes = sorted({v for key in edges for v in key} | reduced)
+    assert len(nodes) == 293
+    lb, score = steiner._ascent_scores(nodes, edges, sorted(reduced))
+    assert sum(s <= lb for s in score) <= 70
+
+
 def test_fixings_disjoint_trees_unchanged():
     net = build_net(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7)])
     t1 = steiner_tree(net, [0, 2])
@@ -258,6 +314,21 @@ PINNED_TREE_EDGES = {
         [48, 91, 92, 133, 134, 135, 137, 153, 155, 181],
         [59, 60, 158, 197, 202],
     ],
+    ("net240", 3): [
+        [5, 9, 27, 77, 79, 116, 136, 137, 162, 165, 169, 170, 172, 175, 176,
+         198, 251, 252, 348, 349, 350, 351, 353, 381, 392, 403, 440, 448, 450, 468],
+        [32, 41, 44, 59, 62, 76, 104, 120, 121, 122, 183, 217, 235, 236, 239,
+         282, 283, 291, 316, 317, 326, 328, 355, 357, 358, 361, 424, 464],
+        [205, 206, 208, 210, 311, 313, 387, 466],
+    ],
+    ("net240", 4): [
+        [27, 169, 170, 172, 175, 176, 351, 353, 381, 403],
+        [32, 41, 44, 76, 104, 113, 114, 115, 116, 120, 121, 122, 214, 215, 217,
+         235, 236, 239, 291, 316, 317, 326, 328, 355, 357, 358, 361, 404, 424,
+         434, 439, 464],
+        [77, 79, 162, 165, 251, 348, 349, 350, 392, 450, 468],
+        [205, 206, 208, 210, 311, 313, 387, 466],
+    ],
     ("net240", 5): [
         [27, 169, 170, 172, 175, 176, 351, 353, 381, 403],
         [5, 9, 32, 41, 44, 76, 104, 113, 114, 116, 214, 215, 249, 343, 357,
@@ -265,6 +336,24 @@ PINNED_TREE_EDGES = {
         [165, 202, 204, 349, 350, 450, 468],
         [205, 206, 208, 210, 311, 313, 387, 466],
         [21, 22, 46, 47, 217, 218, 239, 326, 328, 355, 361, 464],
+    ],
+    ("net300", 3): [
+        [22, 45, 48, 75, 76, 94, 116, 120, 145, 205, 206, 208, 230, 244, 245,
+         250, 251, 319, 322, 327, 329, 332, 334, 346, 359, 370, 382, 383, 411,
+         412, 418, 422, 432, 437, 447, 467, 468, 472, 479, 484, 507, 508, 537,
+         547, 556, 583, 597],
+        [36, 37, 55, 57, 109, 111, 185, 232, 233, 234, 280, 351, 494, 590],
+        [70, 71, 173, 174, 286, 287, 288, 324, 326, 357, 365, 377, 378, 379,
+         453, 454, 492, 510, 511, 523, 530, 540, 577, 581, 585],
+    ],
+    ("net300", 4): [
+        [22, 45, 48, 75, 76, 94, 116, 120, 145, 205, 206, 208, 230, 244, 245,
+         250, 251, 319, 322, 327, 329, 332, 334, 346, 359, 370, 382, 383, 411,
+         412, 418, 422, 432, 437, 447, 467, 468, 472, 479, 484, 507, 508, 537,
+         547, 556, 583, 597],
+        [36, 37, 55, 57, 109, 111, 185, 232, 233, 234, 280, 351, 494, 590],
+        [70, 71, 173, 174, 357, 376, 378, 379, 387, 530, 540, 577, 581, 585],
+        [286, 287, 288, 324, 326, 365, 510, 511],
     ],
 }
 
