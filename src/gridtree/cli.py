@@ -202,9 +202,9 @@ def _solve_with_config(cfg: RunConfig):
     bridge = _bridge(cfg)
 
     if cfg.method == "two-stage":
-        return net, groups, twostage.two_stage(net, groups)
+        return net, twostage.two_stage(net, groups)
     if cfg.method == "oracle":
-        return net, groups, oracle.enumerate_optimal(net, groups, limit=cfg.limit)
+        return net, oracle.enumerate_optimal(net, groups, limit=cfg.limit)
 
     fixings = None
     method_tag = METHOD_MILP
@@ -221,7 +221,7 @@ def _solve_with_config(cfg: RunConfig):
         )
     # SSR runtime includes the Steiner precomputation
     sol = dataclasses.replace(sol, runtime_s=time.perf_counter() - started)
-    return net, groups, sol
+    return net, sol
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def cmd_coherency(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _merged_config(args)
-    net, _groups, sol = _solve_with_config(cfg)
+    net, sol = _solve_with_config(cfg)
     _emit(solution_to_json(net, sol, include_runtime=not cfg.no_timing), cfg.out)
     return 0
 
@@ -288,7 +288,7 @@ def cmd_bench(args) -> int:
                 cell = dataclasses.replace(cfg, case=case, k=k, method=method)
                 name = Path(case).stem
                 try:
-                    _net, _groups, sol = _solve_with_config(cell)
+                    _net, sol = _solve_with_config(cell)
                     objective[(name, k, method)] = sol.disruption_mw
                     rows.append(
                         [name, k, method, sol.disruption_mw, sol.runtime_s, "ok"]

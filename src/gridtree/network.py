@@ -10,6 +10,7 @@ Networks are immutable: switching produces a new value.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -222,6 +223,12 @@ def _read_table(lines: list[str], name: str) -> list[tuple[int, list[float]]]:
     raise CaseParseError(f"table mpc.{name} not terminated", line_no=start + 1)
 
 
+def _finite(value: float, column: str, line_no: int) -> float:
+    if not math.isfinite(value):
+        raise CaseParseError(f"{column} must be finite, got {value!r}", line_no=line_no)
+    return value
+
+
 def _bus_id(value: float, column: str, line_no: int) -> int:
     if not value.is_integer():
         raise CaseParseError(f"{column} must be an integer bus id, got {value!r}", line_no=line_no)
@@ -270,20 +277,23 @@ def merge_parallel(records: Sequence[RawBranch]) -> list[Line]:
 def parse_case(text: str) -> Network:
     """Parse a MATPOWER-subset case file into a connected Network.
 
-    Reads baseMVA, bus columns (BUS_I, BUS_TYPE, PD), gen columns
-    (GEN_BUS, PG) and branch columns (F_BUS, T_BUS, BR_R, BR_X, RATE_A,
+    Reads baseMVA, bus columns (BUS_I, PD), gen columns
+    (GEN_BUS, PG) and branch columns (F_BUS, T_BUS, BR_X, RATE_A,
     BR_STATUS).  Out-of-service branches are dropped, parallel branches
-    merged, bus ids remapped to dense 0-based indices.
+    merged, bus ids remapped to dense 0-based indices.  A non-finite value
+    in any of these columns is a CaseParseError naming its line.
     """
     raw_lines = [ln.split("%")[0] for ln in text.splitlines()]
 
-    m = _BASE_RE.search("\n".join(raw_lines))
+    joined = "\n".join(raw_lines)
+    m = _BASE_RE.search(joined)
     if m is None:
         raise CaseParseError("mpc.baseMVA not found")
     try:
         base_mva = float(m.group(1))
     except ValueError:
         raise CaseParseError(f"bad baseMVA value: {m.group(1)!r}")
+    _finite(base_mva, "baseMVA", joined.count("\n", 0, m.start()) + 1)
     if base_mva <= 0:
         raise CaseParseError(f"baseMVA must be positive, got {base_mva}")
 
@@ -300,7 +310,7 @@ def parse_case(text: str) -> Network:
         if bus_id in load:
             raise NetworkValidationError(f"duplicate bus id {bus_id}")
         ids.append(bus_id)
-        load[bus_id] = row[2]
+        load[bus_id] = _finite(row[2], "PD", line_no)
 
     index = {bus_id: i for i, bus_id in enumerate(ids)}
 
@@ -311,7 +321,7 @@ def parse_case(text: str) -> Network:
         bus_id = _bus_id(row[0], "GEN_BUS", line_no)
         if bus_id not in index:
             raise CaseParseError(f"gen references unknown bus {bus_id}", line_no=line_no)
-        gen[bus_id] = gen.get(bus_id, 0.0) + row[1]
+        gen[bus_id] = gen.get(bus_id, 0.0) + _finite(row[1], "PG", line_no)
 
     records: list[RawBranch] = []
     for line_no, row in branch_rows:
@@ -325,12 +335,12 @@ def parse_case(text: str) -> Network:
             )
         if f_id == t_id:
             raise CaseParseError(f"self-loop branch at bus {f_id}", line_no=line_no)
-        if row[10] == 0:  # BR_STATUS
+        if _finite(row[10], "BR_STATUS", line_no) == 0:
             continue
-        x = row[3]
+        x = _finite(row[3], "BR_X", line_no)
         if x <= 0:
             raise CaseParseError(f"branch reactance must be positive, got {x}", line_no=line_no)
-        rate = row[5]
+        rate = _finite(row[5], "RATE_A", line_no)
         records.append(
             RawBranch(
                 from_bus=index[f_id],

@@ -1,13 +1,12 @@
 """Exact minimum-edge Steiner trees and conflict-free partial fixings.
 
 The solver is Dreyfus-Wagner dynamic programming over terminal subsets
-(unit edge weights).  Two optimal-preserving reductions keep terminal
+(unit edge weights).  One optimal-preserving contraction keeps terminal
 counts small on real grids before the exponential DP runs: edges joining
-two terminals are contracted, and non-terminal leaves are pruned.  The
-terminal budget applies after reduction.
+two terminals are contracted.  The terminal budget applies after it.
 
 An exact node elimination then shrinks the graph the DP runs on.  Wong's
-dual ascent on the reduced graph, bidirected with unit arc costs and
+dual ascent on the contracted graph, bidirected with unit arc costs and
 rooted at the lowest terminal, gives a lower bound LB on the edge count
 and reduced arc costs of 0 or 1.  Each node v scores LB + d(root, v) +
 min over the other terminals t of d(v, t), in reduced-cost distances; no
@@ -15,10 +14,11 @@ Steiner tree through v has fewer edges than its score.  The DP and its
 walk-back run on the terminals plus the nodes scoring at most U = LB,
 with the nodes in ascending order, and once more with U = c if that run's
 optimum c exceeds LB (c is at least the optimum, so the second run is
-exact).  When a terminal is cut off from the root the DP runs on the
-whole reduced graph, which reports the terminals as unreachable.
+exact).  The arc into a terminal-free pendant subtree never falls to
+reduced cost 0, so its nodes score above LB and the first run drops them.
+A terminal cut off from the root ends the ascent: they are unreachable.
 
-The tree is the one the DP builds on the whole reduced graph.  Every
+The tree is the one the DP builds on the whole contracted graph.  Every
 node of every minimum tree is kept, and so is every node of every
 shortest path between the ends of a walk in the reconstruction (swapping
 that path in gives another minimum tree).  The kept nodes keep their
@@ -28,18 +28,18 @@ comparison, so the root, every split and walk choice, and every
 walk-back step are the same.
 
 The DP is vectorised per subset mask.  The split step scores every
-unordered split of the mask at once, in blocks of ``_SPLIT_BLOCK``
-submasks, as one NumPy gather-add-argmin over (block, node) arrays; the
-walk step closes the result under shortest paths with one (node, node)
-argmin.  Ties are broken deterministically: among equal splits the
-largest submask (the part without the mask's top terminal) wins, and
-among equal walks the lowest source node index wins; a split or walk
-replaces the incumbent only when strictly better, and a walk is tried
-only after all splits.  With t terminals and n kept nodes the cost is
-about 3^t * n / 2 element operations for splits plus 2^t * n^2 for walks,
-and memory is two (2^t, n) int32 tables plus O(_SPLIT_BLOCK * n + n^2)
-temporaries.  The ascent and the scores cost far less: each raise floods
-the terminals' zero-cost components, and there are LB raises.
+unordered split of the mask at once as one NumPy gather-add-argmin over
+(split, node) arrays; the walk step closes the result under shortest
+paths with one (node, node) argmin.  Ties are broken deterministically:
+among equal splits the largest submask (the part without the mask's top
+terminal) wins, and among equal walks the lowest source node index wins;
+a split or walk replaces the incumbent only when strictly better, and a
+walk is tried only after all splits.  With t terminals and n kept nodes
+the cost is about 3^t * n / 2 element operations for splits plus
+2^t * n^2 for walks, and memory is two (2^t, n) int32 tables plus
+(2^(t-1), n) split temporaries and an (n, n) walk temporary.  The ascent
+and the scores cost far less: each raise floods the terminals'
+zero-cost components, and there are LB raises.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ from .network import Network
 
 MAX_TERMINALS = 14
 _INF = np.int32(10**6)
-# submasks per split step; bounds the (block, n) temporaries
-_SPLIT_BLOCK = 512
 
 __all__ = ["SteinerTree", "SteinerFixings", "steiner_tree", "build_fixings",
            "collect_bus_fixings", "MAX_TERMINALS"]
@@ -111,8 +109,8 @@ def collect_bus_fixings(
 
 
 def _reduce(net: Network, terminals: set[int]):
-    """The graph the DP runs on: lines joining two terminals contracted,
-    then non-terminal leaves pruned, both repeatedly.
+    """The graph the elimination starts from: lines joining two terminals
+    contracted, repeatedly.
 
     Returns (edges, terminals, forced): each surviving unordered node pair
     keeps one representative original line (lowest id); the contracted
@@ -147,24 +145,7 @@ def _reduce(net: Network, terminals: set[int]):
             if k2 not in rebuilt or e < rebuilt[k2]:
                 rebuilt[k2] = e
         edges = rebuilt
-
-    while True:
-        degree: Counter = Counter()
-        for a, b in edges:
-            degree[a] += 1
-            degree[b] += 1
-        drop = {
-            node
-            for node in degree
-            if node not in terminals and degree[node] <= 1
-        }
-        if not drop:
-            return edges, terminals, forced
-        edges = {
-            (a, b): e
-            for (a, b), e in edges.items()
-            if a not in drop and b not in drop
-        }
+    return edges, terminals, forced
 
 
 def _submask_table(bits: int) -> list[np.ndarray]:
@@ -201,17 +182,13 @@ def _dreyfus_wagner(dist, terminals):
         # the nonempty submasks of the rest, in descending order
         rest = mask ^ (1 << (mask.bit_length() - 1))
         subs = ((table[rest >> half] << half)[:, None] | table[rest & low_mask]).ravel()[:0:-1]
-        best = np.full(n, _INF, dtype=np.int32)
-        pick = np.full(n, -1, dtype=np.int32)
-        for start in range(0, len(subs), _SPLIT_BLOCK):
-            block = subs[start:start + _SPLIT_BLOCK]
-            merged = dp[block]
-            merged += dp[mask ^ block]
-            arg = np.argmin(merged, axis=0)  # ties: first, i.e. largest, submask
-            val = merged[arg, cols]
-            better = val < best
-            best[better] = val[better]
-            pick[better] = block[arg[better]]
+        merged = dp[subs]
+        merged += dp[mask ^ subs]
+        arg = np.argmin(merged, axis=0)  # ties: first, i.e. largest, submask
+        val = merged[arg, cols]
+        # no split through an unreachable part: best stays at _INF, pick at -1
+        best = np.minimum(val, _INF)
+        pick = np.where(val < _INF, subs[arg], -1)
         # close under shortest-path walks: dp[mask][v] = min_u best[u] + dist(u, v)
         through = dist_to + best  # [v, u]; a row per target keeps argmin contiguous
         walk_src = np.argmin(through, axis=1)  # ties: lowest u
@@ -349,8 +326,6 @@ def _ascent_scores(nodes: list[int], edges: Iterable[tuple[int, int]],
     from_root = zero_one_distances([root], True)
     to_term = zero_one_distances(others, False)
     score = [lb + a + b for a, b in zip(from_root, to_term)]
-    for t in (root, *others):
-        score[t] = lb
     return lb, score
 
 
@@ -381,22 +356,19 @@ def steiner_tree(net: Network, terminals: Iterable[int]) -> SteinerTree:
         nodes = sorted({v for key in edges for v in key} | set(terms))
         bound = _ascent_scores(nodes, edges, terms)
         if bound is None:
-            cost, lines = _dp_tree(nodes, edges, terms)
-        else:
-            lb, score = bound
-
-            def dp_within(upper: int) -> tuple[int, set[int]]:
-                # every node of every tree with at most `upper` edges is kept
-                kept = {v for v, s in zip(nodes, score) if s <= upper}
-                sub = {key: lid for key, lid in edges.items()
-                       if key[0] in kept and key[1] in kept}
-                return _dp_tree(sorted(kept), sub, terms)
-
-            cost, lines = dp_within(lb)
-            if cost > lb:  # cost >= the optimum, so this run is exact
-                cost, lines = dp_within(cost)
-        if cost >= _INF:
             raise NetworkValidationError("terminals are not mutually reachable")
+        lb, score = bound
+
+        def dp_within(upper: int) -> tuple[int, set[int]]:
+            # every node of every tree with at most `upper` edges is kept
+            kept = {v for v, s in zip(nodes, score) if s <= upper}
+            sub = {key: lid for key, lid in edges.items()
+                   if key[0] in kept and key[1] in kept}
+            return _dp_tree(sorted(kept), sub, terms)
+
+        cost, lines = dp_within(lb)
+        if cost > lb:  # cost >= the optimum, so this run is exact
+            cost, lines = dp_within(cost)
         chosen |= lines
 
     tree_nodes: set[int] = set(term_set)

@@ -485,6 +485,31 @@ def test_demo_case_solves(capsys):
             {"c.m": DEMO_TEXT.replace("\t2\t8\t0\t", "\t2.7\t8\t0\t")},
             ["parse", "--case", "c.m"], 2, "line 30: F_BUS must be an integer bus id, got 2.7",
         ),
+        (
+            {"c.m": DEMO_TEXT.replace("mpc.baseMVA = 100;", "mpc.baseMVA = NaN;")},
+            ["parse", "--case", "c.m"], 2, "line 3: baseMVA must be finite, got nan",
+        ),
+        (
+            {"c.m": DEMO_TEXT.replace("\t2\t1\t159.2\t", "\t2\t1\tnan\t")},
+            ["solve", "--case", "c.m"], 2, "line 6: PD must be finite, got nan",
+        ),
+        (
+            {"c.m": DEMO_TEXT.replace("\t4\t38.0\t", "\t4\t-Inf\t")},
+            ["parse", "--case", "c.m"], 2, "line 17: PG must be finite, got -inf",
+        ),
+        (
+            {"c.m": DEMO_TEXT.replace("\t0.051149\t", "\tInf\t")},
+            ["solve", "--case", "c.m"], 2, "line 30: BR_X must be finite, got inf",
+        ),
+        (
+            {"c.m": DEMO_TEXT.replace("\t0.051149\t0\t0\t", "\t0.051149\t0\tnan\t")},
+            ["parse", "--case", "c.m"], 2, "line 30: RATE_A must be finite, got nan",
+        ),
+        (
+            {"c.m": DEMO_TEXT.replace("\t0.051149\t0\t0\t0\t0\t0\t0\t1;",
+                                      "\t0.051149\t0\t0\t0\t0\t0\t0\tnan;")},
+            ["parse", "--case", "c.m"], 2, "line 30: BR_STATUS must be finite, got nan",
+        ),
     ],
     ids=["unknown-slack", "groups-no-k", "groups-unknown-bus", "groups-not-json",
          "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int",
@@ -492,7 +517,9 @@ def test_demo_case_solves(capsys):
          "config-negative-limit", "config-zero-limit", "config-bad-bool",
          "config-bad-method", "config-bad-int-under-flag", "out-unwritable",
          "solution-bus-twice", "solution-k-mismatch", "solution-bad-switched",
-         "case-fractional-bus-id", "case-fractional-gen-bus", "case-fractional-branch-bus"],
+         "case-fractional-bus-id", "case-fractional-gen-bus", "case-fractional-branch-bus",
+         "case-nan-base-mva", "case-nan-pd", "case-inf-pg", "case-inf-br-x", "case-nan-rate-a",
+         "case-nan-br-status"],
 )
 def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, message):
     for name, text in files.items():

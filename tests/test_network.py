@@ -66,6 +66,14 @@ def test_parse_errors_carry_line_numbers():
     assert "line" in str(err.value)
 
 
+def test_parse_accepts_inf_in_columns_it_does_not_read():
+    # MATPOWER files carry Inf in limits such as VMAX, QMAX and ANGMAX
+    case = (TWO_BUS_CASE.replace("1 1.1 0.9;", "1 Inf -Inf;")
+            .replace("1 100 0 0 0 1 100 1 200 0;", "1 100 Inf -Inf 0 1 100 1 Inf 0;")
+            .replace("0 0 0 0 0 0 1;", "0 0 0 0 0 0 1 -Inf Inf;"))
+    assert "Inf" in case and parse_case(case) == parse_case(TWO_BUS_CASE)
+
+
 def test_parse_rejects_duplicate_bus_ids():
     bad = TWO_BUS_CASE.replace("2 1 100", "1 1 100")
     with pytest.raises(NetworkValidationError):

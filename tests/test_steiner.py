@@ -2,6 +2,7 @@
 fixings."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -116,7 +117,23 @@ def _outcome(net, terminals):
     return tree.nodes, tree.edges
 
 
-def test_elimination_gives_the_whole_graph_tree(monkeypatch):
+def _whole_graph_outcome(net, terminals):
+    """The DP and walk-back on the whole contraction-only graph."""
+    edges, reduced, forced = steiner._reduce(net, set(terminals))
+    chosen = set(forced)
+    if len(reduced) > 1:
+        nodes = sorted({v for key in edges for v in key} | reduced)
+        cost, lines = steiner._dp_tree(nodes, edges, sorted(reduced))
+        if cost >= steiner._INF:
+            return NetworkValidationError, "terminals are not mutually reachable"
+        chosen |= lines
+    nodes = set(terminals)
+    for lid in chosen:
+        nodes |= {net.line_by_id[lid].from_bus, net.line_by_id[lid].to_bus}
+    return frozenset(nodes), frozenset(chosen)
+
+
+def test_elimination_gives_the_whole_graph_tree():
     rng = np.random.default_rng(113)
     instances = []
     for i in range(600):
@@ -141,9 +158,42 @@ def test_elimination_gives_the_whole_graph_tree(monkeypatch):
         loose += lb < len(result[1]) - len(forced)
     assert loose >= 1
 
-    # no bound: the DP runs on the whole reduced graph
-    monkeypatch.setattr(steiner, "_ascent_scores", lambda *args: None)
-    assert got == [_outcome(net, terminals) for net, terminals in instances]
+    want = [_whole_graph_outcome(net, terminals) for net, terminals in instances]
+    assert any(isinstance(result[0], type) for result in want)
+    assert got == want
+
+
+def _leaf_pruned(edges, terminals):
+    """Nodes that iterated pruning of non-terminal leaves removes."""
+    gone: set[int] = set()
+    while True:
+        degree = Counter(v for key in edges for v in key)
+        drop = {v for v, d in degree.items() if v not in terminals and d <= 1}
+        if not drop:
+            return gone
+        gone |= drop
+        edges = [key for key in edges if not drop & set(key)]
+
+
+def test_pendant_subtrees_score_above_the_bound():
+    # the first DP run keeps only nodes scoring at most lb, so it drops
+    # every terminal-free pendant subtree without a leaf pruning pass
+    rng = np.random.default_rng(131)
+    pendant = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 41))
+        net = random_connected_net(rng, n, int(rng.integers(0, 3)))
+        t = int(rng.integers(2, min(8, n) + 1))
+        terminals = set(rng.choice(n, size=t, replace=False).tolist())
+        edges, reduced, _forced = steiner._reduce(net, terminals)
+        if len(reduced) < 2:
+            continue
+        nodes = sorted({v for key in edges for v in key} | reduced)
+        lb, score = steiner._ascent_scores(nodes, edges, sorted(reduced))
+        gone = _leaf_pruned(list(edges), reduced)
+        assert all(s > lb for v, s in zip(nodes, score) if v in gone)
+        pendant += len(gone)
+    assert pendant >= 1000
 
 
 def test_elimination_shrinks_net300_largest_group():
@@ -152,7 +202,7 @@ def test_elimination_shrinks_net300_largest_group():
     edges, reduced, _forced = steiner._reduce(net, set(group))
     assert len(reduced) == 14
     nodes = sorted({v for key in edges for v in key} | reduced)
-    assert len(nodes) == 293
+    assert len(nodes) == 294
     lb, score = steiner._ascent_scores(nodes, edges, sorted(reduced))
     assert sum(s <= lb for s in score) <= 70
 
@@ -260,10 +310,8 @@ def _hop_distances(net):
     return dist
 
 
-@pytest.mark.parametrize("block", [steiner._SPLIT_BLOCK, 3])
-def test_dp_identical_to_reference_loop(monkeypatch, block):
+def test_dp_identical_to_reference_loop():
     # unit weights tie often, so equal dp alone would not pin the tie-break
-    monkeypatch.setattr(steiner, "_SPLIT_BLOCK", block)
     rng = np.random.default_rng(97)
     instances = []
     for _ in range(60):
