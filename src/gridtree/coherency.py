@@ -57,7 +57,7 @@ class CoherencyGroups:
 def kron_reduction(net: Network, keep: Sequence[int]) -> np.ndarray:
     """Eliminate all buses outside ``keep`` from the susceptance Laplacian."""
     keep = list(keep)
-    lap = laplacian(net).toarray()
+    lap = laplacian(net)
     kept = set(keep)
     drop = [i for i in range(net.n) if i not in kept]
     if not drop:

@@ -2,9 +2,9 @@
 
 Flows follow the linearized model: per-unit flow on a line equals its
 susceptance times the angle difference of its endpoints.  Solves use a
-deterministic direct sparse factorization; any injection imbalance is
-absorbed at the slack bus.  ``disruption`` is ``network.disruption``,
-re-exported here.
+deterministic dense LU factorization (LAPACK, through NumPy); any
+injection imbalance is absorbed at the slack bus.  ``disruption`` is
+``network.disruption``, re-exported here.
 """
 
 from __future__ import annotations
@@ -14,11 +14,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
-    GridTreeError,
     InfeasibleError,
     NetworkValidationError,
     UnsupportedOperation,
@@ -72,15 +69,17 @@ def _injection_vector(net: Network) -> np.ndarray:
     return np.array([b.injection_mw for b in net.buses], dtype=float)
 
 
-def laplacian(net: Network) -> sp.csc_matrix:
-    """Susceptance-weighted bus Laplacian (per unit), sparse."""
+def laplacian(net: Network) -> np.ndarray:
+    """Susceptance-weighted bus Laplacian (per unit), dense."""
     rows, cols, vals = [], [], []
     for ln in net.lines:
         i, j, b = ln.from_bus, ln.to_bus, ln.susceptance
         rows += [i, j, i, j]
         cols += [i, j, j, i]
         vals += [b, b, -b, -b]
-    return sp.csc_matrix((vals, (rows, cols)), shape=(net.n, net.n))
+    lap = np.zeros((net.n, net.n))
+    np.add.at(lap, (rows, cols), vals)
+    return lap
 
 
 def _line_flows(net: Network, theta: np.ndarray) -> np.ndarray:
@@ -116,10 +115,12 @@ def solve_dc(
 ) -> FlowSolution:
     """Solve the DC power flow with the given slack bus.
 
-    The slack row and column are removed before factorization, which pins
-    the slack angle to zero and absorbs any net injection imbalance there.
-    Raises if the network is disconnected or the per-bus balance residual
-    exceeds 1e-8 p.u.
+    The slack row and column are removed before the dense factorization,
+    which pins the slack angle to zero and absorbs any net injection
+    imbalance there.  Raises NetworkValidationError if the network is
+    disconnected, or if the per-bus balance residual exceeds 1e-8 p.u.,
+    which happens when per-unit values are too extreme for double
+    precision.
     """
     n = net.n
     if not 0 <= slack < n:
@@ -139,12 +140,11 @@ def solve_dc(
 
     theta = np.zeros(n)
     if n > 1:
-        lap = laplacian(net)
         keep = np.arange(n) != slack
-        reduced = lap[keep][:, keep]
+        reduced = laplacian(net)[np.ix_(keep, keep)]
         try:
-            theta[keep] = spla.spsolve(reduced, p[keep])
-        except RuntimeError as exc:  # singular factorization
+            theta[keep] = np.linalg.solve(reduced, p[keep])
+        except np.linalg.LinAlgError as exc:  # singular factorization
             raise NetworkValidationError(f"DC flow system is singular: {exc}")
         if not np.all(np.isfinite(theta)):
             raise NetworkValidationError("DC flow system is singular")
@@ -156,7 +156,10 @@ def solve_dc(
     residual[slack] = 0.0
     worst = float(residual.max()) if n > 1 else 0.0
     if worst > BALANCE_TOL_PU:
-        raise GridTreeError(f"DC solve residual {worst:.3e} p.u. exceeds {BALANCE_TOL_PU}")
+        raise NetworkValidationError(
+            f"values too extreme for a DC solve: balance residual {worst:.3e} p.u. "
+            f"exceeds {BALANCE_TOL_PU}"
+        )
 
     return FlowSolution(
         theta=tuple(float(t) for t in theta),

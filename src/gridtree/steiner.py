@@ -50,8 +50,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import shortest_path
 
 from .coherency import CoherencyGroups
 from .errors import BudgetError, ModelBuildError, NetworkValidationError
@@ -202,12 +200,25 @@ def _dreyfus_wagner(dist, terminals):
 
 def _hop_distances(edges: Iterable[tuple[int, int]], index: Mapping[int, int]) -> np.ndarray:
     """All-pairs hop counts over the undirected ``edges`` between nodes at
-    the given ``index`` positions, ``_INF`` where unreachable."""
-    rows = [index[a] for a, _ in edges]
-    cols = [index[b] for _, b in edges]
-    graph = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(index), len(index)))
-    hops = shortest_path(graph, directed=False, unweighted=True)
-    return np.where(np.isinf(hops), _INF, hops).astype(np.int64)
+    the given ``index`` positions, ``_INF`` where unreachable: one
+    breadth-first search per source."""
+    n = len(index)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[index[a]].append(index[b])
+        adj[index[b]].append(index[a])
+    hops = np.full((n, n), _INF, dtype=np.int64)
+    for s in range(n):
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        hops[s, list(dist)] = list(dist.values())
+    return hops
 
 
 def _dp_tree(nodes: list[int], edges: Mapping[tuple[int, int], int],

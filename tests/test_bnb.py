@@ -88,17 +88,17 @@ def test_matches_oracle_with_many_clusters(k, unit_mw):
 # (case, k) -> (disruption MW, assignment as one cluster digit per bus),
 # identical for plain and SSR-reduced search
 DESK_OPTIMA = {
-    ("net030", 2): (181.55633023677512, "221112211112112222112212222112"),
-    ("net030", 3): (139.47273817876467, "333112213112313333332313223113"),
-    ("net030", 4): (128.42657789001336, "333142233112343333332333223343"),
-    ("net030", 5): (188.80383736905395, "551142213112343553132515223145"),
-    ("net057", 2): (38.45727485143948,
+    ("net030", 2): (181.55633023677547, "221112211112112222112212222112"),
+    ("net030", 3): (139.47273817876504, "333112213112313333332313223113"),
+    ("net030", 4): (128.42657789001373, "333142233112343333332333223343"),
+    ("net030", 5): (188.80383736905452, "551142213112343553132515223145"),
+    ("net057", 2): (38.457274851438854,
                     "222112211122111211111121211111111221111121212112122211212"),
-    ("net057", 3): (68.41317617171944,
+    ("net057", 3): (68.41317617171914,
                     "222112231322131211313323233133313223111121232332122213232"),
-    ("net057", 4): (89.5427107170669,
+    ("net057", 4): (89.54271071706668,
                     "222112241432141211414434244144414334111121243443123214342"),
-    ("net057", 5): (95.17058177680342,
+    ("net057", 5): (95.17058177680241,
                     "255112241432141511414434544144414334111121543443153314345"),
 }
 

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -510,6 +512,14 @@ def test_demo_case_solves(capsys):
                                       "\t0.051149\t0\t0\t0\t0\t0\t0\tnan;")},
             ["parse", "--case", "c.m"], 2, "line 30: BR_STATUS must be finite, got nan",
         ),
+        (
+            {"c.m": DEMO_TEXT.replace("mpc.baseMVA = 100;", "mpc.baseMVA = 1e-300;")},
+            ["solve", "--case", "c.m"], 3, "values too extreme for a DC solve",
+        ),
+        (
+            {"c.m": DEMO_TEXT.replace("\t1\t1\t14.5\t", "\t1\t1\t1e61\t")},
+            ["solve", "--case", "c.m"], 3, "values too extreme for a DC solve",
+        ),
     ],
     ids=["unknown-slack", "groups-no-k", "groups-unknown-bus", "groups-not-json",
          "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int",
@@ -519,7 +529,7 @@ def test_demo_case_solves(capsys):
          "solution-bus-twice", "solution-k-mismatch", "solution-bad-switched",
          "case-fractional-bus-id", "case-fractional-gen-bus", "case-fractional-branch-bus",
          "case-nan-base-mva", "case-nan-pd", "case-inf-pg", "case-inf-br-x", "case-nan-rate-a",
-         "case-nan-br-status"],
+         "case-nan-br-status", "case-tiny-base-mva", "case-huge-pd"],
 )
 def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, message):
     for name, text in files.items():
@@ -570,57 +580,56 @@ def test_cli_prints_zero_disruption_as_float(capsys, tmp_path, method):
 
 
 # `solve --no-timing` for demo9/net030/net057 x k=2..5 x {milp, ssr,
-# two-stage} (built-in B&B) and two-stage on the larger cases, taken before
-# stage 2 was merged into one definition: case, k, method, exit code and
-# SHA-256 of stdout
+# two-stage} (built-in B&B) and two-stage on the larger cases: case, k,
+# method, exit code and SHA-256 of stdout
 PINNED_SOLVE_OUTPUTS = """
-demo9 2 milp 0 5fe5fc3612ed4e782997481a0678ef543b686487fe72089be4abef6cb2a1fca0
-demo9 2 ssr 0 60acde959f54e2b23ad45762622fbac7b98955093b1fbfe4199a48153194df8b
-demo9 2 two-stage 0 9434fa7bf69d09694392404dfddc22f94f2dee9d145125ff6400331cf7dc3d37
-demo9 3 milp 0 f81f08de8b6864705776cf0d8ee72fde9e1c934a822b80b984caf6ccbf6d47ea
-demo9 3 ssr 0 021bad93911e6782b521bad9db060e0bb2b4562b5d068312c6b5fa9d3f58539f
-demo9 3 two-stage 0 c0a4dfabd2b493988abc06a6ffa4375b9d1f9ca9bbd0a95e0134ac1235e31b65
-demo9 4 milp 0 9c7d7aaf8fbfdfd3acfbafca0df6dc0bbc88b53481f86d2be0c1e296edb7ce22
-demo9 4 ssr 0 abfc09a9f30ed5db2cc926758a12a59a29592498da1348b03e54be377da79b01
-demo9 4 two-stage 0 1b81d93e3f43f69418fa7eb4bf3114b1a8e5634434ff18d8a2e1675bf4cf7125
+demo9 2 milp 0 fcbeb99acce73202e2c6487b7cb89cf48236a6d2a76f293651b8c3c6f3be176c
+demo9 2 ssr 0 6795f02228dd04220538efd6ef21b18c4a39dd079d246461dd5ec94158eee629
+demo9 2 two-stage 0 f36601451c84e76463fd12f301949043349b723689753052d53b9fc746aee616
+demo9 3 milp 0 23669faa8da1d509e05d5697fa1b81d1fcb34418a2e4f02c4bb66f5ef2b74a56
+demo9 3 ssr 0 94cc891cf766970fc7f41a7b64da81dcd1095b79fdd68787448980eec57eae9a
+demo9 3 two-stage 0 2c3723a3125c8e3d5a8bbe0bdd44818cef408edddfd5ef76c30525228258e43c
+demo9 4 milp 0 aa29fe4057f1cc804e61cc5ad6635bdfe4f593da18807f0d44790338b588e5bf
+demo9 4 ssr 0 1224c73ea0ded21284446e0e2e81b77d70bb0c47b3cb59f9362344725f681629
+demo9 4 two-stage 0 7627fb97fd6563190bdfaa99daf3ea759de31129724418041368ef6dbef0970a
 demo9 5 milp 3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 demo9 5 ssr 3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 demo9 5 two-stage 3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
-net030 2 milp 0 306ee801e32d33b6c8be3a4d05bee613b7c7f2cd45380dc901f2d6aa2dd82269
-net030 2 ssr 0 dc4606edb148f197e7e7ab822758f4ae4e8ec96bfad9ee1a2e240ebb399a053a
+net030 2 milp 0 31c8379569a436391f96ff8b4076c8248064a3a5a9aa75f465ba7f0f8a43462b
+net030 2 ssr 0 ccede077949b9217a3271d2bbacc85a13fc0687159e8a5e9883bfae2fb87efac
 net030 2 two-stage 4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
-net030 3 milp 0 60549b6a670cc936e344f9a25f1c9305b6be7ce8e0eab54eb0f255ebe1e5a3cb
-net030 3 ssr 0 42464b02e69314ad48f3d58db9a10f8b30b16ba0e3d39cb357876bb2b89dabfc
+net030 3 milp 0 0b49b7b08862cbf20c5a56919fb9c28cd3d4a8292a4f8ff761b93482371c2f93
+net030 3 ssr 0 8bcb73ef7328bca0bb01f9309ed394e81e3bb56cf99501831961dff643322b83
 net030 3 two-stage 0 e5fce1fd276b6f9bc756e0afcf26ddcb16854d0532160a3173b6dcc298ea2f2a
-net030 4 milp 0 c5ce1bf85c5e442be57a69817375b53aa4abb731dfe7ad9b2e76b0959c6f3a29
-net030 4 ssr 0 d8ca15c8ea11c1dc89936031adc8da9cb0a7f66e1964c1f8607c7b448161545e
+net030 4 milp 0 c9e7a3ddc11df36dff1b6806e92bef9991615cb1b8a13aa0223f5e5b254a3ba2
+net030 4 ssr 0 d4bb55dea79a9ca7b573e6723ca7e1c95b11fa26ab0935b4baf4547d0ee2e880
 net030 4 two-stage 0 f3ed6a3e1af1583354da91a219459b2bef742bc6da36d15c44192867ecdd5d35
-net030 5 milp 0 465f9dd334fa01f8d439542958e4d5fd0cda5ea072d2efd5b9ec9980237060c1
-net030 5 ssr 0 9806543b366f1ebc030430148fee5fdef383a23124757620e62fc4d5d4890c01
-net030 5 two-stage 0 7775d7ba60d982fa9479d85053ce6e639fa88ec20b47b3b0853dee975513b368
-net057 2 milp 0 7a22643c0c371a8b3964ffd67b9258c75ae76b465861ad3eb5c5bb85a0e53736
-net057 2 ssr 0 2b12e9b49793bfb2597eafadbddc3bb74656588250857fd3064d94ed93d6f949
-net057 2 two-stage 0 18dd852838d9f6982d534b482474f29555e1ad2b04d05620b06963b128835904
-net057 3 milp 0 cf9901d424141a1dbc9180af8b14571186448508fafbab8d33d17c679a45d786
-net057 3 ssr 0 f6c9d488187e54339eb8398208a8ec8e3119cc665662b8c10698272f0b5a9131
-net057 3 two-stage 0 a58f164b69aca912e98ab4f4c602ff7f3e535b58b5f45ff5503a709881e58b56
-net057 4 milp 0 816f6a863c37c4d250d2872e6b0fde92200120e1122197ba8979e23e5ba33ea2
-net057 4 ssr 0 1fa7d2956509c3b3d03810ac611ad4b5e3d931b3fbc4637a029e61e2a359d491
-net057 4 two-stage 0 1e614ec28864b93de3634891c532989d4e63f8b15a791acc0e2f5a3be45ffe4d
-net057 5 milp 0 0547e67528fd8d79aea75c513457852fed738fb1a52ed1b2a0cd90029c6b3e29
-net057 5 ssr 0 de2b4e731ca1b087be9356d012bfd6dcf848462605b89c15d092c0392351aea7
-net057 5 two-stage 0 e194da4cc49168c9e2441e244823833d6ae632eaef9956f587037d4dc168cc88
-net118 2 two-stage 0 372cde57efd2d4ad930d80ffc095e75388853e0a2f7626f9ffc4fa429c9913b6
+net030 5 milp 0 d083384288a87211980c3af9084c76735085671d4324bf76e13d5546baf37e38
+net030 5 ssr 0 f473ac5c9265edf0a0cc7b55504570940e29e0f85c2f62a0f1c8aa82cc40dba8
+net030 5 two-stage 0 73c115e4085cbf4a83ad7174675c7bf33878e8c83925a791b71fae82c812d253
+net057 2 milp 0 07118e09373d9625e2f5ccff48e854498552acc123c86db5e68ba396ec0705a2
+net057 2 ssr 0 d2ea82eaea0643d8eeb200fa0963b11565e98424f183f88d02fa1d71327b6033
+net057 2 two-stage 0 bf368bcfb60ea935e86fe4e44e3a1e895635a3a4c6e03551007f3d8e435a63e2
+net057 3 milp 0 5f133f38d553d1e6aa79719df8555a74b58e6129abb4c7b0263397b0603ad298
+net057 3 ssr 0 52f549fa0043fe7151e83a01855e9bd4a7843e3f903724b464409df21c33f256
+net057 3 two-stage 0 fb64b0d60f0746350d5e35184f3bc10305728555703f064d5be4f5c05c60763c
+net057 4 milp 0 0d6ba0a6468b42bea15bf9022ac1f7877293e6e43bfaf0faf3248762b69d0b7e
+net057 4 ssr 0 db3943ee24594e89ea7192241f87a9965d639c30b5f4bc14651e7f310ed0232a
+net057 4 two-stage 0 f7228e622aae40d23ec7ee79bfe624ba35fcaecfd2d9fd593d2493a8b8d6f65d
+net057 5 milp 0 39cd14726d84eacb6835585f1574becffa7c8e9ac26a822dc3b3e4b20fbc85de
+net057 5 ssr 0 96994a73d7823735665e0f33f17d3ef6af021cddb61e6e0351a9202c49b2010a
+net057 5 two-stage 0 526dfa30a0b576daf979f83f0ce5a83fddebb118d3a1877c7852964bebff40e0
+net118 2 two-stage 0 04c4f49850d7e746d26669de7490b2fd5322ae7bdca4dd14af9fe11d1a22b855
 net118 3 two-stage 4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 net118 4 two-stage 4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 net118 5 two-stage 4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
-net240 2 two-stage 0 99640a91e9ac1d1e68b04f0ecf8960710a78f0f403f22a608e0c1beb22cbfd2c
-net240 3 two-stage 0 d2c18ada7655c73ef3ed3d321143287fef1ad3bd05b3f3d48a898e094a672d93
-net240 4 two-stage 0 b70ba8e96efd8b2a7608d0049f7fbced0f10215030cf72f541bf788311f8eba9
-net240 5 two-stage 0 856c75cf07956e627ccaec33846d8074c3323294bad65414f5c1f3473454b54f
+net240 2 two-stage 0 db103613bf6707a0c03a82c425a92440d6e28e063e5140b26b069f91309c3dc1
+net240 3 two-stage 0 511f7a0b6959782beee7b4de4ddf3c251351ef487c06515b5bf7a1366bb3b532
+net240 4 two-stage 0 fe5178ac5392404e46fedee55572ac3a4b2ba26019e9ec09e6f21e7e1aed2ad8
+net240 5 two-stage 0 499ce614b70e50b0a37a3a605b9f12bf5fad2554fb1e2839f86f3e279fa8b36f
 net300 2 two-stage 4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
-net300 3 two-stage 0 456fe26a28087826067a4d57cf673239ff4af5f001c0725346afc0b2d1815649
-net300 4 two-stage 0 72bf3f87b9d2e2f058d9888888c71e31eae743011ac99b969f2153dd35b662f6
+net300 3 two-stage 0 ade457561ce3b6daabebbea5769ed206bbdb88457855b45969374a087a76fcd9
+net300 4 two-stage 0 d15be782fe5068aff0747c79e25a55d9469e9bb5ad858b6d8e9046ecd61ccfeb
 net300 5 two-stage 4 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 """
 
@@ -634,3 +643,37 @@ def test_solve_outputs_are_pinned():
                         "--method", method, "--no-timing"])
         assert (got, hashlib.sha256(out.getvalue().encode()).hexdigest()) == (
             int(code), digest), row
+
+
+# every verb that runs in the calling process; solve takes the built-in routes
+SCIPY_FREE_ARGV = [
+    ["parse"], ["flows"], ["coherency", "--k", "2"], ["steiner", "--k", "2"], ["export-dot"],
+    *(["solve", "--k", "2", "--method", m, "--no-timing"]
+      for m in ("milp", "ssr", "two-stage", "oracle")),
+]
+SCIPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+import gridtree.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.modules["scipy"] = None  # any later scipy import raises ImportError
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([gridtree.cli.main(argv), out.getvalue()])
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
+
+
+def test_verbs_run_without_scipy(capsys):
+    # scipy (HiGHS) belongs to the gridtree.milpsolve solver child alone
+    argvs = [[*argv, "--case", DEMO] for argv in SCIPY_FREE_ARGV]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    assert blocked["loaded"] == [] and len(blocked["runs"]) == len(argvs)
+    for argv, (code, out) in zip(argvs, blocked["runs"]):
+        assert (code, out) == (main(argv), capsys.readouterr().out), argv

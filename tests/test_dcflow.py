@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from gridtree import dcflow
 from gridtree.dcflow import GenCost, balanced_injections, disruption, solve_dc, with_flows
 from gridtree.errors import InfeasibleError, NetworkValidationError, UnsupportedOperation
 from gridtree.milp import SolverBridge
+from gridtree.network import parse_case
 
-from conftest import BRIDGE_CMD, build_net, random_connected_net
+from conftest import BRIDGE_CMD, CASES_DIR, build_net, random_connected_net
 
 
 def test_two_bus_single_path():
@@ -40,6 +43,42 @@ def test_flow_balance_identity_random():
             recovered[ln.from_bus] += f
             recovered[ln.to_bus] -= f
         assert np.allclose(recovered, inj, atol=1e-7)
+
+
+def _sparse_reference_flows(net, slack, injections_mw):
+    """MW line flows from a SuperLU solve of the reduced sparse Laplacian."""
+    rows, cols, vals = [], [], []
+    for ln in net.lines:
+        i, j, b = ln.from_bus, ln.to_bus, ln.susceptance
+        rows += [i, j, i, j]
+        cols += [i, j, j, i]
+        vals += [b, b, -b, -b]
+    lap = sp.csc_matrix((vals, (rows, cols)), shape=(net.n, net.n))
+    keep = np.arange(net.n) != slack
+    theta = np.zeros(net.n)
+    theta[keep] = spla.spsolve(lap[keep][:, keep], np.asarray(injections_mw)[keep] / net.base_mva)
+    return np.array([net.base_mva * ln.susceptance * (theta[ln.from_bus] - theta[ln.to_bus])
+                     for ln in net.lines])
+
+
+def _bundled_and_random_instances():
+    for path in sorted(CASES_DIR.glob("*.m")):
+        net = parse_case(path.read_text())
+        yield path.stem, net, 0, balanced_injections(net)
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        n = int(rng.integers(2, 41))
+        net = random_connected_net(rng, n, int(rng.integers(0, n + 1)))
+        yield f"random{i}", net, int(rng.integers(0, n)), rng.uniform(-50, 50, size=n)
+
+
+def test_dense_solve_matches_sparse_reference():
+    # the dense LU and SuperLU differ only in rounding: within 1e-12 relative
+    for name, net, slack, inj in _bundled_and_random_instances():
+        got = np.array(solve_dc(net, slack, inj).flows_mw)
+        ref = _sparse_reference_flows(net, slack, inj)
+        bound = 1e-12 * np.abs(ref).max() + 1e-12
+        assert np.abs(got - ref).max() <= bound, name
 
 
 def test_slack_invariance_of_flows():

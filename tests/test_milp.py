@@ -184,22 +184,22 @@ PINNED_LP_SHA256 = {
     ("net030", 4, True): "98672980a471a0372757553d057e513b9ca7dbb88a181224cfd6514dbed5936e",
     ("net030", 5, False): "5dd8264a105356eb756998f11aece0322839a249a116eb04367e0847c2288e90",
     ("net030", 5, True): "ff6c4b84b1c3e1d192dd9a875905a1edb87fd8931dc26a47744aa0a0a2d9d4e0",
-    ("net057", 2, False): "adb82ae2fed74e0e0d490e58b6749db30633344e1f027381dc30d79b4e6850a7",
-    ("net057", 2, True): "deb754d34fe92b1463c8dc53cc619adf94fd3c4c724aec653d2f9eec5b70fdce",
-    ("net057", 3, False): "895047f69c3f1d6a84e2b66d1b654882053707b31ed3df381cff8a1fbc8c165f",
-    ("net057", 3, True): "a71a0026d9f92a2df5aadaacd7c16731fb798310ebdabe5e48b1f85bc278cc12",
-    ("net057", 4, False): "721aeb9650afbf8414fbef682119ad4974e3dd5e097d0d21eb9f62321f4bd630",
-    ("net057", 4, True): "64ce23c1fff9ee43c9950cf327421e348149d0bf76bf3fe8265cb69cfc2a33fd",
-    ("net057", 5, False): "58fc606955833c50c2b2eee94d86c0cea34f5099fbd6b792a974921f9c0de0e0",
-    ("net057", 5, True): "0787d59e30bdad390a7b3d46ca1a79b6dfe412eac2444fa156c7672f48d0bfed",
-    ("net118", 2, False): "51a4e1c5db490629db272d1b516555789aa9b52f1ad5b758095c8e5cc66c49be",
-    ("net118", 2, True): "54d089267055d0ca14fe5e5db90a06c1714331955e519d2e7bec64b27d334cf9",
-    ("net118", 3, False): "47409c986ab90fe70ee6712b0a1261357e355e7f6f05d403924e1a374382a9e8",
-    ("net118", 3, True): "d32bcbcfc0b8e9a07d0257e333a9e23012c56dd7ec4f26c021cd07539dbdb2ad",
-    ("net118", 4, False): "47de5cc450f858692b81c3cdff90a38b7466c028e4fe3666f70522d20a39cd2b",
-    ("net118", 4, True): "aea8634697fb38cd11d5eb503a801fafcdc81b23603cedd26f1deda90fc42139",
-    ("net118", 5, False): "1e4fe2568168cd48d613f0451216b171a78e3b199bda14c6db04f71c0b5f2910",
-    ("net118", 5, True): "28ca28ce6475f2da827e496c32c286231e4ffcf562ce6402a59cd15f2f1c7d91",
+    ("net057", 2, False): "3b9b968501809c61dccaea5fe96d8b94dbe28e7c039aa17fb070c89dd4628cb2",
+    ("net057", 2, True): "d44ea7dcf02b76e78ca5a2e6baf5f02b2f8b2248f779c0317e8ed2fe035824c8",
+    ("net057", 3, False): "f58818e6ffc93227707e4c2aa1aa01f1487a0c85784c576ede1a691da7f20bb4",
+    ("net057", 3, True): "c50cf0cda9438996d19c9a6387dafee4f4916201c044ff3ca1373a7bbe0aaa71",
+    ("net057", 4, False): "e33b6df2f594bd9d8fa50bc5fd8319ee0e6c5ce4a56815ea6cd2db97d1febd22",
+    ("net057", 4, True): "e99ad9a9470c9174ee2be41ac7c224227eb28356ecee617e50f14ea5b3b9ed5d",
+    ("net057", 5, False): "6b71c9bdb1ca76890447df1a22381c63c2dd5993577014a6e669f364c819903a",
+    ("net057", 5, True): "0c96f03e6a50be5ab80b8f07943a51eace545d48c14adc712cfdda7c7b35af51",
+    ("net118", 2, False): "ea73c2705ae1555fdc5cdc95ee1ec3420ef236e8fad0f27ff647a1bbab9210db",
+    ("net118", 2, True): "8d480fdd68caffb8ed4965676207d54bcc4c0523d6675b8c65a5dbb816441f54",
+    ("net118", 3, False): "0a5067dd361b3bdf9dc9e844556a9a1421b270ebc95d1bb2d088a4989ba53701",
+    ("net118", 3, True): "036ef10c380a235226c8833a05b6c6e7c4335f9ed7b647bdbe449946ef7fb1f8",
+    ("net118", 4, False): "6755760061a29cad8e7e380e9fc165fdd89808d51cade4e761e82f3acd422b1d",
+    ("net118", 4, True): "072d186de8cc2c581eecad9841f099483da86879a164ca80385855d1e7ac14c6",
+    ("net118", 5, False): "1e44aac72c0c7967c18785c79570683f081ea1e06ec53dbe1bde533052f5a2f0",
+    ("net118", 5, True): "878ad85a904a68829100e68e2999d6a20f7174b8d83c8d20a3d4ab867b49af96",
 }
 
 

@@ -249,35 +249,35 @@ def test_kmeans_keeps_pinned_rows_on_their_own_labels():
 # two_stage objective (MW) on every bundled case with its slow-coherency
 # groups and balanced DC flows, or the error it raises.
 PINNED_TWO_STAGE = {
-    "demo9": {2: 75.84323023653717, 3: 64.3177386168737, 4: 66.1085278965815},
+    "demo9": {2: 75.84323023653718, 3: 64.31773861687371, 4: 66.10852789658152},
     "net030": {
         2: InfeasibleError,
         3: 213.82473683938434,
         4: 217.45267848031534,
-        5: 247.7390412331065,
+        5: 247.73904123310697,
     },
     "net057": {
-        2: 73.8572748514396,
-        3: 104.20300743050744,
-        4: 130.57058177680352,
-        5: 101.18618079228267,
+        2: 73.85727485143889,
+        3: 104.20300743050694,
+        4: 130.57058177680244,
+        5: 101.18618079228213,
     },
     "net118": {
-        2: 397.0326668373297,
+        2: 397.03266683733335,
         3: InfeasibleError,
         4: InfeasibleError,
         5: InfeasibleError,
     },
     "net240": {
-        2: 417.1802515213814,
-        3: 357.01021580357906,
-        4: 491.5355064872225,
-        5: 698.8976112495342,
+        2: 417.1802515213752,
+        3: 357.0102158035761,
+        4: 491.5355064872193,
+        5: 698.8976112495308,
     },
     "net300": {
         2: InfeasibleError,
-        3: 553.9280855556422,
-        4: 619.704070378125,
+        3: 553.9280855556424,
+        4: 619.7040703781273,
         5: InfeasibleError,
     },
 }
