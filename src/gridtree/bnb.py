@@ -356,10 +356,7 @@ class _Contracted:
         index = {b: i for i, b in enumerate(self.buses)}
         gone = {lid for c in self.chains for lid in c.lines}
         kept = [(ln, ln.from_bus, ln.to_bus) for ln in net.lines if ln.id not in gone]
-        for c in self.chains:
-            lightest = min((net.line_by_id[lid] for lid in c.lines),
-                           key=lambda ln: (abs(ln.flow_mw), ln.id))
-            kept.append((lightest, *c.ends))
+        kept += [(c.cut_line(net), *c.ends) for c in self.chains]
         self.lines = [(ln, index[a], index[b]) for ln, a, b in kept]
         self.fixed = {index[b]: r for b, r in fixed.items()}
 

@@ -6,6 +6,11 @@ single-commodity flow that enforces connectivity of the post-switching
 network.  It can be exported to CPLEX-LP text, parsed back, and solved
 through an external-solver bridge; decoded solutions are always
 re-validated before they are returned.
+
+``build_model`` is the formulation itself.  The bridge solves it with
+one row more per degree-2 chain line that a minimum partition never
+cuts (``add_chain_rows``); the rows cut off feasible partitions but no
+optimal value.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (
     NetworkValidationError,
     SolverTimeout,
 )
-from .network import Network, Partition
+from .network import Network, Partition, degree2_chains
 from .solution import METHOD_MILP, TreePartitionSolution, partition_solution, validate_solution
 from .steiner import SteinerFixings, collect_bus_fixings
 
@@ -39,6 +44,7 @@ __all__ = [
     "MilpModel",
     "SolverBridge",
     "build_model",
+    "add_chain_rows",
     "write_lp",
     "export_lp",
     "parse_lp",
@@ -266,6 +272,37 @@ def build_model(
         [(-abs(ln.flow_mw), _lname("z", ln)) for ln in net.lines], constant=total
     )
     return model
+
+
+def add_chain_rows(
+    model: MilpModel,
+    net: Network,
+    groups: CoherencyGroups,
+    ssr: Optional[SteinerFixings] = None,
+) -> None:
+    """Append ``chain_<from>_<to>: sum_r y_<from>_<to>_r = 1`` for every
+    line of a degree-2 chain of free buses except the chain's cut line.
+
+    The chains are the ones the built-in B&B contracts
+    (``network.degree2_chains`` outside the bus fixings).  Every cluster
+    holds its coherent group, which lies outside the chain, so each chain
+    bus shares its cluster with one of the chain's ends and the chain is
+    cut at most once.  Moving that cut to ``Chain.cut_line`` (the least
+    |flow|, ties to the lower id) never raises the value, so the rows
+    keep every optimal value while HiGHS no longer branches over where
+    a chain is cut.  Among tied optima the one left may differ from the
+    one the B&B picks.
+    """
+    k = groups.k
+    for chain in degree2_chains(net, collect_bus_fixings(net, groups, ssr)):
+        cut = chain.cut_line(net).id
+        for lid in chain.lines:
+            if lid != cut:
+                ln = net.line_by_id[lid]
+                model.add_constraint(
+                    _lname("chain", ln),
+                    [(1.0, _lname("y", ln, r)) for r in range(1, k + 1)], "=", 1.0,
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -625,9 +662,11 @@ def solve_via_bridge(
     ssr: Optional[SteinerFixings] = None,
     method: str = METHOD_MILP,
 ) -> TreePartitionSolution:
-    """Build the model, solve it externally, and validate the decode."""
+    """Build the model plus its chain rows, solve it externally, and
+    validate the decode."""
     start = time.perf_counter()
     model = build_model(net, groups, ssr=ssr)
+    add_chain_rows(model, net, groups, ssr)
     values = run_bridge(model, bridge)
     elapsed = time.perf_counter() - start
     try:

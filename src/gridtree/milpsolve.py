@@ -5,11 +5,13 @@ Minimize, Subject To, Bounds, Binary and End, and bounds lines of the forms
 ``name = v``, ``lo <= name <= hi`` and ``name free``.  Any other LP file is
 rejected; it belongs to an external solver.  The model is solved with
 HiGHS (through scipy), and the solution file gets a ``# status ...`` line,
-an ``# objective ...`` line when there is a point, and ``name value``
-lines.  An unreadable model, an LP outside the dialect or an unwritable
-solution file ends with one ``gridtree-milpsolve: error: ...`` line on
-stderr and exit code 2.  Any solver with the same file interface can replace it in a
-bridge command template:
+an ``# objective ...`` line when there is a point, ``# nodes ...`` (the
+branch-and-bound node count) and ``# gap ...`` (the relative MIP gap)
+lines when HiGHS reports them, and ``name value`` lines.  An unreadable
+model, an LP outside the dialect or an unwritable solution file ends
+with one ``gridtree-milpsolve: error: ...`` line on stderr and exit code
+2.  Any solver with the same file interface can replace it in a bridge
+command template:
 
     python3 -m gridtree.milpsolve {model} {solution} --time-limit {timeout}
 """
@@ -107,10 +109,16 @@ def main(argv=None) -> int:
         result.status, "timeout" if result.x is None else "feasible"
     )
     out = [f"# status {status}"]
+    values = {}
     if result.x is not None:
         values = dict(zip((v.name for v in model.variables), result.x.tolist()))
         out.append(f"# objective {model.objective_value(values):.12g}")
-        out += [f"{name} {val:.17g}" for name, val in values.items()]
+    nodes, gap = (getattr(result, key, None) for key in ("mip_node_count", "mip_gap"))
+    if nodes is not None:
+        out.append(f"# nodes {int(nodes)}")
+    if gap is not None:
+        out.append(f"# gap {gap:.12g}")
+    out += [f"{name} {val:.17g}" for name, val in values.items()]
     try:
         Path(args.solution).write_text("\n".join(out) + "\n")
     except OSError as exc:

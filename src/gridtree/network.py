@@ -440,6 +440,12 @@ class Chain:
     buses: tuple[int, ...]
     lines: tuple[int, ...]
 
+    def cut_line(self, net: Network) -> Line:
+        """The line a cut of this chain moves to: the least |flow|, ties
+        to the lower id."""
+        return min((net.line_by_id[lid] for lid in self.lines),
+                   key=lambda ln: (abs(ln.flow_mw), ln.id))
+
 
 def degree2_chains(net: Network, keep: Container[int] = ()) -> list[Chain]:
     """Maximal runs of degree-2 buses outside ``keep``, in the order of

@@ -18,7 +18,7 @@ from gridtree.cli import main as cli_main
 from gridtree.coherency import CoherencyGroups
 from gridtree.errors import GridTreeError, InfeasibleError, SolverTimeout
 from gridtree.milp import SolverBridge, build_model, solve_via_bridge
-from gridtree.network import parse_case
+from gridtree.network import degree2_chains, parse_case
 from gridtree.solution import validate_solution
 from gridtree.twostage import max_weight_spanning_tree
 
@@ -208,6 +208,84 @@ def test_criterion_2_formulation_soundness():
     assert elapsed < 120.0, f"criterion budget exceeded: {elapsed:.1f}s"
     print(f"[criterion 2] PASS feasible sets agree on {checked} candidate "
           f"solutions across {len(suite)} instances in {elapsed:.1f}s")
+
+
+def _candidate_values(net, assignment, switched, k):
+    """x, y, z and w of one (assignment, switched set) candidate."""
+    values = {}
+    for i in range(net.n):
+        for r in range(1, k + 1):
+            values[f"x_{i}_{r}"] = 1.0 if assignment[i] == r else 0.0
+    for ln in net.lines:
+        internal = assignment[ln.from_bus] == assignment[ln.to_bus]
+        for r in range(1, k + 1):
+            values[f"y_{ln.from_bus}_{ln.to_bus}_{r}"] = (
+                1.0 if internal and assignment[ln.from_bus] == r else 0.0
+            )
+        active = ln.id not in switched
+        values[f"z_{ln.from_bus}_{ln.to_bus}"] = 1.0 if active else 0.0
+        values[f"w_{ln.from_bus}_{ln.to_bus}"] = 1.0 if active and not internal else 0.0
+    return values
+
+
+def test_criterion_2_chain_rows_cut_chains_only_at_their_lightest_line():
+    """Criterion 2's n<=7 suite with the bridge's chain rows added: the
+    model is feasible exactly when the definition holds and every cut
+    degree-2 chain is cut at its lightest line (ties to the lower id)."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(20240202)
+    suite = []
+    for n, k in [(4, 2), (5, 2), (6, 2), (7, 2), (5, 3), (6, 3), (7, 3)]:
+        net = random_connected_net(rng, n, int(rng.integers(1, 4)))
+        groups = random_groups(rng, net, k, max_size=1)
+        suite.append((net, groups))
+    checked = cut_elsewhere = rows = 0
+    for net, groups in suite:
+        model = build_model(net, groups)
+        milp.add_chain_rows(model, net, groups)
+        rows += len(model.constraints) - len(build_model(net, groups).constraints)
+        k = groups.k
+        fixed = {b: r for r, g in enumerate(groups.groups, 1) for b in g}
+        held = [
+            net.line_by_id[lid]
+            for c in degree2_chains(net, fixed)
+            for lid in c.lines
+            if lid != min(c.lines, key=lambda i: (abs(net.line_by_id[i].flow_mw), i))
+        ]
+        free = [i for i in range(net.n) if i not in fixed]
+        for combo in itertools.product(range(1, k + 1), repeat=len(free)):
+            assignment = [0] * net.n
+            for b, r in fixed.items():
+                assignment[b] = r
+            for b, r in zip(free, combo):
+                assignment[b] = r
+            at_lightest = all(assignment[ln.from_bus] == assignment[ln.to_bus] for ln in held)
+            cross = [
+                ln.id
+                for ln in net.lines
+                if assignment[ln.from_bus] != assignment[ln.to_bus]
+            ]
+            for keep in itertools.combinations(cross, k - 1):
+                switched = frozenset(set(cross) - set(keep))
+                values = _candidate_values(net, assignment, switched, k)
+                milp_ok = _combinatorial_ok(model, values) and _q_system_feasible(
+                    model, values
+                )
+                def_ok = _definition_valid(net, assignment, switched, k)
+                assert milp_ok == (def_ok and at_lightest), (
+                    f"feasibility mismatch: milp={milp_ok} definition={def_ok} "
+                    f"at_lightest={at_lightest} assignment={assignment} "
+                    f"switched={sorted(switched)}"
+                )
+                checked += 1
+                cut_elsewhere += def_ok and not at_lightest
+    # the rows must cut off some partitions the definition admits
+    assert rows > 0 and cut_elsewhere > 0, (rows, cut_elsewhere)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 120.0, f"criterion budget exceeded: {elapsed:.1f}s"
+    print(f"[criterion 2, chain rows] PASS feasible sets agree on {checked} candidate "
+          f"solutions ({rows} chain rows, {cut_elsewhere} valid partitions cut off) "
+          f"across {len(suite)} instances in {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from gridtree import dcflow, milpsolve, oracle
+from gridtree import dcflow, milp, milpsolve, oracle
 from gridtree.coherency import slow_coherency
 from gridtree.coherency import CoherencyGroups
 from gridtree.errors import (
@@ -32,10 +32,11 @@ from gridtree.milp import (
     solve_via_bridge,
     write_lp,
 )
-from gridtree.network import parse_case
-from gridtree.steiner import SteinerFixings, build_fixings, steiner_tree
+from gridtree.network import degree2_chains, parse_case
+from gridtree.steiner import SteinerFixings, build_fixings, collect_bus_fixings, steiner_tree
 
-from conftest import BRIDGE_CMD, CASES_DIR, build_net, random_connected_net, random_groups
+from conftest import BRIDGE_CMD, CASES_DIR, build_net, case_net, random_connected_net, random_groups
+from test_bnb import _chained_instance
 
 GOLDEN_TOY_LP = (
     "\\ toy\n"
@@ -432,3 +433,89 @@ def test_milpsolve_rejects_negative_time_limit(tmp_path, value):
     with pytest.raises(SystemExit) as exc:
         milpsolve.main([str(model_path), str(tmp_path / "toy.sol"), "--time-limit", value])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("neither", [False, True], ids=["nodes-and-gap", "neither"])
+def test_run_bridge_reads_values_with_or_without_nodes_and_gap(four_cycle, tmp_path, neither):
+    net, groups = four_cycle
+    values = solution_to_values(net, oracle.enumerate_optimal(net, groups))
+    lines = ["# status optimal", "# objective 1"]
+    if not neither:
+        lines += ["# nodes 7", "# gap 0"]
+    lines += [f"{name} {val!r}" for name, val in values.items()]
+    text = "\n".join(lines) + "\n"
+    script = tmp_path / "fake.py"
+    script.write_text(f"import sys\nopen(sys.argv[2], 'w').write({text!r})\n")
+    fake = SolverBridge(command=f"python3 {script} {{model}} {{solution}}")
+    assert run_bridge(build_model(net, groups), fake) == values
+    assert solve_via_bridge(net, groups, fake).disruption_mw == pytest.approx(1.0)
+
+
+def test_milpsolve_writes_nodes_and_gap_after_the_objective(tmp_path):
+    model_path, solution_path = tmp_path / "toy.lp", tmp_path / "toy.sol"
+    model_path.write_text(write_lp(toy_model()))
+    assert milpsolve.main([str(model_path), str(solution_path)]) == 0
+    header = [line.split()[1] for line in solution_path.read_text().splitlines()
+              if line.startswith("#")]
+    assert header == ["status", "objective", "nodes", "gap"]
+
+
+def _captured_model(monkeypatch, net, groups, ssr=None):
+    """The model solve_via_bridge hands to run_bridge, without solving it."""
+    seen = []
+
+    def capture(model, _bridge):
+        seen.append(model)
+        raise SolverTimeout("captured")
+
+    monkeypatch.setattr(milp, "run_bridge", capture)
+    with pytest.raises(SolverTimeout, match="captured"):
+        solve_via_bridge(net, groups, SolverBridge(command=BRIDGE_CMD), ssr=ssr)
+    return seen[0]
+
+
+@pytest.mark.parametrize("case, ssr, rows", [("net240", False, 50), ("net300", True, 62)])
+def test_bridge_model_holds_one_chain_row_per_uncut_chain_line(monkeypatch, case, ssr, rows):
+    net = case_net(case)
+    groups = slow_coherency(net, 4)
+    fixings = build_fixings(net, [steiner_tree(net, g) for g in groups.groups]) if ssr else None
+    model = _captured_model(monkeypatch, net, groups, fixings)
+    # the formulation's rows come first, unchanged
+    formulation = build_model(net, groups, ssr=fixings)
+    assert model.constraints[:len(formulation.constraints)] == formulation.constraints
+    assert model.variables == formulation.variables
+    chain_rows = model.constraints[len(formulation.constraints):]
+    assert len(chain_rows) == rows
+    fixed = collect_bus_fixings(net, groups, fixings)
+    want = []
+    for chain in degree2_chains(net, fixed):
+        lightest = min(chain.lines, key=lambda lid: (abs(net.line_by_id[lid].flow_mw), lid))
+        want += [net.line_by_id[lid] for lid in chain.lines if lid != lightest]
+    assert [con.name for con in chain_rows] == [f"chain_{ln.from_bus}_{ln.to_bus}" for ln in want]
+    for con, ln in zip(chain_rows, want):
+        assert (con.sense, con.rhs) == ("=", 1.0)
+        assert con.terms == tuple((1.0, f"y_{ln.from_bus}_{ln.to_bus}_{r}") for r in range(1, 5))
+
+
+@pytest.mark.parametrize("unit_mw", [False, True], ids=["real", "unit-mw-ties"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_bridge_with_chain_rows_matches_the_oracle(bridge, k, unit_mw):
+    # every chain line but the lightest is held internal, so the bridge's
+    # optimum must still be the enumeration's on nets built of chains
+    rng = np.random.default_rng(900 + 10 * k + unit_mw)
+    cut = 0
+    for _ in range(3):
+        net, groups = _chained_instance(rng, k, unit_mw)
+        try:
+            want = oracle.enumerate_optimal(net, groups)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solve_via_bridge(net, groups, bridge)
+            continue
+        got = solve_via_bridge(net, groups, bridge)
+        # HiGHS proves optimality to its default relative gap of 1e-4
+        assert got.disruption_mw == pytest.approx(want.disruption_mw, rel=1e-4, abs=1e-6)
+        a = want.partition.assignment
+        cut += sum(a[c.ends[0]] != a[c.ends[1]] and len(c.lines) > 1
+                   for c in degree2_chains(net, groups.all_members()))
+    assert cut >= 1
