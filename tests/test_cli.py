@@ -298,8 +298,14 @@ def test_limit_flag_must_be_positive(capsys, value):
             "unknown LP section 'General'",
         ),
         ("python3 -m gridtree.milpsolve {model}.missing {solution}", "cannot read model file"),
+        (
+            "python3 -c \"import sys, gridtree.milpsolve as m; "
+            "m._CORE = 'scipy.optimize._highspy._missing'; sys.exit(m.main(sys.argv[1:]))\" "
+            "{model} {solution}",
+            "_highspy._missing was not found",
+        ),
     ],
-    ids=["malformed-lp", "missing-model"],
+    ids=["malformed-lp", "missing-model", "missing-highs"],
 )
 def test_milpsolve_error_line_ends_a_bridge_failure(capsys, template, message):
     assert main(["solve", "--case", DEMO, "--k", "2", "--bridge-cmd", template]) == 6

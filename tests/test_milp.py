@@ -1,7 +1,5 @@
 """Model construction, LP text round trips, and the solver bridge."""
 
-from types import SimpleNamespace
-
 import hashlib
 import re
 import subprocess
@@ -24,6 +22,7 @@ from gridtree.errors import (
 from gridtree.milp import (
     MilpModel,
     SolverBridge,
+    add_chain_rows,
     build_model,
     decode_values,
     parse_lp,
@@ -402,20 +401,27 @@ def test_milpsolve_process_exits_2_without_a_traceback(tmp_path):
 
 @pytest.mark.parametrize(
     "flags,options",
-    [(["--gap", "0"], {"mip_rel_gap": 0.0}), (["--gap", "1e-3"], {"mip_rel_gap": 1e-3}), ([], {})],
+    [(["--gap", "0"], {"mip_rel_gap": 0.0}), (["--gap", "1e-3"], {"mip_rel_gap": 1e-3}), ([], {}),
+     (["--time-limit", "7", "--gap", "0"], {"time_limit": 7.0, "mip_rel_gap": 0.0})],
 )
 def test_milpsolve_passes_gap_option(monkeypatch, tmp_path, flags, options):
-    seen = {}
+    # the options HiGHS gets: scipy.optimize.milp's, plus --gap and --time-limit
+    passed = []
+    build = milpsolve._options
 
-    def fake_milp(**kwargs):
-        seen.update(kwargs["options"])
-        return SimpleNamespace(status=0, x=np.zeros(2))
+    def spy(*args):
+        passed.append(build(*args))
+        return passed[-1]
 
-    monkeypatch.setattr(milpsolve, "milp", fake_milp)
+    monkeypatch.setattr(milpsolve, "_options", spy)
     model_path = tmp_path / "toy.lp"
     model_path.write_text(write_lp(toy_model()))
     assert milpsolve.main([str(model_path), str(tmp_path / "toy.sol"), *flags]) == 0
-    assert seen == options
+    default = milpsolve._highs_core().HighsOptions()
+    want = {"log_to_console": False, "mip_rel_gap": default.mip_rel_gap,
+            "time_limit": default.time_limit, **options}
+    assert len(passed) == 1
+    assert {key: getattr(passed[0], key) for key in want} == want
 
 
 def test_milpsolve_rejects_negative_gap(tmp_path):
@@ -460,8 +466,8 @@ def test_milpsolve_writes_nodes_and_gap_after_the_objective(tmp_path):
     assert header == ["status", "objective", "nodes", "gap"]
 
 
-def _captured_model(monkeypatch, net, groups, ssr=None):
-    """The model solve_via_bridge hands to run_bridge, without solving it."""
+def _captured(monkeypatch, solve):
+    """The model ``solve(bridge)`` hands to run_bridge, without solving it."""
     seen = []
 
     def capture(model, _bridge):
@@ -470,7 +476,7 @@ def _captured_model(monkeypatch, net, groups, ssr=None):
 
     monkeypatch.setattr(milp, "run_bridge", capture)
     with pytest.raises(SolverTimeout, match="captured"):
-        solve_via_bridge(net, groups, SolverBridge(command=BRIDGE_CMD), ssr=ssr)
+        solve(SolverBridge(command=BRIDGE_CMD))
     return seen[0]
 
 
@@ -479,7 +485,8 @@ def test_bridge_model_holds_one_chain_row_per_uncut_chain_line(monkeypatch, case
     net = case_net(case)
     groups = slow_coherency(net, 4)
     fixings = build_fixings(net, [steiner_tree(net, g) for g in groups.groups]) if ssr else None
-    model = _captured_model(monkeypatch, net, groups, fixings)
+    model = _captured(monkeypatch,
+                      lambda bridge: solve_via_bridge(net, groups, bridge, ssr=fixings))
     # the formulation's rows come first, unchanged
     formulation = build_model(net, groups, ssr=fixings)
     assert model.constraints[:len(formulation.constraints)] == formulation.constraints
@@ -519,3 +526,141 @@ def test_bridge_with_chain_rows_matches_the_oracle(bridge, k, unit_mw):
         cut += sum(a[c.ends[0]] != a[c.ends[1]] and len(c.lines) > 1
                    for c in degree2_chains(net, groups.all_members()))
     assert cut >= 1
+
+
+def _scipy_milp(model):
+    """What milpsolve wrote before it drove HiGHS itself: scipy.optimize.milp
+    on a COO -> CSR matrix, as (status word, x, nodes, gap)."""
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
+
+    index = {v.name: i for i, v in enumerate(model.variables)}
+    cost = np.zeros(len(index))
+    for coef, name in model.objective:
+        cost[index[name]] += coef
+    entries = [(ci, index[name], coef)
+               for ci, con in enumerate(model.constraints) for coef, name in con.terms]
+    rows, cols, vals = zip(*entries)
+    a = sparse.csr_matrix((vals, (rows, cols)), shape=(len(model.constraints), len(index)))
+    lo = [-np.inf if con.sense == "<=" else con.rhs for con in model.constraints]
+    hi = [np.inf if con.sense == ">=" else con.rhs for con in model.constraints]
+    result = scipy_milp(
+        c=cost,
+        constraints=LinearConstraint(a, np.array(lo), np.array(hi)),
+        integrality=np.array([v.kind == "binary" for v in model.variables], dtype=int),
+        bounds=Bounds(*np.array([v.effective_bounds() for v in model.variables]).T),
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(
+        result.status, "timeout" if result.x is None else "feasible")
+    return status, result.x, result.mip_node_count, result.mip_gap
+
+
+def _partition_model(case, k, ssr):
+    net = case_net(case)
+    groups = slow_coherency(net, k)
+    fixings = build_fixings(net, [steiner_tree(net, g) for g in groups.groups]) if ssr else None
+    model = build_model(net, groups, ssr=fixings)
+    add_chain_rows(model, net, groups, fixings)
+    return model
+
+
+def _dcopf_model(monkeypatch, case):
+    net = case_net(case)
+    costs = [dcflow.GenCost(bus_id=b.id, cost_per_mw=1.0 + i, pmax=2 * b.gen_mw + 50.0)
+             for i, b in enumerate(b for b in net.buses if b.is_generator)]
+    model = _captured(monkeypatch,
+                      lambda bridge: dcflow.solve_dcopf_via_bridge(net, costs, bridge))
+    # a balance row names its bus once per incident line: repeated entries add up
+    assert any(len({v for _, v in con.terms}) < len(con.terms) for con in model.constraints)
+    return model
+
+
+@pytest.mark.parametrize(
+    "case, k, method",
+    [("net057", 5, "milp"), ("net118", 3, "ssr"), ("net118", None, "dcopf")],
+    ids=["net057-5-milp", "net118-3-ssr", "net118-dcopf"],
+)
+def test_milpsolve_solves_like_scipy_milp(monkeypatch, case, k, method):
+    # the same HiGHS input gives the same answer, bit for bit
+    if method == "dcopf":
+        model = _dcopf_model(monkeypatch, case)
+    else:
+        model = _partition_model(case, k, method == "ssr")
+    if method == "ssr":
+        assert any(con.name.startswith("chain_") for con in model.constraints)
+    model = parse_lp(write_lp(model))  # what the solver child reads
+    status, x, nodes, gap = milpsolve._solve(milpsolve._highs_core(), model, None, None)
+    want_status, want_x, want_nodes, want_gap = _scipy_milp(model)
+    assert (status, nodes, gap) == (want_status, want_nodes, want_gap) and status == "optimal"
+    assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
+
+
+def _milpsolve_header(tmp_path, lp_text, *flags):
+    model_path, solution_path = tmp_path / "m.lp", tmp_path / "m.sol"
+    model_path.write_text(lp_text)
+    assert milpsolve.main([str(model_path), str(solution_path), *flags]) == 0
+    lines = solution_path.read_text().splitlines()
+    return [line.split()[1] for line in lines if line.startswith("#")], lines
+
+
+@pytest.mark.parametrize(
+    "lp_text, status",
+    [
+        ("Minimize\n obj: a + b\nSubject To\n r: a + b >= 3\nBinary\n a\n b\nEnd\n",
+         "infeasible"),
+        ("Minimize\n obj: - x\nSubject To\n r: x - y >= 0\nEnd\n", "unbounded"),
+        # HiGHS rejects an infinite coefficient (kModelError): scipy said infeasible
+        ("Minimize\n obj: x\nSubject To\n r: 1e400 x >= 1\nEnd\n", "infeasible"),
+        # presolve stops at kUnboundedOrInfeasible with no point: scipy said timeout
+        ("Minimize\n obj: - x + a\nSubject To\n r: x - a >= 0\nBinary\n a\nEnd\n",
+         "timeout"),
+    ],
+    ids=["infeasible-milp", "unbounded-lp", "model-error", "unbounded-or-infeasible-milp"],
+)
+def test_milpsolve_status_words_without_a_point(tmp_path, lp_text, status):
+    header, lines = _milpsolve_header(tmp_path, lp_text)
+    assert (header, lines[0]) == (["status"], f"# status {status}")
+    assert _scipy_milp(parse_lp(lp_text))[0] == status
+
+
+def test_milpsolve_writes_no_nodes_or_gap_for_a_pure_lp(tmp_path):
+    lp_text = "Minimize\n obj: x + y\nSubject To\n r: x + y >= 1\nEnd\n"
+    header, lines = _milpsolve_header(tmp_path, lp_text)
+    assert header == ["status", "objective"]
+    assert lines[:2] == ["# status optimal", "# objective 1"]
+
+
+def test_milpsolve_stops_at_a_zero_time_limit(tmp_path):
+    header, lines = _milpsolve_header(
+        tmp_path, write_lp(_partition_model("net057", 5, False)), "--time-limit", "0")
+    status = lines[0].split()[2]
+    if status == "feasible":  # HiGHS holds an incumbent
+        assert header[:2] == ["status", "objective"]
+    else:
+        assert (status, header) == ("timeout", ["status"])
+
+
+def test_milpsolve_reports_missing_highs_in_one_line(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(milpsolve, "_CORE", "scipy.optimize._highspy._missing")
+    model_path = tmp_path / "toy.lp"
+    model_path.write_text(write_lp(toy_model()))
+    assert milpsolve.main([str(model_path), str(tmp_path / "toy.sol")]) == 2
+    assert "_highspy._missing was not found" in _one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "toy.sol").exists()
+
+
+def test_milpsolve_child_imports_neither_scipy_optimize_nor_sparse(tmp_path):
+    # the solver child loads numpy and scipy's HiGHS binding, nothing more of scipy
+    model_path, solution_path = tmp_path / "toy.lp", tmp_path / "toy.sol"
+    model_path.write_text(write_lp(toy_model()))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gridtree.milpsolve",
+         str(model_path), str(solution_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "numpy" in imported and "gridtree.milp" in imported
+    assert [m for m in imported if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"])] == []
+    assert solution_path.read_text().startswith("# status optimal\n")
