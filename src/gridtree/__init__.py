@@ -27,7 +27,6 @@ from .errors import (
     InfeasibleError,
     ModelBuildError,
     NetworkValidationError,
-    SolverTimeout,
     UnsupportedOperation,
 )
 from .milp import MilpModel, SolverBridge, build_model, export_lp, parse_lp, solve_via_bridge

@@ -394,7 +394,9 @@ def solve_builtin(
     Designed for desk-scale instances (tens of buses).  When a node or
     time budget interrupts the search, the best expansion of the leaves
     kept so far is returned with ``proved_optimal`` false; with no
-    incumbent a BudgetError is raised instead.
+    incumbent a BudgetError is raised instead.  Both limits default to
+    none; the CLI passes its ``--time-limit`` and turns an unproved return
+    into a BudgetError (exit 5) that carries the solution.
     """
     started = time.perf_counter()
     work = _Contracted(net, collect_bus_fixings(net, groups, ssr))

@@ -4,7 +4,8 @@ Verbs: parse, flows, coherency, solve, steiner, bench, export-dot.
 Option precedence is flags > config file (flat key=value lines) >
 defaults.  Exit codes distinguish parse errors (2), validation errors
 (3), infeasibility (4), budget exhaustion (5), bridge failures (6) and
-model/configuration problems (7).
+model/configuration problems (7).  A solve that stops at its time limit
+holding an unproved answer writes that answer, then exits 5.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class RunConfig:
     out: Optional[str] = None
     no_timing: bool = False
     limit: int = oracle.DEFAULT_LIMIT
-    time_limit: Optional[float] = None  # None: no B&B limit, the bridge's 600 s
+    time_limit: float = 600.0  # seconds, on every backend
 
 
 # RunConfig field -> the reader of its config key (and of its flag, if typed)
@@ -191,20 +192,20 @@ def _bridge(cfg: RunConfig) -> Optional[milp.SolverBridge]:
     cmd = cfg.bridge_cmd or os.environ.get(BRIDGE_ENV)
     if not cmd:
         return None
-    if cfg.time_limit is None:
-        return milp.SolverBridge(command=cmd)
     return milp.SolverBridge(command=cmd, timeout_s=cfg.time_limit)
 
 
 def _solve_with_config(cfg: RunConfig):
+    """(net, solution, stop): ``stop`` is the BudgetError of a solve that
+    ran out of time holding an unproved solution, else None."""
     net, _ = _flowed_network(cfg)
     groups = _load_groups(net, cfg)
     bridge = _bridge(cfg)
 
     if cfg.method == "two-stage":
-        return net, twostage.two_stage(net, groups)
+        return net, twostage.two_stage(net, groups), None
     if cfg.method == "oracle":
-        return net, oracle.enumerate_optimal(net, groups, limit=cfg.limit)
+        return net, oracle.enumerate_optimal(net, groups, limit=cfg.limit), None
 
     fixings = None
     method_tag = METHOD_MILP
@@ -213,15 +214,27 @@ def _solve_with_config(cfg: RunConfig):
         trees = [steiner.steiner_tree(net, g) for g in groups.groups]
         fixings = steiner.build_fixings(net, trees)
         method_tag = METHOD_SSR
+    stop = None
     if bridge is not None:
-        sol = milp.solve_via_bridge(net, groups, bridge, ssr=fixings, method=method_tag)
+        try:
+            sol = milp.solve_via_bridge(net, groups, bridge, ssr=fixings, method=method_tag)
+        except BudgetError as exc:
+            if exc.incumbent is None:
+                raise
+            sol, stop = exc.incumbent, exc
     else:
-        sol, _stats = bnb.solve_builtin(
+        sol, stats = bnb.solve_builtin(
             net, groups, ssr=fixings, time_limit_s=cfg.time_limit, method=method_tag
         )
+        if not stats.proved_optimal:
+            stop = BudgetError(
+                f"time limit of {cfg.time_limit:g} s reached before the optimum was proved "
+                f"(incumbent {stats.incumbent_mw:.2f} MW, bound {stats.best_bound:.2f} MW)",
+                incumbent=sol,
+            )
     # SSR runtime includes the Steiner precomputation
     sol = dataclasses.replace(sol, runtime_s=time.perf_counter() - started)
-    return net, sol
+    return net, sol, stop
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +265,10 @@ def cmd_coherency(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _merged_config(args)
-    net, sol = _solve_with_config(cfg)
+    net, sol, stop = _solve_with_config(cfg)
     _emit(solution_to_json(net, sol, include_runtime=not cfg.no_timing), cfg.out)
+    if stop is not None:
+        raise stop
     return 0
 
 
@@ -288,11 +303,10 @@ def cmd_bench(args) -> int:
                 cell = dataclasses.replace(cfg, case=case, k=k, method=method)
                 name = Path(case).stem
                 try:
-                    _net, sol = _solve_with_config(cell)
+                    _net, sol, stop = _solve_with_config(cell)
                     objective[(name, k, method)] = sol.disruption_mw
-                    rows.append(
-                        [name, k, method, sol.disruption_mw, sol.runtime_s, "ok"]
-                    )
+                    rows.append([name, k, method, sol.disruption_mw, sol.runtime_s,
+                                 "ok" if stop is None else "unproved"])
                 except GridTreeError as exc:
                     rows.append([name, k, method, None, None, type(exc).__name__])
 
@@ -348,7 +362,8 @@ def _add_common(p: argparse.ArgumentParser):
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--bridge-cmd", dest="bridge_cmd", help="external solver command template")
     p.add_argument("--time-limit", dest="time_limit", type=_seconds,
-                   help="solver budget (s): built-in B&B limit, or the bridge's {timeout} (600 unset)")
+                   help="solver budget (s, default 600): the built-in B&B's limit or the "
+                   "bridge's {timeout}; a stop there exits 5, writing any unproved answer")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,16 @@ class InfeasibleError(GridTreeError):
 
 
 class BudgetError(GridTreeError):
-    """Enumeration / search budget exhausted before completion."""
+    """A budget ran out before the search finished or proved its answer.
+
+    ``incumbent`` is the best answer found before the stop, or None: a
+    solution from ``solve_via_bridge``, the solver's raw values from
+    ``run_bridge``.  It is never proved optimal.
+    """
+
+    def __init__(self, message, incumbent=None):
+        super().__init__(message)
+        self.incumbent = incumbent
 
 
 class ModelBuildError(GridTreeError):
@@ -36,11 +45,8 @@ class ModelBuildError(GridTreeError):
 
 
 class BridgeError(GridTreeError):
-    """External solver bridge failure (bad exit, timeout, unusable output)."""
-
-
-class SolverTimeout(BridgeError):
-    """External solver exceeded its wall-clock budget."""
+    """External solver failure: bad exit, killed past its deadline, or
+    output that is no answer (a missing or unknown status, bad values)."""
 
 
 class UnsupportedOperation(GridTreeError):

@@ -29,10 +29,10 @@ from typing import Mapping, Optional
 from .coherency import CoherencyGroups
 from .errors import (
     BridgeError,
+    BudgetError,
     InfeasibleError,
     ModelBuildError,
     NetworkValidationError,
-    SolverTimeout,
 )
 from .network import Network, Partition, degree2_chains
 from .solution import METHOD_MILP, TreePartitionSolution, partition_solution, validate_solution
@@ -600,8 +600,10 @@ def run_bridge(model: MilpModel, bridge: SolverBridge) -> dict[str, float]:
     The solution file holds a ``# status <word>`` line and ``name value``
     lines; unknown variable names are ignored and missing binaries default
     to zero at decode time.  Only ``optimal`` is an answer: ``infeasible``
-    raises InfeasibleError, ``unbounded`` BridgeError, and any other word,
-    or none, SolverTimeout.
+    raises InfeasibleError; a stop at the solver's limit raises
+    BudgetError, carrying the values as its incumbent for ``feasible`` and
+    none for ``timeout``; ``unbounded``, any other word or none, and a
+    solver killed 30 s past its limit raise BridgeError.
     """
     with tempfile.TemporaryDirectory(prefix="gridtree_") as tmp:
         model_path = str(Path(tmp) / "model.lp")
@@ -617,7 +619,7 @@ def run_bridge(model: MilpModel, bridge: SolverBridge) -> dict[str, float]:
                 timeout=deadline if deadline < threading.TIMEOUT_MAX else None,
             )
         except subprocess.TimeoutExpired:
-            raise SolverTimeout(f"solver exceeded {bridge.timeout_s}s: {cmd[0]}")
+            raise BridgeError(f"solver killed 30 s past its {bridge.timeout_s:g} s limit: {cmd[0]}")
         except OSError as exc:
             raise BridgeError(f"cannot run solver {cmd[0]!r}: {exc}")
         if proc.returncode != 0:
@@ -650,9 +652,14 @@ def run_bridge(model: MilpModel, bridge: SolverBridge) -> dict[str, float]:
         return values
     if status == "infeasible":
         raise InfeasibleError("external solver reported the model infeasible")
+    if status in ("feasible", "timeout"):
+        raise BudgetError(
+            f"solver stopped at its limit before proving optimality (status {status})",
+            incumbent=values if status == "feasible" else None,
+        )
     if status == "unbounded":
         raise BridgeError("external solver reported the model unbounded")
-    raise SolverTimeout(f"solver stopped before proving optimality (status {status or 'missing'})")
+    raise BridgeError(f"solver gave no answer (status {status or 'missing'})")
 
 
 def solve_via_bridge(
@@ -663,13 +670,29 @@ def solve_via_bridge(
     method: str = METHOD_MILP,
 ) -> TreePartitionSolution:
     """Build the model plus its chain rows, solve it externally, and
-    validate the decode."""
+    validate the decode.
+
+    A stop at the solver's limit raises BudgetError, whose incumbent is
+    the decoded and validated point the solver held, or None when it held
+    none or its values decode to no valid partition.
+    """
     start = time.perf_counter()
     model = build_model(net, groups, ssr=ssr)
     add_chain_rows(model, net, groups, ssr)
-    values = run_bridge(model, bridge)
-    elapsed = time.perf_counter() - start
-    try:
+
+    def decode(values):
+        elapsed = time.perf_counter() - start
         return decode_values(net, groups, values, method=method, runtime_s=elapsed)
+
+    try:
+        values = run_bridge(model, bridge)
+    except BudgetError as stop:
+        try:
+            stop.incumbent = None if stop.incumbent is None else decode(stop.incumbent)
+        except NetworkValidationError:
+            stop.incumbent = None
+        raise
+    try:
+        return decode(values)
     except NetworkValidationError as exc:
         raise BridgeError(f"solver returned an invalid solution: {exc}")

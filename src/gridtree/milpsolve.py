@@ -7,9 +7,12 @@ rejected; it belongs to an external solver.  The model is solved with
 HiGHS through the Python binding that scipy bundles
 (``scipy/optimize/_highspy/_core``, scipy >= 1.15).  The binding is loaded
 by its file path, so this process imports numpy and HiGHS but not
-``scipy.optimize`` or ``scipy.sparse``; it gets the same matrix, options
-and status words as ``scipy.optimize.milp`` would.  The solution file gets a
-``# status ...`` line, an ``# objective ...`` line when there is a point,
+``scipy.optimize`` or ``scipy.sparse``; it gets the same matrix and
+options as ``scipy.optimize.milp`` would.  The solution file gets a
+``# status ...`` line (``optimal``, ``infeasible`` or ``unbounded``;
+``feasible`` or ``timeout`` for a stop at a HiGHS limit with or without a
+point; ``error`` for anything else, such as a model HiGHS rejects), an
+``# objective ...`` line when there is a point,
 ``# nodes ...`` (the branch-and-bound node count) and ``# gap ...`` (the
 relative MIP gap) lines when HiGHS reports them, and ``name value`` lines.
 An unreadable model, an LP outside the dialect, an unwritable solution
@@ -37,14 +40,11 @@ from .milp import parse_lp
 # the module name scipy gives its HiGHS binding; the file lies at the same path
 _CORE = "scipy.optimize._highspy._core"
 
-# HighsModelStatus -> status word, as scipy.optimize.milp reports them; any
-# other status reads "feasible" with a point and "timeout" without one
-_WORDS = {
-    "kOptimal": "optimal",
-    "kInfeasible": "infeasible",
-    "kModelError": "infeasible",
-    "kUnbounded": "unbounded",
-}
+# HighsModelStatus -> status word.  A stop at one of HiGHS's limits reads
+# "feasible" with a point and "timeout" without one; any other status, such
+# as a model HiGHS rejects or kUnboundedOrInfeasible, reads "error"
+_WORDS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded"}
+_LIMITS = ("kTimeLimit", "kIterationLimit", "kSolutionLimit")
 
 
 def _highs_core():
@@ -131,31 +131,30 @@ def _lp(core, model):
 
 
 def _solve(core, model, time_limit, gap):
-    """Solve as scipy.optimize.milp does: (status word, x, nodes, gap).
+    """Solve as scipy.optimize.milp does: (status word, x, nodes, gap),
+    except that a status that is neither an answer nor a limit reads "error".
 
     x is None when HiGHS holds no point; nodes and gap are None unless the
     model has binaries and there is a point.
     """
     error = core.HighsStatus.kError
     highs = core._Highs()
-    if highs.passOptions(_options(core, time_limit, gap)) == error:
-        return "timeout", None, None, None
-    if highs.passModel(_lp(core, model)) == error:
-        return _WORDS["kModelError"], None, None, None
+    if (highs.passOptions(_options(core, time_limit, gap)) == error
+            or highs.passModel(_lp(core, model)) == error):
+        return "error", None, None, None
     ran = highs.run() != error
     status = highs.getModelStatus()
     info = highs.getInfo()
     is_mip = model.binary_count() > 0
-    stopped = status in (
-        core.HighsModelStatus.kTimeLimit,
-        core.HighsModelStatus.kIterationLimit,
-        core.HighsModelStatus.kSolutionLimit,
-    )
+    stopped = status.name in _LIMITS
     has_point = ran and (
         status == core.HighsModelStatus.kOptimal
         or (is_mip and stopped and info.objective_function_value != core.kHighsInf)
     )
-    word = _WORDS.get(status.name, "feasible" if has_point else "timeout")
+    if stopped:
+        word = "feasible" if has_point else "timeout"
+    else:
+        word = _WORDS.get(status.name, "error")
     if not has_point:
         return word, None, None, None
     x = np.array(highs.getSolution().col_value)

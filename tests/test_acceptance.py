@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 from gridtree import bnb, coherency, dcflow, milp, oracle, render, steiner, twostage
 from gridtree.cli import main as cli_main
 from gridtree.coherency import CoherencyGroups
-from gridtree.errors import GridTreeError, InfeasibleError, SolverTimeout
+from gridtree.errors import BudgetError, GridTreeError, InfeasibleError
 from gridtree.milp import SolverBridge, build_model, solve_via_bridge
 from gridtree.network import degree2_chains, parse_case
 from gridtree.solution import validate_solution
@@ -446,7 +446,7 @@ def test_criterion_7_benchmark_structure():
                 msol = solve_via_bridge(net, groups, bridge)
                 milp_rt = time.perf_counter() - t0
                 milp_obj, proved = msol.disruption_mw, True
-            except SolverTimeout:
+            except BudgetError:
                 milp_rt = time.perf_counter() - t0
                 milp_obj, proved = None, False
             t0 = time.perf_counter()

@@ -13,6 +13,8 @@ import pytest
 
 from gridtree import cli, milpsolve
 from gridtree.cli import main
+from gridtree.milp import solution_to_values
+from gridtree.solution import solution_from_json, validate_solution
 
 from conftest import BRIDGE_CMD, CASES_DIR
 
@@ -351,6 +353,63 @@ def test_bridge_timeout_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--case", DEMO, "--k", "2", "--bridge-timeout", "5"])
     assert exc.value.code == 2
+
+
+# a stop at the time limit exits 5 on every backend and writes the unproved
+# answer it holds, if any; only a proved answer exits 0
+
+def test_builtin_stop_writes_its_unproved_incumbent_and_exits_5(capsys):
+    case = str(CASES_DIR / "net240.m")
+    argv = ["solve", "--case", case, "--k", "5", "--method", "ssr", "--no-timing"]
+    assert main([*argv, "--time-limit", "1"]) == 5
+    out, err = capsys.readouterr()
+    assert err.startswith("error: time limit of 1 s reached") and err.count("\n") == 1
+    net, _ = cli._flowed_network(cli.RunConfig(case=case))
+    sol = solution_from_json(net, out)
+    validate_solution(net, sol)
+    # 420.61 MW is the proved optimum; the incumbent at 1 s depends on machine speed
+    assert sol.disruption_mw >= 420.61 - 1e-6
+
+
+def _demo_answer_and_solver(capsys, tmp_path, status):
+    """demo9 k=2's proved answer, and a fake solver that stops with ``status``
+    holding that answer's values."""
+    assert main(["solve", "--case", DEMO, "--k", "2", "--no-timing"]) == 0
+    answer = capsys.readouterr().out
+    net, _ = cli._flowed_network(cli.RunConfig(case=DEMO))
+    values = solution_to_values(net, solution_from_json(net, answer))
+    text = f"# status {status}\n" + "".join(f"{n} {v!r}\n" for n, v in values.items())
+    script = tmp_path / "fake.py"
+    script.write_text(f"import sys\nopen(sys.argv[2], 'w').write({text!r})\n")
+    return answer, f"python3 {script} {{model}} {{solution}}"
+
+
+@pytest.mark.parametrize("status, writes", [("feasible", True), ("timeout", False)])
+def test_bridge_stop_writes_its_incumbent_and_exits_5(capsys, tmp_path, status, writes):
+    answer, solver = _demo_answer_and_solver(capsys, tmp_path, status)
+    argv = ["solve", "--case", DEMO, "--k", "2", "--no-timing", "--bridge-cmd", solver]
+    assert main(argv) == 5
+    out, err = capsys.readouterr()
+    assert out == (answer if writes else "")
+    assert err == f"error: solver stopped at its limit before proving optimality (status {status})\n"
+
+
+def test_bench_row_of_a_budget_stop_reads_unproved(capsys, tmp_path):
+    answer, solver = _demo_answer_and_solver(capsys, tmp_path, "feasible")
+    mw = json.loads(answer)["disruption_mw"]
+    assert main(["bench", "--cases", DEMO, "--k-values", "2", "--methods", "milp",
+                 "--no-timing", "--bridge-cmd", solver]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"demo9,2,milp,{mw:.2f},0.00,+0.00,unproved"
+
+
+def test_a_killed_solver_child_is_a_bridge_failure(capsys, monkeypatch):
+    def expire(cmd, timeout, **_kwargs):
+        raise subprocess.TimeoutExpired(cmd, timeout)
+
+    monkeypatch.setattr(subprocess, "run", expire)
+    argv = ["solve", "--case", DEMO, "--k", "2", "--time-limit", "5", "--bridge-cmd", BRIDGE_CMD]
+    assert main(argv) == 6
+    assert capsys.readouterr() == ("", "error: solver killed 30 s past its 5 s limit: python3\n")
 
 
 def _help_text(entry, argv):

@@ -14,10 +14,10 @@ from gridtree.coherency import slow_coherency
 from gridtree.coherency import CoherencyGroups
 from gridtree.errors import (
     BridgeError,
+    BudgetError,
     GridTreeError,
     InfeasibleError,
     ModelBuildError,
-    SolverTimeout,
 )
 from gridtree.milp import (
     MilpModel,
@@ -307,16 +307,26 @@ def test_run_bridge_parses_status_and_values(bridge):
     assert values["b"] == pytest.approx(0.0)
 
 
+def test_run_bridge_reads_a_model_highs_rejects_as_a_bridge_failure(bridge):
+    # HiGHS rejects a 1e300 coefficient (kModelError): a bad model, not "infeasible"
+    model = toy_model()
+    model.add_constraint("huge", [(1e300, "b")], ">=", 1.0)
+    with pytest.raises(BridgeError, match="status error") as exc:
+        run_bridge(model, bridge)
+    assert type(exc.value) is BridgeError
+
+
 @pytest.mark.parametrize(
     "text, error",
     [
-        ("# status feasible\nx_0_1 1\n", SolverTimeout),
-        ("# status timeout\n", SolverTimeout),
-        ("x_0_1 1\n", SolverTimeout),
+        ("# status feasible\nx_0_1 1\n", BudgetError),
+        ("# status timeout\n", BudgetError),
+        ("x_0_1 1\n", BridgeError),
+        ("# status error\n", BridgeError),
         ("# status unbounded\n", BridgeError),
         ("# status infeasible\n", InfeasibleError),
     ],
-    ids=["feasible", "timeout", "no-status", "unbounded", "infeasible"],
+    ids=["feasible", "timeout", "no-status", "unknown-word", "unbounded", "infeasible"],
 )
 def test_every_bridge_route_reads_the_status_the_same_way(four_cycle, tmp_path, text, error):
     script = tmp_path / "fake.py"
@@ -472,10 +482,10 @@ def _captured(monkeypatch, solve):
 
     def capture(model, _bridge):
         seen.append(model)
-        raise SolverTimeout("captured")
+        raise BudgetError("captured")
 
     monkeypatch.setattr(milp, "run_bridge", capture)
-    with pytest.raises(SolverTimeout, match="captured"):
+    with pytest.raises(BudgetError, match="captured"):
         solve(SolverBridge(command=BRIDGE_CMD))
     return seen[0]
 
@@ -609,18 +619,20 @@ def _milpsolve_header(tmp_path, lp_text, *flags):
         ("Minimize\n obj: a + b\nSubject To\n r: a + b >= 3\nBinary\n a\n b\nEnd\n",
          "infeasible"),
         ("Minimize\n obj: - x\nSubject To\n r: x - y >= 0\nEnd\n", "unbounded"),
-        # HiGHS rejects an infinite coefficient (kModelError): scipy said infeasible
-        ("Minimize\n obj: x\nSubject To\n r: 1e400 x >= 1\nEnd\n", "infeasible"),
-        # presolve stops at kUnboundedOrInfeasible with no point: scipy said timeout
+        # HiGHS rejects an infinite coefficient (kModelError): scipy says infeasible
+        ("Minimize\n obj: x\nSubject To\n r: 1e400 x >= 1\nEnd\n", "error"),
+        # presolve stops at kUnboundedOrInfeasible with no point, not at a
+        # limit: scipy says timeout
         ("Minimize\n obj: - x + a\nSubject To\n r: x - a >= 0\nBinary\n a\nEnd\n",
-         "timeout"),
+         "error"),
     ],
     ids=["infeasible-milp", "unbounded-lp", "model-error", "unbounded-or-infeasible-milp"],
 )
 def test_milpsolve_status_words_without_a_point(tmp_path, lp_text, status):
     header, lines = _milpsolve_header(tmp_path, lp_text)
     assert (header, lines[0]) == (["status"], f"# status {status}")
-    assert _scipy_milp(parse_lp(lp_text))[0] == status
+    if status != "error":
+        assert _scipy_milp(parse_lp(lp_text))[0] == status
 
 
 def test_milpsolve_writes_no_nodes_or_gap_for_a_pure_lp(tmp_path):
