@@ -1,6 +1,6 @@
 """Bundled LP/MILP solver command for the external-solver bridge.
 
-Reads the LP dialect that ``gridtree.milp.write_lp`` writes: the sections
+Reads the LP dialect that ``gridtree.lp.write_lp`` writes: the sections
 Minimize, Subject To, Bounds, Binary and End, and bounds lines of the forms
 ``name = v``, ``lo <= name <= hi`` and ``name free``.  Any other LP file is
 rejected; it belongs to an external solver.  The model is solved with
@@ -8,7 +8,10 @@ HiGHS through the Python binding that scipy bundles
 (``scipy/optimize/_highspy/_core``, scipy >= 1.15).  The binding is loaded
 by its file path, so this process imports numpy and HiGHS but not
 ``scipy.optimize`` or ``scipy.sparse``; it gets the same matrix and
-options as ``scipy.optimize.milp`` would.  The solution file gets a
+options as ``scipy.optimize.milp`` would.  Of the package it loads only
+``gridtree`` (whose exports resolve lazily), ``gridtree.errors`` and
+``gridtree.lp``; numpy stays because the binding imports it for any
+value assigned to a ``HighsLp`` array field.  The solution file gets a
 ``# status ...`` line (``optimal``, ``infeasible`` or ``unbounded``;
 ``feasible`` or ``timeout`` for a stop at a HiGHS limit with or without a
 point; ``error`` for anything else, such as a model HiGHS rejects), an
@@ -35,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BridgeError
-from .milp import parse_lp
+from .lp import parse_lp
 
 # the module name scipy gives its HiGHS binding; the file lies at the same path
 _CORE = "scipy.optimize._highspy._core"
@@ -175,7 +178,7 @@ def main(argv=None) -> int:
         description="Solve an LP file in the dialect gridtree's write_lp writes "
         "(Minimize, Subject To, Bounds, Binary, End) with HiGHS and write name/value lines.",
     )
-    ap.add_argument("model", help="input LP file, as gridtree.milp.write_lp writes it")
+    ap.add_argument("model", help="input LP file, as gridtree.lp.write_lp writes it")
     ap.add_argument("solution", help="output solution file")
     ap.add_argument("--time-limit", type=float, default=None)
     ap.add_argument("--gap", type=float, default=None,

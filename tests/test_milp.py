@@ -307,6 +307,20 @@ def test_run_bridge_parses_status_and_values(bridge):
     assert values["b"] == pytest.approx(0.0)
 
 
+def test_run_bridge_writes_the_lp_through_milp_write_lp(bridge, monkeypatch):
+    # tracing wraps gridtree.milp.write_lp; the bridge must look it up there
+    written = []
+
+    def traced(model):
+        written.append(model)
+        return write_lp(model)
+
+    monkeypatch.setattr(milp, "write_lp", traced)
+    model = toy_model()
+    assert run_bridge(model, bridge) == {"a": 0.0, "b": 0.0}
+    assert written == [model]
+
+
 def test_run_bridge_reads_a_model_highs_rejects_as_a_bridge_failure(bridge):
     # HiGHS rejects a 1e300 coefficient (kModelError): a bad model, not "infeasible"
     model = toy_model()
@@ -356,9 +370,16 @@ MALFORMED_LPS = pytest.mark.parametrize(
         (" limit: a - 2 b <= 1\n", " limit: a - 2 b\n", "'limit: a - 2 b'"),
         (" limit: a - 2 b <= 1\n", " limit: a - 2 b <= 1 <= 2\n", "'limit: a - 2 b <= 1 <= 2'"),
         (" limit: a - 2 b <= 1\n", " a - 2 b <= 1\n", "LP line continues no row: ' a - 2 b <= 1'"),
+        (" limit: a - 2 b <= 1\n", " limit: a - - 2 b <= 1\n",
+         "two signs in a row in LP text 'limit: a - - 2 b <= 1'"),
+        (" obj: 3 a + b + 4\n", " obj: 3 a + b +\n",
+         "a sign is not followed by a term in LP text 'obj: 3 a + b +'"),
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 b - <= 1\n",
+         "a sign is not followed by a term in LP text 'limit: a - 2 b - <= 1'"),
     ],
     ids=["general-section", "text-before-sections", "one-sided-bound", "row-without-sense",
-         "row-with-two-senses", "continuation-before-any-row"],
+         "row-with-two-senses", "continuation-before-any-row", "two-signs-in-a-row",
+         "objective-ends-in-a-sign", "expression-ends-in-a-sign"],
 )
 
 
@@ -673,6 +694,33 @@ def test_milpsolve_child_imports_neither_scipy_optimize_nor_sparse(tmp_path):
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
-    assert "numpy" in imported and "gridtree.milp" in imported
+    assert "numpy" in imported
+    # gridtree.milpsolve itself runs as __main__, so -X importtime does not list it
+    assert {m for m in imported if m.split(".")[0] == "gridtree"} == {
+        "gridtree", "gridtree.errors", "gridtree.lp"}
     assert [m for m in imported if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"])] == []
     assert solution_path.read_text().startswith("# status optimal\n")
+
+
+def test_import_gridtree_resolves_its_exports_lazily():
+    code = """
+import importlib
+import sys
+import gridtree
+assert "numpy" not in sys.modules, "import gridtree loaded numpy"
+assert set(gridtree.__all__) <= set(dir(gridtree))
+for name in ("twostage", "bnb", "milp", "solution"):
+    assert getattr(gridtree, name) is sys.modules["gridtree." + name], name
+for name in gridtree.__all__:
+    module = importlib.import_module("gridtree." + gridtree._EXPORTS[name])
+    assert getattr(gridtree, name) is getattr(module, name), name
+assert gridtree.MilpModel is gridtree.milp.MilpModel is gridtree.lp.MilpModel
+try:
+    gridtree.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("gridtree.no_such_name resolved")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
