@@ -30,6 +30,7 @@ _SOURCES = {
                 "bridges", "cross_edges", "is_tree_partition", "merge_parallel", "parse_case",
                 "reduced_graph", "serialize_case"),
     "oracle": ("enumerate_optimal",),
+    "routes": ("METHODS", "solve"),
     "solution": ("TreePartitionSolution", "solution_to_json", "validate_solution"),
     "steiner": ("SteinerFixings", "SteinerTree", "build_fixings", "steiner_tree"),
     "twostage": ("constrained_spectral_partition", "max_weight_spanning_tree", "two_stage"),

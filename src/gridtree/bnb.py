@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .coherency import CoherencyGroups
@@ -395,10 +395,9 @@ def solve_builtin(
     time budget interrupts the search, the best expansion of the leaves
     kept so far is returned with ``proved_optimal`` false; with no
     incumbent a BudgetError is raised instead.  Both limits default to
-    none; the CLI passes its ``--time-limit`` and turns an unproved return
-    into a BudgetError (exit 5) that carries the solution.
+    none; ``gridtree.solve`` passes its ``time_limit_s`` and turns an
+    unproved return into a BudgetError that carries the solution.
     """
-    started = time.perf_counter()
     work = _Contracted(net, collect_bus_fixings(net, groups, ssr))
     search = _Search(net, len(work.buses), work.lines, groups.k, node_limit, time_limit_s)
     for b, r in sorted(work.fixed.items()):
@@ -425,7 +424,6 @@ def solve_builtin(
         ),
         key=lambda s: (s.disruption_mw, s.partition.assignment),
     )
-    sol = replace(sol, runtime_s=time.perf_counter() - started)
     # an interrupted search has unwound to the root, whose bound is the
     # least on any path: adding a line to F raises w(F) by its weight
     # and the forest by at most that much; it bounds the original optimum

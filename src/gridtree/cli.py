@@ -4,8 +4,11 @@ Verbs: parse, flows, coherency, solve, steiner, bench, export-dot.
 Option precedence is flags > config file (flat key=value lines) >
 defaults.  Exit codes distinguish parse errors (2), validation errors
 (3), infeasibility (4), budget exhaustion (5), bridge failures (6) and
-model/configuration problems (7).  A solve that stops at its time limit
-holding an unproved answer writes that answer, then exits 5.
+model/configuration problems (7).  ``solve`` and ``bench`` load the case
+and the groups, then call ``gridtree.solve`` (``routes.solve``), which
+owns the method routes, the backend and ``runtime_s``.  A solve that
+stops at its time limit holding an unproved answer writes that answer,
+then exits 5.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ import dataclasses
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from . import bnb, coherency, dcflow, milp, oracle, render, steiner, twostage
+from . import coherency, dcflow, milp, oracle, render, routes, steiner
 from .errors import (
     BridgeError,
     BudgetError,
@@ -32,17 +34,9 @@ from .errors import (
     UnsupportedOperation,
 )
 from .network import Network, network_to_json, parse_case
-from .solution import (
-    METHOD_MILP,
-    METHOD_SSR,
-    _pair,
-    solution_from_json,
-    solution_to_json,
-    validate_solution,
-)
+from .solution import _pair, solution_from_json, solution_to_json, validate_solution
 
 BRIDGE_ENV = "GRIDTREE_BRIDGE_CMD"
-METHODS = ("two-stage", "milp", "ssr", "oracle")
 
 _EXIT_CODES = (
     (CaseParseError, 2),
@@ -79,7 +73,7 @@ def _reader(wants: str, convert, ok=lambda value: True):
 _int = _reader("an integer", int)
 _positive_int = _reader("a positive integer", int, lambda n: n > 0)
 _seconds = _reader("a number of seconds >= 0", float, lambda s: s >= 0)  # false for NaN
-_method = _reader(f"one of {', '.join(METHODS)}", str, lambda m: m in METHODS)
+_method = _reader(f"one of {', '.join(routes.METHODS)}", str, lambda m: m in routes.METHODS)
 _switch = _reader("1/true/yes or 0/false/no", lambda text: _SWITCH[text.lower()])
 
 
@@ -188,53 +182,19 @@ def _load_groups(net, cfg: RunConfig):
     return coherency.slow_coherency(net, cfg.k)
 
 
-def _bridge(cfg: RunConfig) -> Optional[milp.SolverBridge]:
-    cmd = cfg.bridge_cmd or os.environ.get(BRIDGE_ENV)
-    if not cmd:
-        return None
-    return milp.SolverBridge(command=cmd, timeout_s=cfg.time_limit)
-
-
 def _solve_with_config(cfg: RunConfig):
     """(net, solution, stop): ``stop`` is the BudgetError of a solve that
     ran out of time holding an unproved solution, else None."""
     net, _ = _flowed_network(cfg)
     groups = _load_groups(net, cfg)
-    bridge = _bridge(cfg)
-
-    if cfg.method == "two-stage":
-        return net, twostage.two_stage(net, groups), None
-    if cfg.method == "oracle":
-        return net, oracle.enumerate_optimal(net, groups, limit=cfg.limit), None
-
-    fixings = None
-    method_tag = METHOD_MILP
-    started = time.perf_counter()
-    if cfg.method == "ssr":
-        trees = [steiner.steiner_tree(net, g) for g in groups.groups]
-        fixings = steiner.build_fixings(net, trees)
-        method_tag = METHOD_SSR
-    stop = None
-    if bridge is not None:
-        try:
-            sol = milp.solve_via_bridge(net, groups, bridge, ssr=fixings, method=method_tag)
-        except BudgetError as exc:
-            if exc.incumbent is None:
-                raise
-            sol, stop = exc.incumbent, exc
-    else:
-        sol, stats = bnb.solve_builtin(
-            net, groups, ssr=fixings, time_limit_s=cfg.time_limit, method=method_tag
-        )
-        if not stats.proved_optimal:
-            stop = BudgetError(
-                f"time limit of {cfg.time_limit:g} s reached before the optimum was proved "
-                f"(incumbent {stats.incumbent_mw:.2f} MW, bound {stats.best_bound:.2f} MW)",
-                incumbent=sol,
-            )
-    # SSR runtime includes the Steiner precomputation
-    sol = dataclasses.replace(sol, runtime_s=time.perf_counter() - started)
-    return net, sol, stop
+    cmd = cfg.bridge_cmd or os.environ.get(BRIDGE_ENV)
+    bridge = milp.SolverBridge(command=cmd, timeout_s=cfg.time_limit) if cmd else None
+    try:
+        return net, routes.solve(net, groups, cfg.method, bridge, cfg.time_limit, cfg.limit), None
+    except BudgetError as stop:
+        if stop.incumbent is None:
+            raise
+        return net, stop.incumbent, stop
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute a tree partition")
     _add_common(p)
     p.add_argument("--k", type=_int)
-    p.add_argument("--method", type=_method, help=f"{', '.join(METHODS)} (default milp)")
+    p.add_argument("--method", type=_method, help=f"{', '.join(routes.METHODS)} (default milp)")
     p.add_argument("--groups", help="groups JSON file (skips slow coherency)")
     p.add_argument("--limit", type=_positive_int, help="oracle enumeration limit")
     _add_solver_flags(p)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -47,11 +48,13 @@ class CoherencyGroups:
                 raise NetworkValidationError("coherency groups overlap")
             seen |= g
 
+    @cached_property
+    def cluster_of(self) -> dict[int, int]:
+        """Bus index -> its group's 1-based cluster, group by group."""
+        return {b: r for r, g in enumerate(self.groups, start=1) for b in g}
+
     def all_members(self) -> set[int]:
-        out: set[int] = set()
-        for g in self.groups:
-            out |= g
-        return out
+        return set(self.cluster_of)
 
 
 def kron_reduction(net: Network, keep: Sequence[int]) -> np.ndarray:

@@ -31,8 +31,8 @@ class BudgetError(GridTreeError):
     """A budget ran out before the search finished or proved its answer.
 
     ``incumbent`` is the best answer found before the stop, or None: a
-    solution from ``solve_via_bridge``, the solver's raw values from
-    ``run_bridge``.  It is never proved optimal.
+    solution from ``gridtree.solve`` or ``solve_via_bridge``, the solver's
+    raw values from ``run_bridge``.  It is never proved optimal.
     """
 
     def __init__(self, message, incumbent=None):

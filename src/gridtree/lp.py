@@ -228,7 +228,8 @@ def _linear(words: list[str], where: str) -> tuple[list[tuple[float, str]], floa
     """Read ``[sign] [coef] name ...`` plus a trailing constant, as _expr writes it.
 
     ``sign`` is None until a ``+`` or ``-`` word is read, so a second sign
-    in a row and a sign that ends the expression are both errors.
+    in a row, a sign that ends the expression and a term or constant
+    after the first with no sign before it are all errors.
     """
     terms, sign, coef = [], None, None
     for word in words:
@@ -239,6 +240,8 @@ def _linear(words: list[str], where: str) -> tuple[list[tuple[float, str]], floa
             if sign is not None:
                 raise BridgeError(f"two signs in a row in LP text {where!r}")
             sign = -1.0 if word == "-" else 1.0
+        elif terms and sign is None and coef is None:
+            raise BridgeError(f"no sign before {word!r} in LP text {where!r}")
         elif is_name:
             terms.append(((1.0 if coef is None else coef) * (sign or 1.0), word))
             sign, coef = None, None

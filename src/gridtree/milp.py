@@ -21,7 +21,6 @@ import shlex
 import subprocess
 import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
@@ -210,7 +209,6 @@ def decode_values(
     groups: CoherencyGroups,
     values: Mapping[str, float],
     method: str = METHOD_MILP,
-    runtime_s: float = 0.0,
 ) -> TreePartitionSolution:
     """Turn the solver's ``x`` values into a validated solution.
 
@@ -223,7 +221,7 @@ def decode_values(
         if len(hits) != 1:
             raise NetworkValidationError(f"bus {i} assigned to {len(hits)} clusters")
         assignment.append(hits[0])
-    sol = partition_solution(net, Partition(tuple(assignment), groups.k), method, runtime_s)
+    sol = partition_solution(net, Partition(tuple(assignment), groups.k), method, 0.0)
     validate_solution(net, sol, groups)
     return sol
 
@@ -390,23 +388,18 @@ def solve_via_bridge(
     the decoded and validated point the solver held, or None when it held
     none or its values decode to no valid partition.
     """
-    start = time.perf_counter()
     model = build_model(net, groups, ssr=ssr)
     add_chain_rows(model, net, groups, ssr)
-
-    def decode(values):
-        elapsed = time.perf_counter() - start
-        return decode_values(net, groups, values, method=method, runtime_s=elapsed)
-
     try:
         values = run_bridge(model, bridge)
     except BudgetError as stop:
         try:
-            stop.incumbent = None if stop.incumbent is None else decode(stop.incumbent)
+            if stop.incumbent is not None:
+                stop.incumbent = decode_values(net, groups, stop.incumbent, method=method)
         except NetworkValidationError:
             stop.incumbent = None
         raise
     try:
-        return decode(values)
+        return decode_values(net, groups, values, method=method)
     except NetworkValidationError as exc:
         raise BridgeError(f"solver returned an invalid solution: {exc}")

@@ -12,7 +12,6 @@ checks.
 from __future__ import annotations
 
 import itertools
-import time
 
 from .coherency import CoherencyGroups
 from .errors import BudgetError, InfeasibleError
@@ -42,7 +41,6 @@ def enumerate_optimal(
     first minimum, so the result is the lexicographically smallest
     optimal assignment vector.
     """
-    start = time.perf_counter()
     n, k = net.n, groups.k
     fixed = {}
     for r, g in enumerate(groups.groups, start=1):
@@ -135,7 +133,6 @@ def enumerate_optimal(
         retained_bridges=retained,
         disruption_mw=value,
         method=METHOD_ORACLE,
-        runtime_s=time.perf_counter() - start,
     )
     validate_solution(net, sol, groups)
     return sol

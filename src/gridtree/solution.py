@@ -90,12 +90,9 @@ def validate_solution(net: Network, sol: TreePartitionSolution, groups=None, tol
     if not is_tree_partition(post, p):
         raise NetworkValidationError("partition is not a tree partition after switching")
     if groups is not None:
-        for r, members in enumerate(groups.groups, start=1):
-            for bus in members:
-                if p.assignment[bus] != r:
-                    raise NetworkValidationError(
-                        f"coherent generator bus {bus} left cluster {r}"
-                    )
+        for bus, r in groups.cluster_of.items():
+            if p.assignment[bus] != r:
+                raise NetworkValidationError(f"coherent generator bus {bus} left cluster {r}")
     actual = disruption(net, sol.switched)
     if abs(actual - sol.disruption_mw) > tol:
         raise NetworkValidationError(

@@ -93,7 +93,7 @@ def collect_bus_fixings(
     Raises ModelBuildError for a bus outside the network or fixed to two
     clusters.
     """
-    pairs = [(i, r) for r, members in enumerate(groups.groups, start=1) for i in members]
+    pairs = list(groups.cluster_of.items())
     if ssr is not None:
         pairs += ssr.bus_fix.items()
     fixed: dict[int, int] = {}

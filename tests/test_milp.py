@@ -376,10 +376,17 @@ MALFORMED_LPS = pytest.mark.parametrize(
          "a sign is not followed by a term in LP text 'obj: 3 a + b +'"),
         (" limit: a - 2 b <= 1\n", " limit: a - 2 b - <= 1\n",
          "a sign is not followed by a term in LP text 'limit: a - 2 b - <= 1'"),
+        (" limit: a - 2 b <= 1\n", " limit: a b <= 1\n",
+         "no sign before 'b' in LP text 'limit: a b <= 1'"),
+        (" limit: a - 2 b <= 1\n", " limit: a 2 b <= 1\n",
+         "no sign before '2' in LP text 'limit: a 2 b <= 1'"),
+        (" limit: a - 2 b <= 1\n", " limit: 2 a 3 <= 1\n",
+         "no sign before '3' in LP text 'limit: 2 a 3 <= 1'"),
     ],
     ids=["general-section", "text-before-sections", "one-sided-bound", "row-without-sense",
          "row-with-two-senses", "continuation-before-any-row", "two-signs-in-a-row",
-         "objective-ends-in-a-sign", "expression-ends-in-a-sign"],
+         "objective-ends-in-a-sign", "expression-ends-in-a-sign", "term-without-a-sign",
+         "coefficient-without-a-sign", "constant-without-a-sign"],
 )
 
 
