@@ -242,9 +242,10 @@ def solve_dcopf_via_bridge(net: Network, costs: Sequence[GenCost], bridge) -> Fl
         if not net.buses[idx[c.bus_id]].is_generator:
             raise NetworkValidationError(f"bus {c.bus_id} is not a generator bus")
 
+    # named by bus index: LP readers take the "-" of a negative bus id for a minus
     model = milp.MilpModel(name="dcopf")
     for c in costs:
-        model.add_variable(f"pg_{c.bus_id}", "continuous", c.pmin, c.pmax)
+        model.add_variable(f"pg_{idx[c.bus_id]}", "continuous", c.pmin, c.pmax)
     for b in net.buses:
         if b.index == slack:
             model.add_variable(f"th_{b.index}", "continuous", 0.0, 0.0)
@@ -261,7 +262,7 @@ def solve_dcopf_via_bridge(net: Network, costs: Sequence[GenCost], bridge) -> Fl
             terms.append((-coef, f"th_{other}"))
         fixed_gen = 0.0 if b.index in dispatchable else b.gen_mw
         if b.index in dispatchable:
-            terms.append((-1.0, f"pg_{b.id}"))
+            terms.append((-1.0, f"pg_{b.index}"))
         model.add_constraint(f"bal_{b.index}", terms, "=", fixed_gen - b.load_mw)
 
     for ln in net.lines:
@@ -272,7 +273,7 @@ def solve_dcopf_via_bridge(net: Network, costs: Sequence[GenCost], bridge) -> Fl
         model.add_constraint(f"cap_hi_{ln.id}", terms, "<=", ln.capacity_mw)
         model.add_constraint(f"cap_lo_{ln.id}", terms, ">=", -ln.capacity_mw)
 
-    model.set_objective([(c.cost_per_mw, f"pg_{c.bus_id}") for c in costs])
+    model.set_objective([(c.cost_per_mw, f"pg_{idx[c.bus_id]}") for c in costs])
 
     values = milp.run_bridge(model, bridge)
     theta = np.array([values.get(f"th_{i}", 0.0) for i in range(net.n)])
@@ -281,7 +282,7 @@ def solve_dcopf_via_bridge(net: Network, costs: Sequence[GenCost], bridge) -> Fl
     # dispatch consistency: implied injections must match dispatch minus load
     implied = _net_injections(net, flows)
     for b in net.buses:
-        gen = values.get(f"pg_{b.id}", 0.0) if b.index in dispatchable else b.gen_mw
+        gen = values.get(f"pg_{b.index}", 0.0) if b.index in dispatchable else b.gen_mw
         if abs(implied[b.index] - (gen - b.load_mw)) > 1e-6 * max(1.0, net.base_mva):
             raise InfeasibleError(
                 f"bridge OPF solution violates balance at bus {b.id}"

@@ -217,6 +217,22 @@ def write_lp(model: MilpModel) -> str:
     return "\n".join(out) + "\n"
 
 
+# words that LP readers such as HiGHS's take for keywords, in any letter
+# case, and the characters they take for operators inside a word
+_KEYWORDS = frozenset("minimize minimum min maximize maximum max st s.t. bounds bound free "
+                      "binary binaries bin general generals gen integer integers semis semi "
+                      "sos end".split())
+_OPERATORS = frozenset("+-*/^<>=:[]")
+
+
+def _name(word: str) -> str:
+    # C's strtod reads a word starting with inf or nan as a number: "info" is inf, o
+    folded = word.lower()
+    if folded in _KEYWORDS or folded.startswith(("inf", "nan")) or not _OPERATORS.isdisjoint(word):
+        raise BridgeError(f"LP readers read {word!r} as a keyword, a number or an operator")
+    return word
+
+
 def _number(word: str, where: str) -> float:
     try:
         return float(word)
@@ -261,7 +277,9 @@ def parse_lp(text: str) -> MilpModel:
     a comment.  In Minimize and Subject To a line whose first word ends in
     ``:`` opens a row and any other line continues it; a row reads
     ``name: expression sense rhs``.  Bounds lines are ``name = v``,
-    ``lo <= name <= hi`` or ``name free``.  Anything else is a BridgeError.
+    ``lo <= name <= hi`` or ``name free``.  A row has no constant, and no
+    name is a keyword, a number or holds an operator to other LP readers.
+    Anything else is a BridgeError.
     """
     found: dict[str, list[list[str]]] = {header: [] for header in _HEADERS}
     section = None
@@ -290,6 +308,7 @@ def parse_lp(text: str) -> MilpModel:
 
     if len(found[_MINIMIZE]) != 1:
         raise BridgeError("LP text needs exactly one objective row")
+    _name(found[_MINIMIZE][0][0][:-1])
     objective = _linear(found[_MINIMIZE][0][1:], " ".join(found[_MINIMIZE][0]))
     rows = []
     for words in found[_SUBJECT_TO]:
@@ -298,7 +317,10 @@ def parse_lp(text: str) -> MilpModel:
         if len(senses) != 1 or senses[0] != len(words) - 2:
             raise BridgeError(f"LP row is not `name: expression sense rhs`: {row!r}")
         terms, constant = _linear(words[1:-2], row)
-        rows.append((words[0][:-1], terms, words[-2], _number(words[-1], row) - constant))
+        # other LP readers drop a row's constant instead of moving it to the rhs
+        if constant:
+            raise BridgeError(f"LP row has a constant on its left side: {row!r}")
+        rows.append((_name(words[0][:-1]), terms, words[-2], _number(words[-1], row)))
     bounds: dict[str, tuple[float, float]] = {}
     for words in found[_BOUNDS]:
         line = " ".join(words)
@@ -317,7 +339,7 @@ def parse_lp(text: str) -> MilpModel:
     model = MilpModel(name="parsed")
     for name in sorted(names):
         kind = "binary" if name in binaries else "continuous"
-        model.add_variable(name, kind, *bounds.get(name, (None, None)))
+        model.add_variable(_name(name), kind, *bounds.get(name, (None, None)))
     for row in rows:
         model.add_constraint(*row)
     model.set_objective(*objective)

@@ -2,24 +2,27 @@
 
 Reads the LP dialect that ``gridtree.lp.write_lp`` writes: the sections
 Minimize, Subject To, Bounds, Binary and End, and bounds lines of the forms
-``name = v``, ``lo <= name <= hi`` and ``name free``.  Any other LP file is
-rejected; it belongs to an external solver.  The model is solved with
-HiGHS through the Python binding that scipy bundles
-(``scipy/optimize/_highspy/_core``, scipy >= 1.15).  The binding is loaded
-by its file path, so this process imports numpy and HiGHS but not
-``scipy.optimize`` or ``scipy.sparse``; it gets the same matrix and
-options as ``scipy.optimize.milp`` would.  Of the package it loads only
-``gridtree`` (whose exports resolve lazily), ``gridtree.errors`` and
-``gridtree.lp``; numpy stays because the binding imports it for any
-value assigned to a ``HighsLp`` array field.  The solution file gets a
-``# status ...`` line (``optimal``, ``infeasible`` or ``unbounded``;
-``feasible`` or ``timeout`` for a stop at a HiGHS limit with or without a
-point; ``error`` for anything else, such as a model HiGHS rejects), an
-``# objective ...`` line when there is a point,
-``# nodes ...`` (the branch-and-bound node count) and ``# gap ...`` (the
-relative MIP gap) lines when HiGHS reports them, and ``name value`` lines.
-An unreadable model, an LP outside the dialect, an unwritable solution
-file or a scipy without the HiGHS binding ends with one
+``name = v``, ``lo <= name <= hi`` and ``name free``; no name is an LP
+keyword (``free``, ``st``, ...) or starts like a number (``inf``, ``nan``).
+Any other LP file is rejected; it belongs to an external solver.  HiGHS,
+from the Python binding scipy bundles (``scipy/optimize/_highspy/_core``,
+scipy >= 1.15) loaded by its file path, reads the file with its own LP
+reader, after ``parse_lp``, and must read the same column names, rows and
+nonzeros; it numbers the columns by first appearance.  So the process
+imports no numpy, ``scipy.optimize`` or ``scipy.sparse``, and of the
+package only ``gridtree`` (whose exports resolve lazily), ``gridtree.errors``
+and ``gridtree.lp``.  A file not named ``*.lp`` is read from a private
+``.lp`` copy.  HiGHS solves without the objective's constant, as with
+``scipy.optimize.milp``, so ``--gap`` is relative to the rest.  The
+solution file gets a ``# status ...`` line (``optimal``, ``infeasible`` or
+``unbounded``; ``feasible`` or ``timeout`` for a stop at a HiGHS limit with
+or without a point; ``error`` for anything else, such as a model HiGHS
+rejects), an ``# objective ...`` line when there is a point, ``# nodes``
+and ``# gap`` (the relative MIP gap) lines when HiGHS reports them, and
+``name value`` lines; stdout stays empty.  An unreadable model, an LP
+outside the dialect or that HiGHS reads otherwise, a ``.lp`` copy that
+cannot be written, an unwritable solution file or a scipy without the
+HiGHS binding ends with one
 ``gridtree-milpsolve: error: ...`` line on stderr and exit code 2.  Any
 solver with the same file interface can replace it in a bridge command
 template:
@@ -33,9 +36,8 @@ import argparse
 import importlib.machinery
 import importlib.util
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from .errors import BridgeError
 from .lp import parse_lp
@@ -87,64 +89,61 @@ def _options(core, time_limit, gap):
     return options
 
 
-def _lp(core, model):
-    """The model as a HighsLp, its matrix column-wise like scipy's CSC."""
-    index = {v.name: i for i, v in enumerate(model.variables)}
-    nvar, nrow = len(index), len(model.constraints)
+@contextmanager
+def _lp_path(path, text):
+    """``path``, or a private copy of its ``text`` if its name does not
+    end in ``.lp``: HiGHS picks its reader by the extension."""
+    if path.endswith(".lp"):
+        yield path
+        return
+    import tempfile  # here alone: the bridge names its model file model.lp
 
-    cost = np.zeros(nvar)
-    for coef, name in model.objective:
-        cost[index[name]] += coef
+    with tempfile.TemporaryDirectory(prefix="gridtree-milpsolve-") as tmp:
+        Path(tmp, "model.lp").write_text(text)
+        yield str(Path(tmp, "model.lp"))
 
-    rows, cols, vals = [], [], []
-    for ci, con in enumerate(model.constraints):
+
+def _columns(highs, model, small):
+    """HiGHS's column names, in its order, after a check that they are
+    parse_lp's and that HiGHS read as many rows and nonzeros (repeated
+    terms summed, sums up to ``small`` dropped); BridgeError if not."""
+    lp = highs.getLp()  # a copy, freed before the solve
+    nonzeros = 0
+    for con in model.constraints:
+        row = {}
         for coef, name in con.terms:
-            rows.append(ci)
-            cols.append(index[name])
-            vals.append(coef)
-    rows = np.array(rows, dtype=np.int32)
-    cols = np.array(cols, dtype=np.int32)
-    # by (column, row); a repeated entry adds up in input order, as in
-    # scipy's COO -> CSR -> CSC conversion
-    order = np.lexsort((rows, cols))
-    rows, cols = rows[order], cols[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    values = np.bincount(np.cumsum(first) - 1, weights=np.array(vals)[order])
-
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = nvar
-    lp.num_row_ = lp.a_matrix_.num_row_ = nrow
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.searchsorted(cols[first], np.arange(nvar + 1)).astype(np.int32)
-    lp.a_matrix_.index_ = rows[first]
-    lp.a_matrix_.value_ = values
-    lp.col_cost_ = cost
-    bounds = np.array([v.effective_bounds() for v in model.variables], dtype=float)
-    lp.col_lower_, lp.col_upper_ = bounds.reshape(nvar, 2).T
-    lp.row_lower_ = np.array(
-        [-np.inf if con.sense == "<=" else con.rhs for con in model.constraints], dtype=float
-    )
-    lp.row_upper_ = np.array(
-        [np.inf if con.sense == ">=" else con.rhs for con in model.constraints], dtype=float
-    )
-    kind = {"binary": core.HighsVarType.kInteger}
-    lp.integrality_ = [kind.get(v.kind, core.HighsVarType.kContinuous) for v in model.variables]
-    return lp
+            row[name] = row.get(name, 0.0) + coef
+        nonzeros += sum(abs(coef) > small for coef in row.values())
+    read = (lp.num_col_, lp.num_row_, highs.getNumNz())
+    parsed = (len(model.variables), len(model.constraints), nonzeros)
+    if read != parsed:
+        raise BridgeError("HiGHS reads {} columns, {} rows and {} nonzeros where "
+                          "parse_lp reads {}, {} and {}".format(*read, *parsed))
+    names = lp.col_names_
+    other = set(names).difference(v.name for v in model.variables)
+    if other:
+        raise BridgeError(f"HiGHS reads a column {min(other)!r} that parse_lp does not")
+    return names
 
 
-def _solve(core, model, time_limit, gap):
-    """Solve as scipy.optimize.milp does: (status word, x, nodes, gap),
-    except that a status that is neither an answer nor a limit reads "error".
-
-    x is None when HiGHS holds no point; nodes and gap are None unless the
-    model has binaries and there is a point.
+def _solve(core, path, model, time_limit, gap):
+    """Solve the ``*.lp`` file at ``path``, which parse_lp read as
+    ``model``, as scipy.optimize.milp would: (status word, values by
+    ``model.variables`` name, nodes, gap), except that a status that is
+    neither an answer nor a limit reads "error".  values is None when
+    HiGHS holds no point; nodes and gap are None unless the model has
+    binaries and there is a point.
     """
     error = core.HighsStatus.kError
     highs = core._Highs()
-    if (highs.passOptions(_options(core, time_limit, gap)) == error
-            or highs.passModel(_lp(core, model)) == error):
+    options = _options(core, time_limit, gap)
+    # options first: reading with HiGHS's default options prints a banner on stdout
+    if highs.passOptions(options) == error or highs.readModel(path) == error:
         return "error", None, None, None
+    columns = _columns(highs, model, options.small_matrix_value)
+    # as scipy.optimize.milp sees it: mip_rel_gap and the gap HiGHS reports
+    # are relative to the objective without its constant
+    highs.changeObjectiveOffset(0.0)
     ran = highs.run() != error
     status = highs.getModelStatus()
     info = highs.getInfo()
@@ -160,10 +159,11 @@ def _solve(core, model, time_limit, gap):
         word = _WORDS.get(status.name, "error")
     if not has_point:
         return word, None, None, None
-    x = np.array(highs.getSolution().col_value)
+    point = dict(zip(columns, highs.getSolution().col_value))
+    values = {v.name: point[v.name] for v in model.variables}
     if not is_mip:
-        return word, x, None, None
-    return word, x, info.mip_node_count, info.mip_gap
+        return word, values, None, None
+    return word, values, info.mip_node_count, info.mip_gap
 
 
 def _fail(message: str) -> int:
@@ -190,7 +190,8 @@ def main(argv=None) -> int:
         ap.error(f"--time-limit must be >= 0, got {args.time_limit!r}")
 
     try:
-        model = parse_lp(Path(args.model).read_text())
+        text = Path(args.model).read_text()
+        model = parse_lp(text)
     except BridgeError as exc:
         return _fail(f"{args.model}: {exc}")
     except OSError as exc:
@@ -199,18 +200,22 @@ def main(argv=None) -> int:
         core = _highs_core()
     except BridgeError as exc:
         return _fail(str(exc))
-    status, x, nodes, gap = _solve(core, model, args.time_limit, args.gap)
+    try:
+        with _lp_path(args.model, text) as path:
+            status, values, nodes, gap = _solve(core, path, model, args.time_limit, args.gap)
+    except BridgeError as exc:
+        return _fail(f"{args.model}: {exc}")
+    except OSError as exc:
+        return _fail(f"cannot copy model file {args.model!r} to a .lp file: {exc.strerror or exc}")
 
     out = [f"# status {status}"]
-    values = {}
-    if x is not None:
-        values = dict(zip((v.name for v in model.variables), x.tolist()))
+    if values is not None:
         out.append(f"# objective {model.objective_value(values):.12g}")
     if nodes is not None:
         out.append(f"# nodes {int(nodes)}")
     if gap is not None:
         out.append(f"# gap {gap:.12g}")
-    out += [f"{name} {val:.17g}" for name, val in values.items()]
+    out += [f"{name} {val:.17g}" for name, val in (values or {}).items()]
     try:
         Path(args.solution).write_text("\n".join(out) + "\n")
     except OSError as exc:

@@ -175,6 +175,23 @@ def test_dcopf_cheap_generator_serves_everything(bridge):
     assert sol.flows_mw[1] == pytest.approx(0.0, abs=1e-6)  # expensive end idle
 
 
+def test_dcopf_solves_with_negative_bus_ids(bridge):
+    # bus ids -2, -1, 0: a variable named by id would read "pg_-2", which LP
+    # readers take for pg_ minus 2
+    net = build_net(
+        3, [(0, 1), (1, 2)], injections=[0.0, -150.0, 0.0], gen_buses=(0, 2), ext_offset=-2
+    )
+    sol = dcflow.solve_dcopf_via_bridge(
+        net,
+        [
+            GenCost(bus_id=-2, cost_per_mw=1.0, pmax=300.0),
+            GenCost(bus_id=0, cost_per_mw=10.0, pmax=300.0),
+        ],
+        bridge,
+    )
+    assert sol.flows_mw == pytest.approx((150.0, 0.0), abs=1e-6)
+
+
 def test_dcopf_binding_rating_matches_lp_vertex(bridge):
     # triangle with one rated line; optimum sits at the hand-derived vertex
     net = build_net(

@@ -382,11 +382,45 @@ MALFORMED_LPS = pytest.mark.parametrize(
          "no sign before '2' in LP text 'limit: a 2 b <= 1'"),
         (" limit: a - 2 b <= 1\n", " limit: 2 a 3 <= 1\n",
          "no sign before '3' in LP text 'limit: 2 a 3 <= 1'"),
+        # HiGHS's LP reader reads these names as numbers: another model
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 inf <= 1\n",
+         "LP readers read 'inf' as a keyword"),
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 Infinity <= 1\n",
+         "LP readers read 'Infinity' as a keyword"),
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 NaN <= 1\n",
+         "LP readers read 'NaN' as a keyword"),
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 nanny <= 1\n",
+         "LP readers read 'nanny' as a keyword"),
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 info <= 1\n",
+         "LP readers read 'info' as a keyword"),
+        # ... and these as keywords or operators: it rejects the file
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 free <= 1\n",
+         "LP readers read 'free' as a keyword"),
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 END <= 1\n",
+         "LP readers read 'END' as a keyword"),
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 s.t. <= 1\n",
+         "LP readers read 's.t.' as a keyword"),
+        (" a\n", " a Bin\n",
+         "LP readers read 'Bin' as a keyword"),
+        (" 0 <= b <= 2.5\n", " 0 <= General <= 2.5\n",
+         "LP readers read 'General' as a keyword"),
+        (" limit: a - 2 b <= 1\n", " st: a - 2 b <= 1\n",
+         "LP readers read 'st' as a keyword"),
+        (" obj: 3 a + b + 4\n", " minimize: 3 a + b + 4\n",
+         "LP readers read 'minimize' as a keyword"),
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 b-c <= 1\n",
+         "LP readers read 'b-c' as a keyword"),
+        # HiGHS drops a row's constant instead of moving it to the rhs
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 b + 3 <= 1\n",
+         "LP row has a constant on its left side: 'limit: a - 2 b + 3 <= 1'"),
     ],
     ids=["general-section", "text-before-sections", "one-sided-bound", "row-without-sense",
          "row-with-two-senses", "continuation-before-any-row", "two-signs-in-a-row",
          "objective-ends-in-a-sign", "expression-ends-in-a-sign", "term-without-a-sign",
-         "coefficient-without-a-sign", "constant-without-a-sign"],
+         "coefficient-without-a-sign", "constant-without-a-sign", "name-inf", "name-infinity",
+         "name-nan", "name-starting-with-nan", "name-starting-with-inf", "name-free", "name-end",
+         "name-s.t.", "binary-named-bin", "bound-on-general", "row-named-st",
+         "objective-named-minimize", "name-with-an-operator", "row-constant"],
 )
 
 
@@ -424,6 +458,48 @@ def test_milpsolve_reports_unusable_files_in_one_line(capsys, tmp_path, model, s
     (tmp_path / "toy.lp").write_text(write_lp(toy_model()))
     assert milpsolve.main([str(tmp_path / model), str(tmp_path / solution)]) == 2
     assert message in _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name", ["toy.txt", "toy.mps", "toy", "toy.lp.gz", "toy.LP"])
+def test_milpsolve_reads_the_lp_dialect_whatever_the_file_name(tmp_path, name):
+    # HiGHS picks its reader by the extension; the text is LP all the same
+    (tmp_path / "toy.lp").write_text(GOLDEN_TOY_LP)
+    (tmp_path / name).write_text(GOLDEN_TOY_LP)
+    assert milpsolve.main([str(tmp_path / "toy.lp"), str(tmp_path / "want.sol")]) == 0
+    assert milpsolve.main([str(tmp_path / name), str(tmp_path / "got.sol")]) == 0
+    got = (tmp_path / "got.sol").read_text()
+    assert got.startswith("# status optimal\n") and got == (tmp_path / "want.sol").read_text()
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        {"toy.lp", name, "want.sol", "got.sol"})
+
+
+def test_milpsolve_reports_an_unwritable_lp_copy_in_one_line(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "no-such-dir"))
+    (tmp_path / "toy.txt").write_text(GOLDEN_TOY_LP)
+    assert milpsolve.main([str(tmp_path / "toy.txt"), str(tmp_path / "toy.sol")]) == 2
+    assert "cannot copy model file" in _one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "toy.sol").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [("Bounds\n", "Bounds\n c free\n",
+      "HiGHS reads 2 columns, 1 rows and 2 nonzeros where parse_lp reads 3, 1 and 2"),
+     ("Subject To\n", "Subject To\n extra: 0 >= -1\n",
+      "HiGHS reads 2 columns, 1 rows and 2 nonzeros where parse_lp reads 2, 2 and 2"),
+     (" limit: a - 2 b <= 1\n", " limit: a <= 1\n",
+      "HiGHS reads 2 columns, 1 rows and 2 nonzeros where parse_lp reads 2, 1 and 1"),
+     (" b", " c", "HiGHS reads a column 'b' that parse_lp does not")],
+    ids=["column", "row", "nonzero", "name"],
+)
+def test_milpsolve_reports_a_file_highs_reads_otherwise_in_one_line(capsys, monkeypatch,
+                                                                      tmp_path, old, new, message):
+    # parse_lp's reading is checked against HiGHS's reading of the same file
+    monkeypatch.setattr(milpsolve, "parse_lp", lambda text: parse_lp(text.replace(old, new)))
+    (tmp_path / "toy.lp").write_text(GOLDEN_TOY_LP)
+    assert milpsolve.main([str(tmp_path / "toy.lp"), str(tmp_path / "toy.sol")]) == 2
+    assert message in _one_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "toy.sol").exists()
 
 
 def test_milpsolve_process_exits_2_without_a_traceback(tmp_path):
@@ -502,6 +578,23 @@ def test_milpsolve_writes_nodes_and_gap_after_the_objective(tmp_path):
     header = [line.split()[1] for line in solution_path.read_text().splitlines()
               if line.startswith("#")]
     assert header == ["status", "objective", "nodes", "gap"]
+
+
+def test_milpsolve_solves_without_the_objective_constant(monkeypatch, tmp_path):
+    # HiGHS reads the constant as an offset; --gap and the gap line stay
+    # relative to the objective without it, and # objective includes it
+    core = milpsolve._highs_core()
+    offsets = []
+
+    class Recording(core._Highs):
+        def run(self):
+            offsets.append(self.getObjectiveOffset()[1])
+            return super().run()
+
+    monkeypatch.setattr(core, "_Highs", Recording)
+    _, lines = _milpsolve_header(tmp_path, GOLDEN_TOY_LP)
+    assert offsets == [0.0]
+    assert lines[:2] == ["# status optimal", "# objective 4"]
 
 
 def _captured(monkeypatch, solve):
@@ -613,24 +706,88 @@ def _dcopf_model(monkeypatch, case):
     return model
 
 
-@pytest.mark.parametrize(
+BRIDGE_MODELS = pytest.mark.parametrize(
     "case, k, method",
     [("net057", 5, "milp"), ("net118", 3, "ssr"), ("net118", None, "dcopf")],
     ids=["net057-5-milp", "net118-3-ssr", "net118-dcopf"],
 )
-def test_milpsolve_solves_like_scipy_milp(monkeypatch, case, k, method):
-    # the same HiGHS input gives the same answer, bit for bit
+
+
+def _bridge_model(monkeypatch, case, k, method):
     if method == "dcopf":
-        model = _dcopf_model(monkeypatch, case)
-    else:
-        model = _partition_model(case, k, method == "ssr")
+        return _dcopf_model(monkeypatch, case)
+    model = _partition_model(case, k, method == "ssr")
     if method == "ssr":
         assert any(con.name.startswith("chain_") for con in model.constraints)
-    model = parse_lp(write_lp(model))  # what the solver child reads
-    status, x, nodes, gap = milpsolve._solve(milpsolve._highs_core(), model, None, None)
-    want_status, want_x, want_nodes, want_gap = _scipy_milp(model)
-    assert (status, nodes, gap) == (want_status, want_nodes, want_gap) and status == "optimal"
-    assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
+    return model
+
+
+def _entries(cols, costs, offset, rows, matrix):
+    """A model keyed by name: columns (bounds, integer?), costs, offset, row
+    bounds and the nonzero matrix entries by (row, column)."""
+    return {"cols": cols, "costs": costs, "offset": offset, "rows": rows,
+            "matrix": {key: value for key, value in matrix.items() if value != 0.0}}
+
+
+def _parsed_entries(model):
+    costs = dict.fromkeys((v.name for v in model.variables), 0.0)
+    for coef, name in model.objective:
+        costs[name] += coef
+    matrix = {}
+    for con in model.constraints:
+        for coef, name in con.terms:
+            matrix[con.name, name] = matrix.get((con.name, name), 0.0) + coef
+    bounds = {"<=": lambda rhs: (-np.inf, rhs), ">=": lambda rhs: (rhs, np.inf),
+              "=": lambda rhs: (rhs, rhs)}
+    return _entries(
+        {v.name: (v.effective_bounds(), v.kind == "binary") for v in model.variables},
+        costs, model.objective_constant,
+        {con.name: bounds[con.sense](con.rhs) for con in model.constraints}, matrix)
+
+
+def _highs_entries(path):
+    core = milpsolve._highs_core()
+    highs = core._Highs()
+    options = core.HighsOptions()
+    options.log_to_console = False
+    highs.passOptions(options)
+    assert highs.readModel(str(path)) != core.HighsStatus.kError
+    lp = highs.getLp()
+    cols, rows = list(lp.col_names_), list(lp.row_names_)
+    kinds = lp.integrality_ or [core.HighsVarType.kContinuous] * len(cols)
+    integer = [kind == core.HighsVarType.kInteger for kind in kinds]
+    matrix = {}
+    a = lp.a_matrix_
+    assert a.format_ == core.MatrixFormat.kColwise
+    for j, col in enumerate(cols):
+        for at in range(a.start_[j], a.start_[j + 1]):
+            matrix[rows[a.index_[at]], col] = float(a.value_[at])
+    return _entries(
+        {col: ((float(lo), float(hi)), is_int)
+         for col, lo, hi, is_int in zip(cols, lp.col_lower_, lp.col_upper_, integer)},
+        {col: float(cost) for col, cost in zip(cols, lp.col_cost_)}, lp.offset_,
+        {row: (float(lo), float(hi)) for row, lo, hi in zip(rows, lp.row_lower_, lp.row_upper_)},
+        matrix)
+
+
+@BRIDGE_MODELS
+def test_highs_reads_write_lp_as_parse_lp_does(monkeypatch, tmp_path, case, k, method):
+    # the solver child hands HiGHS the file: both readers must see one model,
+    # entry for entry, repeated terms summed (only the column order differs)
+    text = write_lp(_bridge_model(monkeypatch, case, k, method))
+    (tmp_path / "m.lp").write_text(text)
+    assert _highs_entries(tmp_path / "m.lp") == _parsed_entries(parse_lp(text))
+
+
+@BRIDGE_MODELS
+def test_milpsolve_answers_like_scipy_milp(monkeypatch, tmp_path, case, k, method):
+    model = parse_lp(write_lp(_bridge_model(monkeypatch, case, k, method)))
+    _, lines = _milpsolve_header(tmp_path, write_lp(model))
+    want_status, want_x, _, _ = _scipy_milp(model)
+    want = model.objective_value(dict(zip((v.name for v in model.variables), want_x)))
+    assert lines[0] == f"# status {want_status}" and want_status == "optimal"
+    assert lines[1].startswith("# objective ")
+    assert float(lines[1].split()[2]) == pytest.approx(want, rel=1e-9)
 
 
 def _milpsolve_header(tmp_path, lp_text, *flags):
@@ -680,6 +837,21 @@ def test_milpsolve_stops_at_a_zero_time_limit(tmp_path):
         assert (status, header) == ("timeout", ["status"])
 
 
+@pytest.mark.parametrize("kind", ["toy", "net118-dcopf"])
+def test_milpsolve_process_prints_nothing_on_stdout(monkeypatch, tmp_path, kind):
+    # HiGHS prints a banner on reading a model before its options are set;
+    # on the DC-OPF LP, whose repeated terms it sums, it also warns
+    model = toy_model() if kind == "toy" else _dcopf_model(monkeypatch, "net118")
+    (tmp_path / "m.lp").write_text(write_lp(model))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridtree.milpsolve", str(tmp_path / "m.lp"),
+         str(tmp_path / "m.sol")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert (tmp_path / "m.sol").read_text().startswith("# status optimal\n")
+
+
 def test_milpsolve_reports_missing_highs_in_one_line(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(milpsolve, "_CORE", "scipy.optimize._highspy._missing")
     model_path = tmp_path / "toy.lp"
@@ -689,8 +861,9 @@ def test_milpsolve_reports_missing_highs_in_one_line(capsys, monkeypatch, tmp_pa
     assert not (tmp_path / "toy.sol").exists()
 
 
-def test_milpsolve_child_imports_neither_scipy_optimize_nor_sparse(tmp_path):
-    # the solver child loads numpy and scipy's HiGHS binding, nothing more of scipy
+def test_milpsolve_child_imports_no_numpy_and_of_scipy_only_highs(tmp_path):
+    # the solver child loads scipy's HiGHS binding by its file path and
+    # nothing else of scipy, no numpy, and of the package only the LP layer
     model_path, solution_path = tmp_path / "toy.lp", tmp_path / "toy.sol"
     model_path.write_text(write_lp(toy_model()))
     proc = subprocess.run(
@@ -701,12 +874,31 @@ def test_milpsolve_child_imports_neither_scipy_optimize_nor_sparse(tmp_path):
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]
-    assert "numpy" in imported
+    assert [m for m in imported if m.split(".")[0] in ("numpy", "scipy")] == []
     # gridtree.milpsolve itself runs as __main__, so -X importtime does not list it
     assert {m for m in imported if m.split(".")[0] == "gridtree"} == {
         "gridtree", "gridtree.errors", "gridtree.lp"}
-    assert [m for m in imported if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"])] == []
     assert solution_path.read_text().startswith("# status optimal\n")
+    # the import-time log misses modules loaded by file path or through
+    # gridtree's lazy __getattr__; sys.modules after main returns holds them
+    code = f"""
+import runpy, sys
+sys.argv = ["gridtree-milpsolve", {str(model_path)!r}, {str(tmp_path / "again.sol")!r}]
+try:
+    runpy.run_module("gridtree.milpsolve", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(*sorted(m for m in sys.modules if m.split(".")[0] in ("gridtree", "numpy", "scipy")))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert [m for m in loaded if m.split(".")[0] == "gridtree"] == [
+        "gridtree", "gridtree.errors", "gridtree.lp"]
+    assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+    assert [m for m in loaded if m.split(".")[0] == "scipy"
+            and not (m + ".").startswith(milpsolve._CORE + ".")] == []
+    assert (tmp_path / "again.sol").read_text() == solution_path.read_text()
 
 
 def test_import_gridtree_resolves_its_exports_lazily():
