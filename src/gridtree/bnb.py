@@ -418,7 +418,7 @@ def solve_builtin(
 
     sol = min(
         (
-            partition_solution(net, Partition(full, groups.k), method, 0.0)
+            partition_solution(net, Partition(full, groups.k), method)
             for _value, leaf in search.tied
             for full in work.expand(leaf)
         ),

@@ -63,8 +63,6 @@ def kron_reduction(net: Network, keep: Sequence[int]) -> np.ndarray:
     lap = laplacian(net)
     kept = set(keep)
     drop = [i for i in range(net.n) if i not in kept]
-    if not drop:
-        return lap[np.ix_(keep, keep)]
     l_kk = lap[np.ix_(keep, keep)]
     l_kd = lap[np.ix_(keep, drop)]
     l_dd = lap[np.ix_(drop, drop)]
@@ -72,14 +70,19 @@ def kron_reduction(net: Network, keep: Sequence[int]) -> np.ndarray:
     return (reduced + reduced.T) / 2.0
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column positive."""
-    out = vectors.copy()
-    for c in range(out.shape[1]):
-        lead = int(np.argmax(np.abs(out[:, c])))
-        if out[lead, c] < 0:
-            out[:, c] = -out[:, c]
-    return out
+def _slow_modes(sym: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest-eigenvalue eigenvectors of a symmetric matrix, as
+    columns, each signed so that its largest-magnitude entry is positive."""
+    try:
+        _, vectors = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NetworkValidationError(f"eigendecomposition failed: {exc}")
+    slow = vectors[:, :k].copy()
+    for c in range(slow.shape[1]):
+        lead = int(np.argmax(np.abs(slow[:, c])))
+        if slow[lead, c] < 0:
+            slow[:, c] = -slow[:, c]
+    return slow
 
 
 def spectral_embedding(net: Network, gens: Sequence[int], k: int, h: np.ndarray) -> np.ndarray:
@@ -87,12 +90,7 @@ def spectral_embedding(net: Network, gens: Sequence[int], k: int, h: np.ndarray)
     reduced = kron_reduction(net, gens)
     inv_sqrt = 1.0 / np.sqrt(h)
     sym = inv_sqrt[:, None] * reduced * inv_sqrt[None, :]
-    try:
-        _, vectors = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NetworkValidationError(f"eigendecomposition failed: {exc}")
-    slow = _fix_signs(vectors[:, :k])
-    return inv_sqrt[:, None] * slow
+    return inv_sqrt[:, None] * _slow_modes(sym, k)
 
 
 def _farthest_first_seeds(rows: np.ndarray, k: int) -> list[int]:

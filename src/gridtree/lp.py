@@ -10,6 +10,7 @@ rest of the package.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -225,7 +226,14 @@ _KEYWORDS = frozenset("minimize minimum min maximize maximum max st s.t. bounds 
 _OPERATORS = frozenset("+-*/^<>=:[]")
 
 
+# the decimal numbers C's strtod reads; Python's float also reads "1_0",
+# "nan" and non-ASCII digits, which LP readers such as HiGHS's reject
+_DECIMAL = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+
+
 def _name(word: str) -> str:
+    if not (word[:1].isalpha() or word[:1] == "_"):
+        raise BridgeError(f"LP name {word!r} does not start with a letter or _")
     # C's strtod reads a word starting with inf or nan as a number: "info" is inf, o
     folded = word.lower()
     if folded in _KEYWORDS or folded.startswith(("inf", "nan")) or not _OPERATORS.isdisjoint(word):
@@ -234,10 +242,14 @@ def _name(word: str) -> str:
 
 
 def _number(word: str, where: str) -> float:
-    try:
-        return float(word)
-    except ValueError:
-        raise BridgeError(f"expected a number, got {word!r} in LP text {where!r}") from None
+    if not _DECIMAL.fullmatch(word):
+        raise BridgeError(f"expected a number, got {word!r} in LP text {where!r}")
+    return float(word)
+
+
+def _bound(word: str, where: str) -> float:
+    """A bound value: a number, or ``inf`` / ``-inf`` as write_lp writes them."""
+    return float(word) if word in ("inf", "-inf") else _number(word, where)
 
 
 def _linear(words: list[str], where: str) -> tuple[list[tuple[float, str]], float]:
@@ -277,9 +289,10 @@ def parse_lp(text: str) -> MilpModel:
     a comment.  In Minimize and Subject To a line whose first word ends in
     ``:`` opens a row and any other line continues it; a row reads
     ``name: expression sense rhs``.  Bounds lines are ``name = v``,
-    ``lo <= name <= hi`` or ``name free``.  A row has no constant, and no
-    name is a keyword, a number or holds an operator to other LP readers.
-    Anything else is a BridgeError.
+    ``lo <= name <= hi`` or ``name free``.  A row has no constant.  A name
+    starts with a letter or ``_`` and is not a keyword, a number or holds
+    an operator to other LP readers; a number is ASCII decimal, and a bound
+    may also be ``inf`` or ``-inf``.  Anything else is a BridgeError.
     """
     found: dict[str, list[list[str]]] = {header: [] for header in _HEADERS}
     section = None
@@ -325,9 +338,9 @@ def parse_lp(text: str) -> MilpModel:
     for words in found[_BOUNDS]:
         line = " ".join(words)
         if len(words) == 3 and words[1] == "=":
-            bounds[words[0]] = (_number(words[2], line),) * 2
+            bounds[words[0]] = (_bound(words[2], line),) * 2
         elif len(words) == 5 and words[1] == words[3] == "<=":
-            bounds[words[2]] = (_number(words[0], line), _number(words[4], line))
+            bounds[words[2]] = (_bound(words[0], line), _bound(words[4], line))
         elif len(words) == 2 and words[1] == "free":
             bounds[words[0]] = (-math.inf, math.inf)
         else:

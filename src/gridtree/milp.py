@@ -221,7 +221,7 @@ def decode_values(
         if len(hits) != 1:
             raise NetworkValidationError(f"bus {i} assigned to {len(hits)} clusters")
         assignment.append(hits[0])
-    sol = partition_solution(net, Partition(tuple(assignment), groups.k), method, 0.0)
+    sol = partition_solution(net, Partition(tuple(assignment), groups.k), method)
     validate_solution(net, sol, groups)
     return sol
 

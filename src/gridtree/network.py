@@ -42,7 +42,6 @@ __all__ = [
     "degree2_chains",
     "json_object",
     "network_to_json",
-    "network_from_json",
 ]
 
 
@@ -487,10 +486,7 @@ def degree2_chains(net: Network, keep: Container[int] = ()) -> list[Chain]:
 
 def cross_edges(net: Network, p: Partition) -> list[int]:
     """Line ids whose endpoints lie in different clusters, sorted."""
-    if len(p.assignment) != net.n:
-        raise NetworkValidationError("partition does not cover all buses")
-    a = p.assignment
-    return sorted(ln.id for ln in net.lines if a[ln.from_bus] != a[ln.to_bus])
+    return sorted(e.line_id for e in reduced_graph(net, p).edges)
 
 
 def reduced_graph(net: Network, p: Partition) -> ReducedGraph:
@@ -655,24 +651,3 @@ def network_to_json(net: Network) -> str:
         "base_mva": net.base_mva,
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def network_from_json(text: str) -> Network:
-    doc = json.loads(text)
-    index = {b["id"]: i for i, b in enumerate(doc["buses"])}
-    buses = tuple(
-        Bus(id=b["id"], index=i, injection_mw=b["injection_mw"])
-        for i, b in enumerate(doc["buses"])
-    )
-    lines = tuple(
-        Line(
-            id=lid,
-            from_bus=index[ln["from"]],
-            to_bus=index[ln["to"]],
-            susceptance=ln["susceptance"],
-            flow_mw=ln["flow_mw"],
-            capacity_mw=ln.get("capacity_mw"),
-        )
-        for lid, ln in enumerate(doc["lines"])
-    )
-    return Network(buses=buses, lines=lines, base_mva=doc["base_mva"])

@@ -53,9 +53,7 @@ class TreePartitionSolution:
     runtime_s: float = 0.0
 
 
-def partition_solution(
-    net: Network, partition: Partition, method: str, runtime_s: float
-) -> TreePartitionSolution:
+def partition_solution(net: Network, partition: Partition, method: str) -> TreePartitionSolution:
     """The stage-2 answer for a fixed partition, not yet validated.
 
     Keeps the maximum-weight spanning tree of the reduced graph as the
@@ -68,7 +66,6 @@ def partition_solution(
         retained_bridges=retained,
         disruption_mw=disruption(net, switched),
         method=method,
-        runtime_s=runtime_s,
     )
 
 

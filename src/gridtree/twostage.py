@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coherency import CoherencyGroups, _fix_signs, _kmeans
+from .coherency import CoherencyGroups, _kmeans, _slow_modes
 from .errors import InfeasibleError, NetworkValidationError
 from .network import Network, Partition, components, max_weight_spanning_tree
 from .solution import (
@@ -56,8 +56,7 @@ def _embed(weights: np.ndarray, k: int) -> np.ndarray:
     degree = weights.sum(axis=1)
     inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.maximum(degree, 1e-12)), 0.0)
     lap = np.eye(len(weights)) - inv_sqrt[:, None] * weights * inv_sqrt[None, :]
-    _, vectors = np.linalg.eigh((lap + lap.T) / 2.0)
-    emb = _fix_signs(vectors[:, :k])
+    emb = _slow_modes((lap + lap.T) / 2.0, k)
     norms = np.linalg.norm(emb, axis=1, keepdims=True)
     return np.where(norms > 0, emb / np.maximum(norms, 1e-300), emb)
 
@@ -124,6 +123,6 @@ def constrained_spectral_partition(net: Network, groups: CoherencyGroups) -> Par
 def two_stage(net: Network, groups: CoherencyGroups) -> TreePartitionSolution:
     """Spectral partition followed by the optimal bridge selection."""
     partition = constrained_spectral_partition(net, groups)
-    sol = partition_solution(net, partition, METHOD_TWO_STAGE, 0.0)
+    sol = partition_solution(net, partition, METHOD_TWO_STAGE)
     validate_solution(net, sol, groups)
     return sol

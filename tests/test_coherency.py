@@ -15,6 +15,7 @@ from gridtree.coherency import (
     slow_coherency,
     spectral_embedding,
 )
+from gridtree.dcflow import laplacian
 from gridtree.errors import NetworkValidationError
 from gridtree.network import parse_case
 
@@ -112,6 +113,13 @@ def test_kron_reduction_keeps_row_sums_zero():
     reduced = kron_reduction(net, [0, 1, 4, 5])
     assert np.allclose(reduced.sum(axis=1), 0.0, atol=1e-9)
     assert np.allclose(reduced, reduced.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(path.stem for path in CASES_DIR.glob("*.m")))
+def test_kron_reduction_keeping_every_bus_is_the_laplacian(case):
+    net = parse_case((CASES_DIR / f"{case}.m").read_text())
+    reduced = kron_reduction(net, range(net.n))
+    assert reduced.tobytes() == laplacian(net).tobytes()
 
 
 def test_inertia_mapping_accepted():

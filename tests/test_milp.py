@@ -413,6 +413,14 @@ MALFORMED_LPS = pytest.mark.parametrize(
         # HiGHS drops a row's constant instead of moving it to the rhs
         (" limit: a - 2 b <= 1\n", " limit: a - 2 b + 3 <= 1\n",
          "LP row has a constant on its left side: 'limit: a - 2 b + 3 <= 1'"),
+        # Python's float reads these, C's strtod does not: HiGHS rejects the file
+        (" limit: a - 2 b <= 1\n", " r: a + b >= 1_0\n", "expected a number, got '1_0'"),
+        (" limit: a - 2 b <= 1\n", " r: a + b >= nan\n", "expected a number, got 'nan'"),
+        (" limit: a - 2 b <= 1\n", " r: a + b >= \u0661\n", "expected a number, got '\u0661'"),
+        (" 0 <= b <= 2.5\n", " -infinity <= a <= 5\n", "expected a number, got '-infinity'"),
+        # ... and names that start like a number
+        (" a\n", " 3\n", "LP name '3' does not start with a letter or _"),
+        (" 0 <= b <= 2.5\n", " 3 = 1\n", "LP name '3' does not start with a letter or _"),
     ],
     ids=["general-section", "text-before-sections", "one-sided-bound", "row-without-sense",
          "row-with-two-senses", "continuation-before-any-row", "two-signs-in-a-row",
@@ -420,7 +428,9 @@ MALFORMED_LPS = pytest.mark.parametrize(
          "coefficient-without-a-sign", "constant-without-a-sign", "name-inf", "name-infinity",
          "name-nan", "name-starting-with-nan", "name-starting-with-inf", "name-free", "name-end",
          "name-s.t.", "binary-named-bin", "bound-on-general", "row-named-st",
-         "objective-named-minimize", "name-with-an-operator", "row-constant"],
+         "objective-named-minimize", "name-with-an-operator", "row-constant",
+         "number-with-an-underscore", "number-nan", "number-in-arabic-indic-digits",
+         "bound-minus-infinity", "binary-named-3", "bound-on-3"],
 )
 
 

@@ -1,5 +1,8 @@
 """Network model: parsing, merging, partitions, bridges, switching."""
 
+import runpy
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,14 +18,13 @@ from gridtree.network import (
     is_connected,
     is_tree_partition,
     merge_parallel,
-    network_from_json,
     network_to_json,
     parse_case,
     reduced_graph,
     serialize_case,
 )
 
-from conftest import build_net, random_connected_net
+from conftest import CASES_DIR, build_net, random_connected_net
 
 TWO_BUS_CASE = """
 mpc.baseMVA = 100;
@@ -260,15 +262,13 @@ def test_case_round_trip_on_random_injections():
         assert (a.from_bus, a.to_bus) == (b.from_bus, b.to_bus)
 
 
-def test_network_json_round_trip():
-    rng = np.random.default_rng(13)
-    net = random_connected_net(rng, 6, 4)
-    back = network_from_json(network_to_json(net))
-    assert back.n == net.n and back.m == net.m
-    assert back.base_mva == net.base_mva
-    for a, b in zip(back.lines, net.lines):
-        assert a.flow_mw == b.flow_mw
-        assert a.susceptance == b.susceptance
+def test_gen_cases_rebuilds_every_bundled_case_without_networkx(monkeypatch):
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ on it
+    gen = runpy.run_path(str(CASES_DIR.parent / "tools" / "gen_cases.py"))
+    assert sorted(gen["SIZES"]) == sorted(path.stem for path in CASES_DIR.glob("*.m"))
+    for name, params in gen["SIZES"].items():
+        assert gen["build_case"](*params) == (CASES_DIR / f"{name}.m").read_text(), name
 
 
 def test_network_json_field_names():

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gridtree import dcflow
+from gridtree import cli, dcflow
 from gridtree.coherency import CoherencyGroups, _kmeans, slow_coherency
 from gridtree.errors import InfeasibleError, NetworkValidationError
 from gridtree.network import Partition, ReducedEdge, ReducedGraph, parse_case, reduced_graph
@@ -226,6 +226,21 @@ def test_two_stage_deterministic(four_cycle):
     assert a.partition.assignment == b.partition.assignment
     assert a.switched == b.switched
     assert a.disruption_mw == b.disruption_mw
+
+
+def test_an_eigendecomposition_failure_is_a_validation_error(monkeypatch, capsys, four_cycle):
+    def fail(_matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    net, groups = four_cycle
+    for route in (lambda: two_stage(net, groups),
+                  lambda: slow_coherency(parse_case((CASES_DIR / "net030.m").read_text()), 2)):
+        with pytest.raises(NetworkValidationError, match="eigendecomposition failed"):
+            route()
+    argv = ["solve", "--case", str(CASES_DIR / "demo9.m"), "--k", "2", "--method", "two-stage"]
+    assert cli.main(argv) == 3
+    assert "eigendecomposition failed" in capsys.readouterr().err
 
 
 def test_stage2_disruption_equals_total_minus_tree(four_cycle):

@@ -16,6 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from gridtree.network import Bus, Line, Network, apply_switching, bridges, components  # noqa: E402
+
 # name -> (buses, clumps, chord ratio, seed, clump spread, cross chords per pair)
 SIZES = {
     "demo9": (9, 2, 0.40, 101, 1.1, (2, 5)),
@@ -90,19 +93,18 @@ def build_case(n: int, clumps: int, extra_ratio: float, seed: int, spread: float
 
     # real grids are (near) 2-edge-connected: reinforce every bridge with a
     # short chord across its cut until none remain, leaves included
-    import networkx as nx
-
+    # (line ids follow the sorted pairs, so the first bridge is the least pair)
+    buses = tuple(Bus(id=i, index=i, injection_mw=0.0) for i in range(n))
     while True:
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from(edges)
-        cut_edges = sorted(tuple(sorted(e)) for e in nx.bridges(g))
-        if not cut_edges:
+        pairs = sorted(edges)
+        net = Network(buses, tuple(Line(lid, a, b, 1.0) for lid, (a, b) in enumerate(pairs)))
+        cut_lines = bridges(net)
+        if not cut_lines:
             break
-        a, b = cut_edges[0]
-        g.remove_edge(a, b)
-        side_a = nx.node_connected_component(g, a)
-        side_b = nx.node_connected_component(g, b)
+        a, b = pairs[cut_lines[0]]
+        sides = components(apply_switching(net, cut_lines[:1]), range(n))
+        side_a = next(side for side in sides if a in side)
+        side_b = next(side for side in sides if b in side)
         candidates = sorted(
             (dist[u, v], min(u, v), max(u, v))
             for u in side_a
