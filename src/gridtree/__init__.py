@@ -20,20 +20,21 @@ _SOURCES = {
     "bnb": ("BnBStats", "solve_builtin"),
     "coherency": ("CoherencyGroups", "slow_coherency"),
     "dcflow": ("FlowSolution", "GenCost", "balanced_injections", "check_localization",
-               "disruption", "solve_dc", "solve_dcopf_via_bridge", "with_flows"),
+               "solve_dc", "solve_dcopf_via_bridge", "with_flows"),
     "errors": ("BridgeError", "BudgetError", "CaseParseError", "GridTreeError",
                "InfeasibleError", "ModelBuildError", "NetworkValidationError",
                "UnsupportedOperation"),
     "lp": ("MilpModel", "parse_lp"),
     "milp": ("SolverBridge", "build_model", "export_lp", "solve_via_bridge"),
     "network": ("Bus", "Line", "Network", "Partition", "ReducedGraph", "apply_switching",
-                "bridges", "cross_edges", "is_tree_partition", "merge_parallel", "parse_case",
-                "reduced_graph", "serialize_case"),
+                "bridges", "cross_edges", "disruption", "is_tree_partition",
+                "max_weight_spanning_tree", "merge_parallel", "parse_case", "reduced_graph",
+                "serialize_case"),
     "oracle": ("enumerate_optimal",),
     "routes": ("METHODS", "solve"),
     "solution": ("TreePartitionSolution", "solution_to_json", "validate_solution"),
     "steiner": ("SteinerFixings", "SteinerTree", "build_fixings", "steiner_tree"),
-    "twostage": ("constrained_spectral_partition", "max_weight_spanning_tree", "two_stage"),
+    "twostage": ("constrained_spectral_partition", "two_stage"),
 }
 _EXPORTS = {name: module for module, names in _SOURCES.items() for name in names}
 

@@ -1,24 +1,25 @@
 """Command-line front end and benchmark harness.
 
 Verbs: parse, flows, coherency, solve, steiner, bench, export-dot.
-Option precedence is flags > config file (flat key=value lines) >
-defaults.  Exit codes distinguish parse errors (2), validation errors
-(3), infeasibility (4), budget exhaustion (5), bridge failures (6) and
-model/configuration problems (7).  ``solve`` and ``bench`` load the case
-and the groups, then call ``gridtree.solve`` (``routes.solve``), which
-owns the method routes, the backend and ``runtime_s``.  A solve that
-stops at its time limit holding an unproved answer writes that answer,
-then exits 5.
+Each option is declared once, as a ``RunConfig`` field naming its
+reader, default and help; ``_VERBS`` names the options each verb's
+parser takes.  Option precedence is flags > config file (flat
+key=value lines) > defaults.  Exit codes distinguish parse errors (2),
+validation errors (3), infeasibility (4), budget exhaustion (5), bridge
+failures (6) and model/configuration problems (7).  ``solve`` and
+``bench`` load the case and the groups, then call ``gridtree.solve``
+(``routes.solve``), which owns the method routes, the backend and
+``runtime_s``.  A solve that stops at its time limit holding an
+unproved answer writes that answer, then exits 5.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -54,11 +55,7 @@ _SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no
 
 
 def _reader(wants: str, convert, ok=lambda value: True):
-    """An option's reader, text -> value.
-
-    It is the flag's argparse ``type=`` and also reads the config key of
-    the same name, so the two cannot disagree.
-    """
+    """An option's reader, text -> value, failing with one message."""
     def read(text: str):
         try:
             value = convert(text)
@@ -82,26 +79,31 @@ def _list_of(read):
     return lambda text: [read(x) for x in text.split(",") if x]
 
 
+def _option(default, read, help: str):
+    """A RunConfig field that is also an option: ``read`` is the argparse
+    ``type=`` of its flag (``--time-limit`` for ``time_limit``) and the
+    reader of its config key, so the two accept the same values and fail
+    with the same message.  A ``_switch`` option's flag takes no value."""
+    return field(default=default, metadata={"read": read, "help": help})
+
+
 @dataclass
 class RunConfig:
-    case: Optional[str] = None
-    k: int = 2
-    method: str = "milp"
-    groups: Optional[str] = None
-    slack: Optional[int] = None  # external bus id
-    bridge_cmd: Optional[str] = None
-    out: Optional[str] = None
-    no_timing: bool = False
-    limit: int = oracle.DEFAULT_LIMIT
-    time_limit: float = 600.0  # seconds, on every backend
+    case: Optional[str] = _option(None, str, "MATPOWER-subset case file (flag or config key)")
+    k: int = _option(2, _int, "number of clusters, one per coherent generator group (default 2)")
+    method: str = _option("milp", _method, f"{', '.join(routes.METHODS)} (default milp)")
+    groups: Optional[str] = _option(None, str, "groups JSON file (skips slow coherency)")
+    slack: Optional[int] = _option(None, _int, "slack bus external id (default: first bus)")
+    bridge_cmd: Optional[str] = _option(None, str, "external solver command template")
+    out: Optional[str] = _option(None, str, "output path (default stdout)")
+    no_timing: bool = _option(False, _switch, "zero runtime fields in outputs")
+    limit: int = _option(oracle.DEFAULT_LIMIT, _positive_int, "oracle enumeration limit")
+    time_limit: float = _option(
+        600.0, _seconds, "solver budget (s, default 600): the built-in B&B's limit or the "
+        "bridge's {timeout}; a stop there exits 5, writing any unproved answer")
 
 
-# RunConfig field -> the reader of its config key (and of its flag, if typed)
-_READERS = {
-    "case": str, "k": _int, "method": _method, "groups": str, "slack": _int,
-    "bridge_cmd": str, "out": str, "no_timing": _switch, "limit": _positive_int,
-    "time_limit": _seconds,
-}
+_OPTIONS = {f.name: f.metadata for f in fields(RunConfig)}
 
 
 def _merged_config(args: argparse.Namespace) -> RunConfig:
@@ -117,12 +119,12 @@ def _merged_config(args: argparse.Namespace) -> RunConfig:
             raise CaseParseError(f"config line is not key=value: {raw!r}", line_no=line_no)
         key, val = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key in _READERS:
+        if key in _OPTIONS:
             try:
-                setattr(cfg, key, _READERS[key](val.strip()))
+                setattr(cfg, key, _OPTIONS[key]["read"](val.strip()))
             except argparse.ArgumentTypeError as exc:
                 raise CaseParseError(f"config key {key} {exc}", line_no=line_no)
-    for name in _READERS:
+    for name in _OPTIONS:
         flag = getattr(args, name, None)
         if flag is not None and flag is not False:
             setattr(cfg, name, flag)
@@ -201,30 +203,26 @@ def _solve_with_config(cfg: RunConfig):
 # verbs
 # ---------------------------------------------------------------------------
 
-def cmd_parse(args) -> int:
-    cfg = _merged_config(args)
+def cmd_parse(cfg: RunConfig, args) -> int:
     net = _load_network(cfg.case)
     _emit(network_to_json(net), cfg.out)
     return 0
 
 
-def cmd_flows(args) -> int:
-    cfg = _merged_config(args)
+def cmd_flows(cfg: RunConfig, args) -> int:
     _, flows = _flowed_network(cfg)
     _emit(flows.to_json(), cfg.out)
     return 0
 
 
-def cmd_coherency(args) -> int:
-    cfg = _merged_config(args)
+def cmd_coherency(cfg: RunConfig, args) -> int:
     net = _load_network(cfg.case)
     groups = coherency.slow_coherency(net, cfg.k)
     _emit(coherency.groups_to_json(net, groups), cfg.out)
     return 0
 
 
-def cmd_solve(args) -> int:
-    cfg = _merged_config(args)
+def cmd_solve(cfg: RunConfig, args) -> int:
     net, sol, stop = _solve_with_config(cfg)
     _emit(solution_to_json(net, sol, include_runtime=not cfg.no_timing), cfg.out)
     if stop is not None:
@@ -232,8 +230,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_steiner(args) -> int:
-    cfg = _merged_config(args)
+def cmd_steiner(cfg: RunConfig, args) -> int:
     net, _ = _flowed_network(cfg)
     groups = _load_groups(net, cfg)
     trees = [steiner.steiner_tree(net, g) for g in groups.groups]
@@ -252,15 +249,14 @@ def cmd_steiner(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = _merged_config(args)
+def cmd_bench(cfg: RunConfig, args) -> int:
     cases = [c for c in args.cases.split(",") if c]
     rows = []
     objective: dict[tuple[str, int, str], float] = {}
     for case in cases:
         for k in args.k_values:
             for method in args.methods:
-                cell = dataclasses.replace(cfg, case=case, k=k, method=method)
+                cell = replace(cfg, case=case, k=k, method=method)
                 name = Path(case).stem
                 try:
                     _net, sol, stop = _solve_with_config(cell)
@@ -288,8 +284,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_export_dot(args) -> int:
-    cfg = _merged_config(args)
+def cmd_export_dot(cfg: RunConfig, args) -> int:
     sol_path = args.solution
     if sol_path:
         net, _ = _flowed_network(cfg)
@@ -307,23 +302,27 @@ def cmd_export_dot(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_output_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--slack", type=_int, help="slack bus external id (default: first bus)")
-    p.add_argument("--no-timing", action="store_true", help="zero runtime fields in outputs")
+# RunConfig options on every verb, whether or not it reads them
+_EVERY_VERB = ("out", "slack", "no_timing")
+_SOLVER = ("bridge_cmd", "time_limit")
 
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--case", help="MATPOWER-subset case file (flag or config key)")
-    _add_output_flags(p)
-
-
-def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--bridge-cmd", dest="bridge_cmd", help="external solver command template")
-    p.add_argument("--time-limit", dest="time_limit", type=_seconds,
-                   help="solver budget (s, default 600): the built-in B&B's limit or the "
-                   "bridge's {timeout}; a stop there exits 5, writing any unproved answer")
+# verb -> (function, help line, its RunConfig options, its own flags)
+_VERBS = {
+    "parse": (cmd_parse, "parse a case file and dump network JSON", ("case",), {}),
+    "flows": (cmd_flows, "solve the DC power flow", ("case",), {}),
+    "coherency": (cmd_coherency, "compute slow-coherency generator groups", ("case", "k"), {}),
+    "solve": (cmd_solve, "compute a tree partition",
+              ("case", "k", "method", "groups", "limit", *_SOLVER), {}),
+    "steiner": (cmd_steiner, "Steiner trees connecting each coherent group",
+                ("case", "k", "groups"), {}),
+    "bench": (cmd_bench, "benchmark methods across cases (CSV)", _SOLVER, {
+        "--cases": dict(required=True, help="comma-separated case files"),
+        "--k-values": dict(type=_list_of(_int), required=True, help="comma-separated k values"),
+        "--methods": dict(type=_list_of(_method), required=True, help="comma-separated methods"),
+    }),
+    "export-dot": (cmd_export_dot, "render a network or solution as DOT", ("case",),
+                   {"--solution": dict(help="solution JSON produced by solve")}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,57 +331,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tree partitioning of power networks with minimal flow disruption.",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("parse", help="parse a case file and dump network JSON")
-    _add_common(p)
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("flows", help="solve the DC power flow")
-    _add_common(p)
-    p.set_defaults(func=cmd_flows)
-
-    p = sub.add_parser("coherency", help="compute slow-coherency generator groups")
-    _add_common(p)
-    p.add_argument("--k", type=_int)
-    p.set_defaults(func=cmd_coherency)
-
-    p = sub.add_parser("solve", help="compute a tree partition")
-    _add_common(p)
-    p.add_argument("--k", type=_int)
-    p.add_argument("--method", type=_method, help=f"{', '.join(routes.METHODS)} (default milp)")
-    p.add_argument("--groups", help="groups JSON file (skips slow coherency)")
-    p.add_argument("--limit", type=_positive_int, help="oracle enumeration limit")
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("steiner", help="Steiner trees connecting each coherent group")
-    _add_common(p)
-    p.add_argument("--k", type=_int)
-    p.add_argument("--groups", help="groups JSON file")
-    p.set_defaults(func=cmd_steiner)
-
-    p = sub.add_parser("bench", help="benchmark methods across cases (CSV)")
-    p.add_argument("--cases", required=True, help="comma-separated case files")
-    p.add_argument("--k-values", dest="k_values", type=_list_of(_int), required=True,
-                   help="comma-separated k values")
-    p.add_argument("--methods", type=_list_of(_method), required=True,
-                   help="comma-separated methods")
-    _add_output_flags(p)
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("export-dot", help="render a network or solution as DOT")
-    _add_common(p)
-    p.add_argument("--solution", help="solution JSON produced by solve")
-    p.set_defaults(func=cmd_export_dot)
-
+    for verb, (func, help_line, options, own_flags) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_line)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="flat key=value config file")
+        for name in (*options, *_EVERY_VERB):
+            read = _OPTIONS[name]["read"]
+            takes = {"action": "store_true"} if read is _switch else {"type": read}
+            p.add_argument("--" + name.replace("_", "-"), help=_OPTIONS[name]["help"], **takes)
+        for flag, kwargs in own_flags.items():
+            p.add_argument(flag, **kwargs)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_merged_config(args), args)
     except GridTreeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         for cls, code in _EXIT_CODES:

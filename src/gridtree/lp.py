@@ -289,10 +289,11 @@ def parse_lp(text: str) -> MilpModel:
     a comment.  In Minimize and Subject To a line whose first word ends in
     ``:`` opens a row and any other line continues it; a row reads
     ``name: expression sense rhs``.  Bounds lines are ``name = v``,
-    ``lo <= name <= hi`` or ``name free``.  A row has no constant.  A name
-    starts with a letter or ``_`` and is not a keyword, a number or holds
-    an operator to other LP readers; a number is ASCII decimal, and a bound
-    may also be ``inf`` or ``-inf``.  Anything else is a BridgeError.
+    ``lo <= name <= hi`` or ``name free``; a binary's bound is ``= 0`` or
+    ``= 1``.  A row has no constant.  A name starts with a letter or ``_``
+    and is not a keyword, a number or holds an operator to other LP
+    readers; a number is ASCII decimal, and a bound may also be ``inf`` or
+    ``-inf``.  Anything else is a BridgeError.
     """
     found: dict[str, list[list[str]]] = {header: [] for header in _HEADERS}
     section = None
@@ -346,6 +347,11 @@ def parse_lp(text: str) -> MilpModel:
         else:
             raise BridgeError(f"unsupported LP bounds line {line!r}")
     binaries = {name for words in found[_BINARY] for name in words}
+    for name, bound in bounds.items():
+        # write_lp bounds a binary only by fixing it; HiGHS rejects some other
+        # bounds and solves others to values that are not 0 or 1
+        if name in binaries and bound not in ((0.0, 0.0), (1.0, 1.0)):
+            raise BridgeError(f"LP binary {name!r} has bounds other than = 0 or = 1")
 
     names = binaries | set(bounds) | {v for _, v in objective[0]}
     names.update(v for _, terms, _, _ in rows for _, v in terms)

@@ -1,6 +1,8 @@
 """CLI verbs, exit codes, config precedence, and byte-reproducibility."""
 
+import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -454,6 +456,64 @@ def test_flag_and_config_key_read_alike(capsys, tmp_path, name, value):
     cfg.write_text(f"{name}={value}\n")
     assert main(["solve", "--case", DEMO, "--config", str(cfg)]) == 2
     assert f"line 1: config key {name} {reader_message}" in capsys.readouterr().err
+
+
+# verb -> its flags: option string -> (dest, required, takes a value)
+_EVERY_VERB = {"--config": ("config", False, True), "--out": ("out", False, True),
+               "--slack": ("slack", False, True), "--no-timing": ("no_timing", False, False)}
+_CASE = {"--case": ("case", False, True)}
+_K = {"--k": ("k", False, True)}
+_GROUPS = {"--groups": ("groups", False, True)}
+_SOLVER = {"--bridge-cmd": ("bridge_cmd", False, True), "--time-limit": ("time_limit", False, True)}
+VERB_FLAGS = {
+    "parse": {**_EVERY_VERB, **_CASE},
+    "flows": {**_EVERY_VERB, **_CASE},
+    "coherency": {**_EVERY_VERB, **_CASE, **_K},
+    "solve": {**_EVERY_VERB, **_CASE, **_K, **_GROUPS, **_SOLVER,
+              "--method": ("method", False, True), "--limit": ("limit", False, True)},
+    "steiner": {**_EVERY_VERB, **_CASE, **_K, **_GROUPS},
+    "bench": {**_EVERY_VERB, **_SOLVER, "--cases": ("cases", True, True),
+              "--k-values": ("k_values", True, True), "--methods": ("methods", True, True)},
+    "export-dot": {**_EVERY_VERB, **_CASE, "--solution": ("solution", False, True)},
+}
+# RunConfig field -> a sample that reads to a value other than its default
+FIELD_SAMPLES = {"case": "grid.m", "k": "3", "method": "ssr", "groups": "groups.json",
+                 "slack": "7", "bridge_cmd": "true {model}", "out": "out.txt",
+                 "no_timing": "yes", "limit": "5", "time_limit": "2.5"}
+
+
+def _verb_parser(verb):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(VERB_FLAGS)
+    return sub.choices[verb]
+
+
+@pytest.mark.parametrize("verb", VERB_FLAGS)
+def test_each_verb_takes_exactly_its_flags(verb):
+    flags = {option: (a.dest, a.required, a.nargs != 0)
+             for a in _verb_parser(verb)._actions if a.dest != "help"
+             for option in a.option_strings}
+    assert flags == VERB_FLAGS[verb]
+
+
+@pytest.mark.parametrize("verb", VERB_FLAGS)
+def test_each_verb_flag_reads_like_its_config_key(verb, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the out sample is probed for writing
+    required = ["--cases", "a.m", "--k-values", "2", "--methods", "milp"] if verb == "bench" else []
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    options = [(flag, dest, takes_value) for flag, (dest, _, takes_value)
+               in VERB_FLAGS[verb].items() if dest in fields]
+    assert options
+    for flag, dest, takes_value in options:
+        sample = FIELD_SAMPLES[dest]
+        args = cli.build_parser().parse_args(
+            [verb, *required, flag, *([sample] if takes_value else [])])
+        (tmp_path / "c.cfg").write_text(f"{dest}={sample}\n")
+        from_key = getattr(cli._merged_config(argparse.Namespace(config="c.cfg")), dest)
+        from_flag = getattr(cli._merged_config(args), dest)
+        assert from_key != getattr(cli.RunConfig(), dest), dest
+        assert (type(from_flag), from_flag) == (type(from_key), from_key), dest
 
 
 def test_demo_case_solves(capsys):

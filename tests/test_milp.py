@@ -360,6 +360,8 @@ def test_parse_lp_rejects_unsupported():
         parse_lp("Minimize\n obj: x\nSubject To\n c: x >= 1 <= 2\nEnd\n")
 
 
+_BINARY_BOUNDS = "LP binary 'a' has bounds other than = 0 or = 1"
+
 # (edit of GOLDEN_TOY_LP, what parse_lp says about the result)
 MALFORMED_LPS = pytest.mark.parametrize(
     "old, new, message",
@@ -421,6 +423,14 @@ MALFORMED_LPS = pytest.mark.parametrize(
         # ... and names that start like a number
         (" a\n", " 3\n", "LP name '3' does not start with a letter or _"),
         (" 0 <= b <= 2.5\n", " 3 = 1\n", "LP name '3' does not start with a letter or _"),
+        # write_lp bounds a binary only as `name = 0` or `name = 1`: HiGHS rejects
+        # some other bounds (-inf) and solves others to -1, 2 or infeasible
+        (" 0 <= b <= 2.5\n", " 0 <= b <= 2.5\n -inf <= a <= 5\n", _BINARY_BOUNDS),
+        (" 0 <= b <= 2.5\n", " 0 <= b <= 2.5\n a free\n", _BINARY_BOUNDS),
+        (" 0 <= b <= 2.5\n", " 0 <= b <= 2.5\n a = -inf\n", _BINARY_BOUNDS),
+        (" 0 <= b <= 2.5\n", " 0 <= b <= 2.5\n -1 <= a <= 5\n", _BINARY_BOUNDS),
+        (" 0 <= b <= 2.5\n", " 0 <= b <= 2.5\n a = 2\n", _BINARY_BOUNDS),
+        (" 0 <= b <= 2.5\n", " 0 <= b <= 2.5\n a = 0.5\n", _BINARY_BOUNDS),
     ],
     ids=["general-section", "text-before-sections", "one-sided-bound", "row-without-sense",
          "row-with-two-senses", "continuation-before-any-row", "two-signs-in-a-row",
@@ -430,7 +440,9 @@ MALFORMED_LPS = pytest.mark.parametrize(
          "name-s.t.", "binary-named-bin", "bound-on-general", "row-named-st",
          "objective-named-minimize", "name-with-an-operator", "row-constant",
          "number-with-an-underscore", "number-nan", "number-in-arabic-indic-digits",
-         "bound-minus-infinity", "binary-named-3", "bound-on-3"],
+         "bound-minus-infinity", "binary-named-3", "bound-on-3", "binary-minus-inf-to-5",
+         "binary-free", "binary-fixed-to-minus-inf", "binary-minus-1-to-5", "binary-fixed-to-2",
+         "binary-fixed-to-0.5"],
 )
 
 

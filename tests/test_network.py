@@ -1,6 +1,7 @@
 """Network model: parsing, merging, partitions, bridges, switching."""
 
 import runpy
+import subprocess
 import sys
 
 import numpy as np
@@ -269,6 +270,20 @@ def test_gen_cases_rebuilds_every_bundled_case_without_networkx(monkeypatch):
     assert sorted(gen["SIZES"]) == sorted(path.stem for path in CASES_DIR.glob("*.m"))
     for name, params in gen["SIZES"].items():
         assert gen["build_case"](*params) == (CASES_DIR / f"{name}.m").read_text(), name
+
+
+def test_package_exports_defined_in_network_load_no_numpy():
+    # both are defined in network, which needs only the standard library
+    code = """
+import sys
+import gridtree
+assert gridtree.disruption is sys.modules["gridtree.network"].disruption
+assert gridtree.max_weight_spanning_tree is gridtree.network.max_weight_spanning_tree
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "gridtree")
+assert loaded == ["gridtree", "gridtree.errors", "gridtree.network"], loaded
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_network_json_field_names():
