@@ -25,7 +25,7 @@ _SOURCES = {
                "InfeasibleError", "ModelBuildError", "NetworkValidationError",
                "UnsupportedOperation"),
     "lp": ("MilpModel", "parse_lp"),
-    "milp": ("SolverBridge", "build_model", "export_lp", "solve_via_bridge"),
+    "milp": ("SolverBridge", "build_model", "solve_via_bridge"),
     "network": ("Bus", "Line", "Network", "Partition", "ReducedGraph", "apply_switching",
                 "bridges", "cross_edges", "disruption", "is_tree_partition",
                 "max_weight_spanning_tree", "merge_parallel", "parse_case", "reduced_graph",

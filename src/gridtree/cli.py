@@ -165,14 +165,18 @@ def _read_text(path: str, what: str) -> str:
         raise CaseParseError(f"cannot read {what} {path!r}: {exc.strerror or exc}")
 
 
-def _load_network(case_path) -> Network:
-    if not case_path:
+def _load_network(cfg: RunConfig) -> Network:
+    """The parsed case; an unknown ``--slack`` bus fails here, on every verb."""
+    if not cfg.case:
         raise ModelBuildError("no case file given (use --case or a config entry)")
-    return parse_case(_read_text(case_path, "case file"))
+    net = parse_case(_read_text(cfg.case, "case file"))
+    if cfg.slack is not None:
+        net.index_of(cfg.slack)
+    return net
 
 
 def _flowed_network(cfg: RunConfig):
-    net = _load_network(cfg.case)
+    net = _load_network(cfg)
     slack = net.index_of(cfg.slack) if cfg.slack is not None else 0
     flows = dcflow.solve_dc(net, slack, dcflow.balanced_injections(net))
     return dcflow.with_flows(net, flows), flows
@@ -204,7 +208,7 @@ def _solve_with_config(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_parse(cfg: RunConfig, args) -> int:
-    net = _load_network(cfg.case)
+    net = _load_network(cfg)
     _emit(network_to_json(net), cfg.out)
     return 0
 
@@ -216,7 +220,7 @@ def cmd_flows(cfg: RunConfig, args) -> int:
 
 
 def cmd_coherency(cfg: RunConfig, args) -> int:
-    net = _load_network(cfg.case)
+    net = _load_network(cfg)
     groups = coherency.slow_coherency(net, cfg.k)
     _emit(coherency.groups_to_json(net, groups), cfg.out)
     return 0
@@ -231,7 +235,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
 
 def cmd_steiner(cfg: RunConfig, args) -> int:
-    net, _ = _flowed_network(cfg)
+    net = _load_network(cfg)
     groups = _load_groups(net, cfg)
     trees = [steiner.steiner_tree(net, g) for g in groups.groups]
     doc = {
@@ -256,7 +260,8 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     for case in cases:
         for k in args.k_values:
             for method in args.methods:
-                cell = replace(cfg, case=case, k=k, method=method)
+                # each cell computes its own groups: one file fits one case and k
+                cell = replace(cfg, case=case, k=k, method=method, groups=None)
                 name = Path(case).stem
                 try:
                     _net, sol, stop = _solve_with_config(cell)
@@ -292,7 +297,7 @@ def cmd_export_dot(cfg: RunConfig, args) -> int:
         validate_solution(net, sol)
         text = render.to_dot(net, sol)
     else:
-        net = _load_network(cfg.case)
+        net = _load_network(cfg)
         text = render.to_dot(net)
     _emit(text, cfg.out)
     return 0

@@ -106,8 +106,10 @@ def _farthest_first_seeds(rows: np.ndarray, k: int) -> list[int]:
     return seeds[:k]
 
 
-def _kmeans(rows: np.ndarray, centroids: np.ndarray, pinned: int = 0,
-            max_iter: int = 200) -> np.ndarray:
+_KMEANS_MAX_ITER = 200
+
+
+def _kmeans(rows: np.ndarray, centroids: np.ndarray, pinned: int = 0) -> np.ndarray:
     """Deterministic Lloyd iteration from the given initial centroids.
 
     Rows 0..pinned-1 stay in clusters 0..pinned-1.  A cluster left empty
@@ -118,7 +120,7 @@ def _kmeans(rows: np.ndarray, centroids: np.ndarray, pinned: int = 0,
     centroids = centroids.copy()
     labels = np.full(n, -1, dtype=int)
     labels[:pinned] = np.arange(pinned)
-    for _it in range(max_iter):
+    for _it in range(_KMEANS_MAX_ITER):
         dist = np.linalg.norm(rows[:, None, :] - centroids[None, :, :], axis=2)
         new_labels = np.argmin(dist, axis=1)  # argmin takes lowest index on ties
         new_labels[:pinned] = np.arange(pinned)

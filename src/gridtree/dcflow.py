@@ -65,10 +65,6 @@ class GenCost:
     pmax: Optional[float] = None
 
 
-def _injection_vector(net: Network) -> np.ndarray:
-    return np.array([b.injection_mw for b in net.buses], dtype=float)
-
-
 def laplacian(net: Network) -> np.ndarray:
     """Susceptance-weighted bus Laplacian (per unit), dense."""
     rows, cols, vals = [], [], []
@@ -129,7 +125,7 @@ def solve_dc(
         raise NetworkValidationError("cannot solve DC flow on a disconnected network")
 
     if injections_mw is None:
-        p = _injection_vector(net)
+        p = np.array([b.injection_mw for b in net.buses], dtype=float)
     else:
         p = np.asarray(injections_mw, dtype=float)
         if p.shape != (n,):
@@ -247,10 +243,8 @@ def solve_dcopf_via_bridge(net: Network, costs: Sequence[GenCost], bridge) -> Fl
     for c in costs:
         model.add_variable(f"pg_{idx[c.bus_id]}", "continuous", c.pmin, c.pmax)
     for b in net.buses:
-        if b.index == slack:
-            model.add_variable(f"th_{b.index}", "continuous", 0.0, 0.0)
-        else:
-            model.add_variable(f"th_{b.index}", "continuous", -np.inf, np.inf)
+        lb, ub = (0.0, 0.0) if b.index == slack else (-np.inf, np.inf)
+        model.add_variable(f"th_{b.index}", "continuous", lb, ub)
 
     dispatchable = {idx[c.bus_id]: c for c in costs}
     for b in net.buses:

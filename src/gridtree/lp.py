@@ -43,6 +43,9 @@ class Constraint:
     rhs: float
 
 
+_VIOLATION_TOL = 1e-6
+
+
 class MilpModel:
     """Linear objective + linear constraints over named variables."""
 
@@ -91,21 +94,21 @@ class MilpModel:
             c * values.get(v, 0.0) for c, v in self.objective
         )
 
-    def constraint_violations(self, values: Mapping[str, float], tol: float = 1e-6):
+    def constraint_violations(self, values: Mapping[str, float]):
         """Names of constraints (and bound violations) not satisfied."""
         bad = []
         for con in self.constraints:
             lhs = sum(c * values.get(v, 0.0) for c, v in con.terms)
-            if con.sense == "<=" and lhs > con.rhs + tol:
+            if con.sense == "<=" and lhs > con.rhs + _VIOLATION_TOL:
                 bad.append(con.name)
-            elif con.sense == ">=" and lhs < con.rhs - tol:
+            elif con.sense == ">=" and lhs < con.rhs - _VIOLATION_TOL:
                 bad.append(con.name)
-            elif con.sense == "=" and abs(lhs - con.rhs) > tol:
+            elif con.sense == "=" and abs(lhs - con.rhs) > _VIOLATION_TOL:
                 bad.append(con.name)
         for var in self.variables:
             lb, ub = var.effective_bounds()
             val = values.get(var.name, 0.0)
-            if val < lb - tol or val > ub + tol:
+            if val < lb - _VIOLATION_TOL or val > ub + _VIOLATION_TOL:
                 bad.append(f"bounds:{var.name}")
         return bad
 
@@ -152,15 +155,19 @@ def _expr(terms, constant=0.0) -> str:
     return " ".join(parts)
 
 
-def _wrap(text: str, width: int = 72) -> list[str]:
-    """Indented lines of at most ``width`` characters past the indent,
-    broken between words; ``text`` holds words joined by single spaces."""
-    if len(text) <= width:
+_LINE_WIDTH = 72
+
+
+def _wrap(text: str) -> list[str]:
+    """Indented lines of at most ``_LINE_WIDTH`` characters past the
+    indent, broken between words; ``text`` holds words joined by single
+    spaces."""
+    if len(text) <= _LINE_WIDTH:
         return [" " + text]
     words = text.split()
     lines, cur = [], ""
     for w in words:
-        if cur and len(cur) + len(w) + 1 > width:
+        if cur and len(cur) + len(w) + 1 > _LINE_WIDTH:
             lines.append(" " + cur)
             cur = w
         else:

@@ -46,7 +46,6 @@ __all__ = [
     "build_model",
     "add_chain_rows",
     "write_lp",
-    "export_lp",
     "parse_lp",
     "run_bridge",
     "solve_via_bridge",
@@ -97,24 +96,16 @@ def build_model(
 
     model = MilpModel(name="treepartition")
     for i in range(n):
+        fixed = bus_fixed.get(i)
         for r in range(1, k + 1):
-            fixed = bus_fixed.get(i)
-            if fixed is None:
-                model.add_variable(_xname(i, r), "binary")
-            else:
-                one = 1.0 if fixed == r else 0.0
-                model.add_variable(_xname(i, r), "binary", one, one)
+            value = None if fixed is None else float(fixed == r)
+            model.add_variable(_xname(i, r), "binary", value, value)
     for ln in net.lines:
         for r in range(1, k + 1):
-            if edge_fixed.get(ln.id) == r:
-                model.add_variable(_lname("y", ln, r), "binary", 1.0, 1.0)
-            else:
-                model.add_variable(_lname("y", ln, r), "binary")
-    for ln in net.lines:
+            value = 1.0 if edge_fixed.get(ln.id) == r else None
+            model.add_variable(_lname("y", ln, r), "binary", value, value)
         model.add_variable(_lname("z", ln), "binary")
-    for ln in net.lines:
         model.add_variable(_lname("w", ln), "binary")
-    for ln in net.lines:
         model.add_variable(_lname("q", ln), "continuous", -(n - 1), n - 1)
 
     # each bus in exactly one cluster
@@ -300,12 +291,6 @@ class SolverBridge:
         ]
 
 
-def export_lp(model: MilpModel, path) -> None:
-    # write_lp is looked up in this module at call time, so a wrapper set
-    # on gridtree.milp.write_lp sees every LP the bridge writes
-    Path(path).write_text(write_lp(model))
-
-
 def run_bridge(model: MilpModel, bridge: SolverBridge) -> dict[str, float]:
     """Export, invoke the solver, and read back the values of a proved optimum.
 
@@ -320,7 +305,7 @@ def run_bridge(model: MilpModel, bridge: SolverBridge) -> dict[str, float]:
     with tempfile.TemporaryDirectory(prefix="gridtree_") as tmp:
         model_path = str(Path(tmp) / "model.lp")
         solution_path = str(Path(tmp) / "model.sol")
-        export_lp(model, model_path)
+        Path(model_path).write_text(write_lp(model))
         cmd = bridge.render(model_path, solution_path)
         # grace period past the solver's own limit before a hard kill; a
         # deadline the OS timers cannot hold means no kill at all

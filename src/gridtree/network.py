@@ -241,16 +241,12 @@ def merge_parallel(records: Sequence[RawBranch]) -> list[Line]:
     and summed; susceptances add; capacities add unless any branch of the
     pair is unlimited (None), which makes the merged line unlimited.
     """
-    order: list[tuple[int, int]] = []
     acc: dict[tuple[int, int], list] = {}
     for rec in records:
         a, b = rec.from_bus, rec.to_bus
         sign = 1.0 if a < b else -1.0
         key = (min(a, b), max(a, b))
-        if key not in acc:
-            acc[key] = [0.0, 0.0, 0.0, False]  # susceptance, flow, cap, unlimited
-            order.append(key)
-        slot = acc[key]
+        slot = acc.setdefault(key, [0.0, 0.0, 0.0, False])  # susceptance, flow, cap, unlimited
         slot[0] += rec.susceptance
         slot[1] += sign * rec.flow_mw
         if rec.capacity_mw is None:
@@ -258,8 +254,7 @@ def merge_parallel(records: Sequence[RawBranch]) -> list[Line]:
         else:
             slot[2] += rec.capacity_mw
     out = []
-    for lid, key in enumerate(order):
-        sus, flow, cap, unlimited = acc[key]
+    for lid, (key, (sus, flow, cap, unlimited)) in enumerate(acc.items()):
         out.append(
             Line(
                 id=lid,

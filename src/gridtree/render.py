@@ -34,26 +34,20 @@ def to_dot(net: Network, solution: Optional[TreePartitionSolution] = None) -> st
     out = ["graph network {"]
     out.append('  node [shape=circle style=filled fontsize=10 fixedsize=false];')
     if solution is None:
-        bold = set(bridges(net))
-        for b in net.buses:
-            out.append(f'  b{b.id} [fillcolor="#dddddd"];')
-        for ln in net.lines:
-            attrs = " [penwidth=2.5]" if ln.id in bold else ""
-            out.append(f"  b{net.buses[ln.from_bus].id} -- b{net.buses[ln.to_bus].id}{attrs};")
+        bold, dashed = set(bridges(net)), frozenset()
+        colors = ["#dddddd"] * net.n
     else:
-        assign = solution.partition.assignment
-        for b in net.buses:
-            color = PALETTE[(assign[b.index] - 1) % len(PALETTE)]
-            out.append(f'  b{b.id} [fillcolor="{color}"];')
-        for ln in net.lines:
-            attrs = []
-            if ln.id in solution.switched:
-                attrs.append('style=dashed color="#e31a1c"')
-            elif ln.id in solution.retained_bridges:
-                attrs.append("penwidth=2.5")
-            suffix = f" [{' '.join(attrs)}]" if attrs else ""
-            out.append(
-                f"  b{net.buses[ln.from_bus].id} -- b{net.buses[ln.to_bus].id}{suffix};"
-            )
+        bold, dashed = solution.retained_bridges, solution.switched
+        colors = [PALETTE[(r - 1) % len(PALETTE)] for r in solution.partition.assignment]
+    for b in net.buses:
+        out.append(f'  b{b.id} [fillcolor="{colors[b.index]}"];')
+    for ln in net.lines:
+        if ln.id in dashed:
+            attrs = ' [style=dashed color="#e31a1c"]'
+        elif ln.id in bold:
+            attrs = " [penwidth=2.5]"
+        else:
+            attrs = ""
+        out.append(f"  b{net.buses[ln.from_bus].id} -- b{net.buses[ln.to_bus].id}{attrs};")
     out.append("}")
     return "\n".join(out) + "\n"

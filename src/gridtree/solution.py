@@ -25,6 +25,8 @@ from .network import (
     reduced_graph,
 )
 
+DISRUPTION_TOL_MW = 1e-6
+
 METHOD_TWO_STAGE = "TWO_STAGE"
 METHOD_MILP = "MILP"
 METHOD_SSR = "SSR"
@@ -69,7 +71,7 @@ def partition_solution(net: Network, partition: Partition, method: str) -> TreeP
     )
 
 
-def validate_solution(net: Network, sol: TreePartitionSolution, groups=None, tol: float = 1e-6):
+def validate_solution(net: Network, sol: TreePartitionSolution, groups=None):
     """Raise NetworkValidationError unless every solution invariant holds."""
     p = sol.partition
     cross = set(cross_edges(net, p))
@@ -91,7 +93,7 @@ def validate_solution(net: Network, sol: TreePartitionSolution, groups=None, tol
             if p.assignment[bus] != r:
                 raise NetworkValidationError(f"coherent generator bus {bus} left cluster {r}")
     actual = disruption(net, sol.switched)
-    if abs(actual - sol.disruption_mw) > tol:
+    if abs(actual - sol.disruption_mw) > DISRUPTION_TOL_MW:
         raise NetworkValidationError(
             f"reported disruption {sol.disruption_mw} != recomputed {actual}"
         )

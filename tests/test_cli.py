@@ -15,10 +15,13 @@ import pytest
 
 from gridtree import cli, milpsolve
 from gridtree.cli import main
+from gridtree.coherency import slow_coherency
 from gridtree.milp import solution_to_values
+from gridtree.render import to_dot
 from gridtree.solution import solution_from_json, validate_solution
+from gridtree.twostage import two_stage
 
-from conftest import BRIDGE_CMD, CASES_DIR
+from conftest import BRIDGE_CMD, CASES_DIR, case_net
 
 DEMO = str(CASES_DIR / "demo9.m")
 DEMO_TEXT = Path(DEMO).read_text()
@@ -143,6 +146,25 @@ def test_export_dot_without_solution(capsys, toy_case):
     assert dot.count("--") == 4
 
 
+# SHA-256 of to_dot on a bundled case, without and with its two-stage
+# solution for slow-coherency groups
+PINNED_DOT_SHA256 = {
+    ("demo9", 2): ("f1ebc51de8b9dde3fda50293e1c0aef3435cb8cef987b8c1cf4145e8a6153a6e",
+                   "eb330e3ffc0a2a29e7d40aa4bda09fdde69e59273e15d58ada8fbc01da063379"),
+    ("net030", 3): ("013b8a98508a8a8203abe6491798498750ed0a6ee2fad0887c1ea38944ee438a",
+                    "c26cbdd10be17aa27f3850d3232367514efcfd2d5fba8c933833bfd7cc4e50a1"),
+}
+
+
+@pytest.mark.parametrize("case, k", sorted(PINNED_DOT_SHA256))
+def test_dot_renders_are_pinned(case, k):
+    net = case_net(case)
+    sol = two_stage(net, slow_coherency(net, k))
+    dots = (to_dot(net), to_dot(net, sol))
+    assert tuple(hashlib.sha256(dot.encode()).hexdigest() for dot in dots) == (
+        PINNED_DOT_SHA256[(case, k)])
+
+
 def test_steiner_verb(capsys, toy_case):
     code, out = run(capsys, "steiner", "--case", toy_case, "--k", "2")
     assert code == 0
@@ -177,6 +199,19 @@ def test_bench_records_failures_and_continues(capsys, tmp_path, toy_case):
     assert len(lines) == 3
     assert lines[1].endswith("ok")
     assert lines[2].endswith("CaseParseError")
+
+
+def test_bench_ignores_a_config_groups_key(capsys, tmp_path):
+    # one groups file fits one case and k; every bench cell computes its own
+    groups = tmp_path / "g.json"
+    assert main(["coherency", "--case", DEMO, "--k", "2", "--out", str(groups)]) == 0
+    config = tmp_path / "c.cfg"
+    config.write_text(f"groups={groups}\n")
+    bench = ["bench", "--cases", f"{DEMO},{CASES_DIR / 'net030.m'}", "--k-values", "2,3",
+             "--methods", "milp", "--no-timing"]
+    plain = run(capsys, *bench)
+    assert plain[0] == 0 and "NetworkValidationError" not in plain[1]
+    assert run(capsys, *bench, "--config", str(config)) == plain
 
 
 def test_byte_identical_reruns(capsys, toy_case):
@@ -645,6 +680,9 @@ def test_demo_case_solves(capsys):
             {"c.m": DEMO_TEXT.replace("\t1\t1\t14.5\t", "\t1\t1\t1e61\t")},
             ["solve", "--case", "c.m"], 3, "values too extreme for a DC solve",
         ),
+        ({}, ["parse", "--slack", "999"], 3, "unknown bus id 999"),
+        ({}, ["coherency", "--k", "2", "--slack", "999"], 3, "unknown bus id 999"),
+        ({}, ["export-dot", "--slack", "999"], 3, "unknown bus id 999"),
     ],
     ids=["unknown-slack", "groups-no-k", "groups-unknown-bus", "groups-not-json",
          "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int",
@@ -654,7 +692,8 @@ def test_demo_case_solves(capsys):
          "solution-bus-twice", "solution-k-mismatch", "solution-bad-switched",
          "case-fractional-bus-id", "case-fractional-gen-bus", "case-fractional-branch-bus",
          "case-nan-base-mva", "case-nan-pd", "case-inf-pg", "case-inf-br-x", "case-nan-rate-a",
-         "case-nan-br-status", "case-tiny-base-mva", "case-huge-pd"],
+         "case-nan-br-status", "case-tiny-base-mva", "case-huge-pd",
+         "unknown-slack-parse", "unknown-slack-coherency", "unknown-slack-export-dot"],
 )
 def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, message):
     for name, text in files.items():

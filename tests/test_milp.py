@@ -321,6 +321,22 @@ def test_run_bridge_writes_the_lp_through_milp_write_lp(bridge, monkeypatch):
     assert written == [model]
 
 
+def test_a_wrapper_on_milp_write_lp_sees_the_lp_solve_via_bridge_writes(bridge, monkeypatch):
+    # the benchmark times write_lp and counts LP bytes through this wrapper
+    net = case_net("demo9")
+    groups = slow_coherency(net, 2)
+    want = solve_via_bridge(net, groups, bridge)
+    written = []
+
+    def traced(model):
+        written.append(model)
+        return write_lp(model)
+
+    monkeypatch.setattr(milp, "write_lp", traced)
+    assert solve_via_bridge(net, groups, bridge) == want
+    assert len(written) == 1
+
+
 def test_run_bridge_reads_a_model_highs_rejects_as_a_bridge_failure(bridge):
     # HiGHS rejects a 1e300 coefficient (kModelError): a bad model, not "infeasible"
     model = toy_model()
