@@ -1,42 +1,35 @@
 """Solver-agnostic linear model and the CPLEX-LP dialect it is written in.
 
-``MilpModel`` holds named variables, linear rows and a linear objective;
-``write_lp`` renders it as LP text and ``parse_lp`` reads that text back.
-The module needs only the standard library and ``gridtree.errors``, so the
-``gridtree.milpsolve`` solver child can read a model without loading the
-rest of the package.
+``MilpModel`` holds named variables, linear rows and a linear objective, and
+``write_lp`` renders it as LP text.  ``read_lp`` reads that text by one grammar:
+``parse_lp`` builds a model from its reading, the ``gridtree.milpsolve`` solver
+child counts it.  Needing only the standard library and ``gridtree.errors``, the
+module loads neither the rest of the package nor ``dataclasses`` into the child.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import BridgeError, ModelBuildError
 
-__all__ = ["Variable", "Constraint", "MilpModel", "write_lp", "parse_lp"]
+__all__ = ["Variable", "Constraint", "MilpModel", "write_lp", "parse_lp", "read_lp", "read_terms"]
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     kind: str  # "binary" | "continuous"
     lb: Optional[float] = None
     ub: Optional[float] = None
 
     def effective_bounds(self) -> tuple[float, float]:
-        if self.kind == "binary":
-            return (0.0 if self.lb is None else self.lb, 1.0 if self.ub is None else self.ub)
-        return (
-            0.0 if self.lb is None else self.lb,
-            math.inf if self.ub is None else self.ub,
-        )
+        ub = 1.0 if self.kind == "binary" else math.inf
+        return (0.0 if self.lb is None else self.lb, ub if self.ub is None else self.ub)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     terms: tuple[tuple[float, str], ...]
     sense: str  # "<=" | ">=" | "="
@@ -90,20 +83,16 @@ class MilpModel:
         return sum(1 for v in self.variables if v.kind == "continuous")
 
     def objective_value(self, values: Mapping[str, float]) -> float:
-        return self.objective_constant + sum(
-            c * values.get(v, 0.0) for c, v in self.objective
-        )
+        return self.objective_constant + sum(c * values.get(v, 0.0) for c, v in self.objective)
 
     def constraint_violations(self, values: Mapping[str, float]):
         """Names of constraints (and bound violations) not satisfied."""
         bad = []
         for con in self.constraints:
             lhs = sum(c * values.get(v, 0.0) for c, v in con.terms)
-            if con.sense == "<=" and lhs > con.rhs + _VIOLATION_TOL:
-                bad.append(con.name)
-            elif con.sense == ">=" and lhs < con.rhs - _VIOLATION_TOL:
-                bad.append(con.name)
-            elif con.sense == "=" and abs(lhs - con.rhs) > _VIOLATION_TOL:
+            if (con.sense == "<=" and lhs > con.rhs + _VIOLATION_TOL
+                    or con.sense == ">=" and lhs < con.rhs - _VIOLATION_TOL
+                    or con.sense == "=" and abs(lhs - con.rhs) > _VIOLATION_TOL):
                 bad.append(con.name)
         for var in self.variables:
             lb, ub = var.effective_bounds()
@@ -113,15 +102,10 @@ class MilpModel:
         return bad
 
     def _canonical(self):
-        return (
-            sorted((v.name, v.kind, v.effective_bounds()) for v in self.variables),
-            sorted(
-                (c.name, tuple(sorted((v, coef) for coef, v in c.terms)), c.sense, c.rhs)
-                for c in self.constraints
-            ),
-            tuple(sorted((v, c) for c, v in self.objective)),
-            self.objective_constant,
-        )
+        return (sorted((v.name, v.kind, v.effective_bounds()) for v in self.variables),
+                sorted((c.name, tuple(sorted((v, coef) for coef, v in c.terms)), c.sense, c.rhs)
+                       for c in self.constraints),
+                tuple(sorted((v, c) for c, v in self.objective)), self.objective_constant)
 
     def __eq__(self, other):
         return isinstance(other, MilpModel) and self._canonical() == other._canonical()
@@ -225,25 +209,45 @@ def write_lp(model: MilpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-# words that LP readers such as HiGHS's take for keywords, in any letter
-# case, and the characters they take for operators inside a word
-_KEYWORDS = frozenset("minimize minimum min maximize maximum max st s.t. bounds bound free "
-                      "binary binaries bin general generals gen integer integers semis semi "
-                      "sos end".split())
-_OPERATORS = frozenset("+-*/^<>=:[]")
-
-
-# the decimal numbers C's strtod reads; Python's float also reads "1_0",
-# "nan" and non-ASCII digits, which LP readers such as HiGHS's reject
-_DECIMAL = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+# The dialect's grammar: a number class, a name class and a regex per line form.
+# A number is an ASCII decimal as C's strtod reads it (Python's float also reads
+# "1_0", "nan" and non-ASCII digits, which HiGHS's reader rejects).  A name starts
+# with a letter or _; to LP readers such as HiGHS's it is no keyword in any letter
+# case, holds no operator and does not start like the strtod numbers inf and nan.
+_KEYWORDS = ("minimize minimum min maximize maximum max st s.t. bounds bound free binary "
+             "binaries bin general generals gen integer integers semis semi sos end").split()
+_OPERATORS = r"+\-*/^<>=:\[\]"
+_NUMBER = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+_RESERVED = (rf"(?ai:(?=[{''.join(sorted({word[0] for word in _KEYWORDS}))}in])"  # quick test first
+             rf"(?:(?:{'|'.join(map(re.escape, _KEYWORDS))})(?![^\s{_OPERATORS}])|inf|nan))")
+_NAME = rf"(?!{_RESERVED})[^\W\d][^\s{_OPERATORS}]*"
+_BOUND = rf"-?inf|{_NUMBER}"
+_TERM = rf"(?:{_NAME}|{_NUMBER}\s+{_NAME})"
+# [sign] term, sign term ..., sign constant; or [sign] constant; or nothing.  A row's
+# constant is zero: other LP readers drop it instead of moving it to the rhs.
+_EXPRESSION = (rf"(?:\s+(?P<terms>(?:[-+]\s+)?{_TERM}(?:\s+[-+]\s+{_TERM})*))?"
+               r"(?:\s+(?P<constant>(?(terms)[-+]\s+|(?:[-+]\s+)?)%s))?")  # % its number class
+_DECIMAL, _WORD = re.compile(_NUMBER), re.compile(_NAME)
+_OBJECTIVE = re.compile(rf"(?P<name>{_NAME}):" + _EXPRESSION % _NUMBER)
+_ZERO = r"[-+]?(?:0+\.?0*|\.0+)(?:[eE][-+]?[0-9]+)?"
+_ROW = re.compile(rf"^(?P<name>{_NAME}):{_EXPRESSION % _ZERO}"
+                  rf"\s+(?P<sense><=|>=|=)\s+(?P<rhs>{_NUMBER})$", re.M)
+_BOUNDS_LINE = re.compile(rf"(?P<fixed>{_NAME})\s+=\s+(?P<value>{_BOUND})"
+                          rf"|(?P<lo>{_BOUND})\s+<=\s+(?P<ranged>{_NAME})\s+<=\s+(?P<hi>{_BOUND})"
+                          rf"|(?P<free>{_NAME})\s+free")
+_BINARY_LINE = re.compile(rf"{_NAME}(?:\s+{_NAME})*")
+_TERMS = re.compile(rf"\s*(?:([-+])\s+)?(?:({_NUMBER})\s+)?({_NAME})")  # of a matched expression
+_COMMENT = re.compile(r"\\[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")  # to the end of its line
+# the first pair of words (Sign, Number, Variable name) or end that breaks the rules
+_MISREAD = re.compile(r"(?P<number>N[SN])|(?P<signs>SS)|(?P<unsigned>V[VN])|(?P<dangling>S$)")
+_MISREADINGS = {"number": "a number is not followed by a name", "signs": "two signs in a row",
+                "unsigned": "no sign before {!r}", "dangling": "a sign is not followed by a term"}
 
 
 def _name(word: str) -> str:
     if not (word[:1].isalpha() or word[:1] == "_"):
         raise BridgeError(f"LP name {word!r} does not start with a letter or _")
-    # C's strtod reads a word starting with inf or nan as a number: "info" is inf, o
-    folded = word.lower()
-    if folded in _KEYWORDS or folded.startswith(("inf", "nan")) or not _OPERATORS.isdisjoint(word):
+    if not _WORD.fullmatch(word):
         raise BridgeError(f"LP readers read {word!r} as a keyword, a number or an operator")
     return word
 
@@ -254,118 +258,114 @@ def _number(word: str, where: str) -> float:
     return float(word)
 
 
-def _bound(word: str, where: str) -> float:
-    """A bound value: a number, or ``inf`` / ``-inf`` as write_lp writes them."""
-    return float(word) if word in ("inf", "-inf") else _number(word, where)
+def _reject(line: str, section: str):
+    """Raise why the grammar rejects ``line`` of ``section``: the first rule it breaks."""
+    words = line.split()
+    line = " ".join(words)
+    if section == _BOUNDS:  # n stands for a name and v for a bound value
+        shape = {2: "n free", 3: "n = v", 5: "v <= n <= v"}.get(len(words), "").split()
+        if shape and all(part in ("n", "v") or word == part for word, part in zip(words, shape)):
+            for word, part in zip(words, shape):
+                if part == "n":
+                    _name(word)
+                elif part == "v" and word not in ("inf", "-inf"):
+                    _number(word, line)
+        raise BridgeError(f"unsupported LP bounds line {line!r}")
+    if section == _SUBJECT_TO:
+        if [i for i, word in enumerate(words) if word in ("<=", ">=", "=")] != [len(words) - 2]:
+            raise BridgeError(f"LP row is not `name: expression sense rhs`: {line!r}")
+        _number(words[-1], line)
+        del words[-2:]
+    _name(words[0][:-1])
+    kinds = "".join("S" if word in ("+", "-") else "V" if word[0].isalpha() or word[0] == "_"
+                    else "N" for word in words[1:])
+    misread = _MISREAD.search(kinds)
+    if misread:
+        message = _MISREADINGS[misread.lastgroup].format(words[misread.end()])
+        raise BridgeError(f"{message} in LP text {line!r}")
+    for word, kind in zip(words[1:], kinds):
+        if kind == "V":
+            _name(word)
+        elif kind == "N":
+            _number(word, line)
+    if section == _SUBJECT_TO and kinds.endswith("N"):
+        raise BridgeError(f"LP row has a constant on its left side: {line!r}")
+    raise BridgeError(f"LP row is not `name: expression sense rhs`: {line!r}")
 
 
-def _linear(words: list[str], where: str) -> tuple[list[tuple[float, str]], float]:
-    """Read ``[sign] [coef] name ...`` plus a trailing constant, as _expr writes it.
-
-    ``sign`` is None until a ``+`` or ``-`` word is read, so a second sign
-    in a row, a sign that ends the expression and a term or constant
-    after the first with no sign before it are all errors.
-    """
-    terms, sign, coef = [], None, None
-    for word in words:
-        is_name = word[0].isalpha() or word[0] == "_"
-        if coef is not None and not is_name:
-            raise BridgeError(f"a number is not followed by a name in LP text {where!r}")
-        if word in ("+", "-"):
-            if sign is not None:
-                raise BridgeError(f"two signs in a row in LP text {where!r}")
-            sign = -1.0 if word == "-" else 1.0
-        elif terms and sign is None and coef is None:
-            raise BridgeError(f"no sign before {word!r} in LP text {where!r}")
-        elif is_name:
-            terms.append(((1.0 if coef is None else coef) * (sign or 1.0), word))
-            sign, coef = None, None
-        else:
-            coef = _number(word, where)
-    if coef is None:
-        if sign is not None:
-            raise BridgeError(f"a sign is not followed by a term in LP text {where!r}")
-        return terms, 0.0
-    return terms, (sign or 1.0) * coef
+def read_terms(text: Optional[str]) -> list[tuple[float, str]]:
+    """The (coefficient, name) terms of an expression the grammar matched."""
+    return [(-float(coef or 1) if sign == "-" else float(coef or 1), name)
+            for sign, coef, name in _TERMS.findall(text or "")]
 
 
-def parse_lp(text: str) -> MilpModel:
-    """Read the LP dialect write_lp writes back into a model.
+def _rows(lines: list[str]):
+    """The rows' (name, terms, constant, sense, rhs) text, 1000 rows alive at a time."""
+    for start in range(0, len(lines), 1000):
+        chunk = lines[start:start + 1000]
+        rows = _ROW.findall("\n".join(chunk))
+        if len(rows) < len(chunk):
+            _reject(next(line for line in chunk if not _ROW.fullmatch(line)), _SUBJECT_TO)
+        yield from rows
 
-    Headers are unindented and come from ``_HEADERS``; text after ``\\`` is
-    a comment.  In Minimize and Subject To a line whose first word ends in
-    ``:`` opens a row and any other line continues it; a row reads
-    ``name: expression sense rhs``.  Bounds lines are ``name = v``,
-    ``lo <= name <= hi`` or ``name free``; a binary's bound is ``= 0`` or
-    ``= 1``.  A row has no constant.  A name starts with a letter or ``_``
-    and is not a keyword, a number or holds an operator to other LP
-    readers; a number is ASCII decimal, and a bound may also be ``inf`` or
-    ``-inf``.  Anything else is a BridgeError.
-    """
-    found: dict[str, list[list[str]]] = {header: [] for header in _HEADERS}
-    section = None
-    for raw in text.splitlines():
-        line = raw.split("\\")[0].rstrip()
+
+def read_lp(text: str):
+    """The grammar's one pass over ``text``: the objective's (terms, constant),
+    an iterator over the rows' text, bounds by name and the binaries.  ``\\``
+    starts a comment, End ends the text, and a line whose first word does not
+    end in ``:`` continues the row above it."""
+    found: dict[str, list[str]] = {header: [] for header in _HEADERS}
+    lines = rows = None
+    for line in _COMMENT.sub("", text).splitlines():
+        line = line.rstrip()
         if not line:
             continue
+        if lines is found[_END] and line != _END:
+            raise BridgeError(f"LP text after End: {line!r}")
         if not line[0].isspace():
             if line not in _HEADERS:
                 raise BridgeError(f"unknown LP section {line!r}")
-            if line == _END:
-                break
-            section = line
-            continue
-        words = line.split()
-        if section is None:
+            lines, rows = found[line], line in (_MINIMIZE, _SUBJECT_TO)
+        elif lines is None:
             raise BridgeError(f"LP text before any section: {line!r}")
-        if section in (_MINIMIZE, _SUBJECT_TO) and not words[0].endswith(":"):
-            if not found[section]:
+        elif rows and not line.split(None, 1)[0].endswith(":"):
+            if not lines:
                 raise BridgeError(f"LP line continues no row: {line!r}")
-            found[section][-1] += words
+            lines[-1] += line
         else:
-            found[section].append(words)
-    else:
+            lines.append(line.lstrip())
+    if lines is not found[_END]:
         raise BridgeError("LP text has no End line")
-
     if len(found[_MINIMIZE]) != 1:
         raise BridgeError("LP text needs exactly one objective row")
-    _name(found[_MINIMIZE][0][0][:-1])
-    objective = _linear(found[_MINIMIZE][0][1:], " ".join(found[_MINIMIZE][0]))
-    rows = []
-    for words in found[_SUBJECT_TO]:
-        row = " ".join(words)
-        senses = [i for i, w in enumerate(words) if w in ("<=", ">=", "=")]
-        if len(senses) != 1 or senses[0] != len(words) - 2:
-            raise BridgeError(f"LP row is not `name: expression sense rhs`: {row!r}")
-        terms, constant = _linear(words[1:-2], row)
-        # other LP readers drop a row's constant instead of moving it to the rhs
-        if constant:
-            raise BridgeError(f"LP row has a constant on its left side: {row!r}")
-        rows.append((_name(words[0][:-1]), terms, words[-2], _number(words[-1], row)))
+    m = _OBJECTIVE.fullmatch(found[_MINIMIZE][0]) or _reject(found[_MINIMIZE][0], _MINIMIZE)
+    *sign, constant = (m["constant"] or "0").split()
+    objective = read_terms(m["terms"]), -float(constant) if sign == ["-"] else float(constant)
     bounds: dict[str, tuple[float, float]] = {}
-    for words in found[_BOUNDS]:
-        line = " ".join(words)
-        if len(words) == 3 and words[1] == "=":
-            bounds[words[0]] = (_bound(words[2], line),) * 2
-        elif len(words) == 5 and words[1] == words[3] == "<=":
-            bounds[words[2]] = (_bound(words[0], line), _bound(words[4], line))
-        elif len(words) == 2 and words[1] == "free":
-            bounds[words[0]] = (-math.inf, math.inf)
-        else:
-            raise BridgeError(f"unsupported LP bounds line {line!r}")
-    binaries = {name for words in found[_BINARY] for name in words}
+    for line in found[_BOUNDS]:
+        m = _BOUNDS_LINE.fullmatch(line) or _reject(line, _BOUNDS)
+        bounds[m["fixed"] or m["ranged"] or m["free"]] = (
+            float(m["value"] or m["lo"] or "-inf"), float(m["value"] or m["hi"] or "inf"))
+    binaries = {name for line in found[_BINARY] for name in
+                (line.split() if _BINARY_LINE.fullmatch(line) else map(_name, line.split()))}
     for name, bound in bounds.items():
-        # write_lp bounds a binary only by fixing it; HiGHS rejects some other
-        # bounds and solves others to values that are not 0 or 1
+        # write_lp only fixes a binary; HiGHS rejects or misreads other bounds
         if name in binaries and bound not in ((0.0, 0.0), (1.0, 1.0)):
             raise BridgeError(f"LP binary {name!r} has bounds other than = 0 or = 1")
+    return objective, _rows(found[_SUBJECT_TO]), bounds, binaries
 
-    names = binaries | set(bounds) | {v for _, v in objective[0]}
-    names.update(v for _, terms, _, _ in rows for _, v in terms)
+
+def parse_lp(text: str) -> MilpModel:
+    """Read the LP dialect write_lp writes, the grammar compiled above, back
+    into a model; anything else is a BridgeError."""
+    objective, rows, bounds, binaries = read_lp(text)
+    rows = [(name, read_terms(terms), sense, float(rhs)) for name, terms, _, sense, rhs in rows]
+    names = binaries | bounds.keys() | {name for _, name in objective[0]}
+    names.update(name for _, terms, _, _ in rows for _, name in terms)
     model = MilpModel(name="parsed")
     for name in sorted(names):
-        kind = "binary" if name in binaries else "continuous"
-        model.add_variable(_name(name), kind, *bounds.get(name, (None, None)))
+        model.add_variable(name, "binary" if name in binaries else "continuous",
+                           *bounds.get(name, (None, None)))
     for row in rows:
         model.add_constraint(*row)
     model.set_objective(*objective)

@@ -1,17 +1,21 @@
 """Bundled LP/MILP solver command for the external-solver bridge.
 
-Reads the LP dialect that ``gridtree.lp.write_lp`` writes: the sections
-Minimize, Subject To, Bounds, Binary and End, and bounds lines of the forms
-``name = v``, ``lo <= name <= hi`` and ``name free``; no name is an LP
-keyword (``free``, ``st``, ...) or starts like a number (``inf``, ``nan``).
-Any other LP file is rejected; it belongs to an external solver.  HiGHS,
-from the Python binding scipy bundles (``scipy/optimize/_highspy/_core``,
-scipy >= 1.15) loaded by its file path, reads the file with its own LP
-reader, after ``parse_lp``, and must read the same column names, rows and
-nonzeros; it numbers the columns by first appearance.  So the process
-imports no numpy, ``scipy.optimize`` or ``scipy.sparse``, and of the
-package only ``gridtree`` (whose exports resolve lazily), ``gridtree.errors``
-and ``gridtree.lp``.  A file not named ``*.lp`` is read from a private
+Reads the LP dialect that ``gridtree.lp.write_lp`` writes, the grammar
+``gridtree.lp.read_lp`` compiles: the sections Minimize, Subject To,
+Bounds, Binary and End, and bounds lines of the forms ``name = v``,
+``lo <= name <= hi`` and ``name free``; no name is an LP keyword (``free``,
+``st``, ...) or starts like a number (``inf``, ``nan``).  Any other LP file
+is rejected; it belongs to an external solver.  The grammar's reading is
+kept only in counts (``summarize``; no model is built).  HiGHS, from the
+Python binding scipy bundles (``scipy/optimize/_highspy/_core``, scipy >=
+1.15) loaded by its file path, then reads the file with its own LP reader
+and must read the same column names, as many rows and nonzeros, and the
+same objective costs and constant (it keeps the last cost of a name the
+objective repeats, where the grammar sums them); it numbers the columns
+by first appearance.  So the process imports no numpy, ``dataclasses``,
+``scipy.optimize`` or ``scipy.sparse``, and of the package only
+``gridtree`` (whose exports resolve lazily), ``gridtree.errors`` and
+``gridtree.lp``.  A file not named ``*.lp`` is read from a private
 ``.lp`` copy.  HiGHS solves without the objective's constant, as with
 ``scipy.optimize.milp``, so ``--gap`` is relative to the rest.  The
 solution file gets a ``# status ...`` line (``optimal``, ``infeasible`` or
@@ -38,9 +42,10 @@ import importlib.util
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import BridgeError
-from .lp import parse_lp
+from .lp import read_lp, read_terms
 
 # the module name scipy gives its HiGHS binding; the file lies at the same path
 _CORE = "scipy.optimize._highspy._core"
@@ -50,6 +55,7 @@ _CORE = "scipy.optimize._highspy._core"
 # as a model HiGHS rejects or kUnboundedOrInfeasible, reads "error"
 _WORDS = {"kOptimal": "optimal", "kInfeasible": "infeasible", "kUnbounded": "unbounded"}
 _LIMITS = ("kTimeLimit", "kIterationLimit", "kSolutionLimit")
+_SIGNS = frozenset("+-")
 
 
 def _highs_core():
@@ -90,64 +96,107 @@ def _options(core, time_limit, gap):
 
 
 @contextmanager
-def _lp_path(path, text):
-    """``path``, or a private copy of its ``text`` if its name does not
-    end in ``.lp``: HiGHS picks its reader by the extension."""
+def _lp_path(path):
+    """``path``, or a private copy of it if its name does not end in
+    ``.lp``: HiGHS picks its reader by the extension."""
     if path.endswith(".lp"):
         yield path
         return
     import tempfile  # here alone: the bridge names its model file model.lp
 
     with tempfile.TemporaryDirectory(prefix="gridtree-milpsolve-") as tmp:
-        Path(tmp, "model.lp").write_text(text)
+        Path(tmp, "model.lp").write_bytes(Path(path).read_bytes())
         yield str(Path(tmp, "model.lp"))
 
 
-def _columns(highs, model, small):
-    """HiGHS's column names, in its order, after a check that they are
-    parse_lp's and that HiGHS read as many rows and nonzeros (repeated
-    terms summed, sums up to ``small`` dropped); BridgeError if not."""
+class Summary(NamedTuple):
+    """The LP grammar's reading of a model file, in counts, a name's
+    repeated terms summed in a row and in the objective."""
+    columns: frozenset  # names
+    binaries: frozenset
+    rows: int
+    nonzeros: int  # row entries that sum to more than HiGHS's small_matrix_value
+    objective: dict  # cost by name, in file order
+    constant: float
+
+
+def _summed(terms) -> dict:
+    summed = {}
+    for coef, name in terms:
+        summed[name] = summed.get(name, 0.0) + coef
+    return summed
+
+
+def summarize(text: str, small: float) -> Summary:
+    """``read_lp``'s reading of ``text`` as a Summary, with row entries up to
+    ``small`` dropped; it builds no model and keeps no row once read."""
+    (terms, constant), rows, bounds, binaries = read_lp(text)
+    objective = _summed(terms)
+    columns = binaries | bounds.keys() | objective.keys()
+    count = nonzeros = 0
+    for count, (_, expression, _, _, _) in enumerate(rows, 1):
+        # the words of terms the grammar matched alternate sign and name,
+        # unless a term has a coefficient
+        words = expression.split()
+        odd = len(words) % 2
+        names = words[1 - odd::2]
+        if _SIGNS.issuperset(words[odd::2]) and len(set(names)) == len(names) and small < 1:
+            nonzeros += len(names)
+        else:
+            names = _summed(read_terms(expression))
+            nonzeros += sum(abs(coef) > small for coef in names.values())
+        columns.update(names)
+    return Summary(frozenset(columns), frozenset(binaries), count, nonzeros, objective, constant)
+
+
+def _columns(highs, summary):
+    """HiGHS's column names, in its order, after a check that HiGHS read the
+    summary's columns, rows, nonzeros, objective costs and constant;
+    BridgeError if not."""
     lp = highs.getLp()  # a copy, freed before the solve
-    nonzeros = 0
-    for con in model.constraints:
-        row = {}
-        for coef, name in con.terms:
-            row[name] = row.get(name, 0.0) + coef
-        nonzeros += sum(abs(coef) > small for coef in row.values())
     read = (lp.num_col_, lp.num_row_, highs.getNumNz())
-    parsed = (len(model.variables), len(model.constraints), nonzeros)
-    if read != parsed:
+    want = (len(summary.columns), summary.rows, summary.nonzeros)
+    if read != want:
         raise BridgeError("HiGHS reads {} columns, {} rows and {} nonzeros where "
-                          "parse_lp reads {}, {} and {}".format(*read, *parsed))
+                          "the LP grammar reads {}, {} and {}".format(*read, *want))
     names = lp.col_names_
-    other = set(names).difference(v.name for v in model.variables)
+    other = set(names).difference(summary.columns)
     if other:
-        raise BridgeError(f"HiGHS reads a column {min(other)!r} that parse_lp does not")
+        raise BridgeError(f"HiGHS reads a column {min(other)!r} that the LP grammar does not")
+    # getCol, not lp.col_cost_, which is a numpy array; HiGHS keeps the last
+    # cost of a name the objective repeats where the grammar sums them
+    for j, name in enumerate(names):
+        cost, want = highs.getCol(j)[1], summary.objective.get(name, 0.0)
+        if cost != want:
+            raise BridgeError(f"HiGHS reads an objective cost of {cost:.12g} for {name!r} "
+                              f"where the LP grammar reads {want:.12g}")
+    if lp.offset_ != summary.constant:
+        raise BridgeError(f"HiGHS reads an objective constant of {lp.offset_:.12g} where "
+                          f"the LP grammar reads {summary.constant:.12g}")
     return names
 
 
-def _solve(core, path, model, time_limit, gap):
-    """Solve the ``*.lp`` file at ``path``, which parse_lp read as
-    ``model``, as scipy.optimize.milp would: (status word, values by
-    ``model.variables`` name, nodes, gap), except that a status that is
-    neither an answer nor a limit reads "error".  values is None when
-    HiGHS holds no point; nodes and gap are None unless the model has
+def _solve(core, path, summary, options):
+    """Solve the ``*.lp`` file at ``path``, which the LP grammar read as
+    ``summary``, with ``options`` as scipy.optimize.milp would: (status
+    word, values by column name, sorted, nodes, gap), except that a status
+    that is neither an answer nor a limit reads "error".  values is None
+    when HiGHS holds no point; nodes and gap are None unless the model has
     binaries and there is a point.
     """
     error = core.HighsStatus.kError
     highs = core._Highs()
-    options = _options(core, time_limit, gap)
     # options first: reading with HiGHS's default options prints a banner on stdout
     if highs.passOptions(options) == error or highs.readModel(path) == error:
         return "error", None, None, None
-    columns = _columns(highs, model, options.small_matrix_value)
+    columns = _columns(highs, summary)
     # as scipy.optimize.milp sees it: mip_rel_gap and the gap HiGHS reports
     # are relative to the objective without its constant
     highs.changeObjectiveOffset(0.0)
     ran = highs.run() != error
     status = highs.getModelStatus()
     info = highs.getInfo()
-    is_mip = model.binary_count() > 0
+    is_mip = bool(summary.binaries)
     stopped = status.name in _LIMITS
     has_point = ran and (
         status == core.HighsModelStatus.kOptimal
@@ -160,7 +209,7 @@ def _solve(core, path, model, time_limit, gap):
     if not has_point:
         return word, None, None, None
     point = dict(zip(columns, highs.getSolution().col_value))
-    values = {v.name: point[v.name] for v in model.variables}
+    values = {name: point[name] for name in sorted(summary.columns)}
     if not is_mip:
         return word, values, None, None
     return word, values, info.mip_node_count, info.mip_gap
@@ -190,19 +239,19 @@ def main(argv=None) -> int:
         ap.error(f"--time-limit must be >= 0, got {args.time_limit!r}")
 
     try:
-        text = Path(args.model).read_text()
-        model = parse_lp(text)
+        core = _highs_core()
+    except BridgeError as exc:
+        return _fail(str(exc))
+    options = _options(core, args.time_limit, args.gap)
+    try:
+        summary = summarize(Path(args.model).read_text(), options.small_matrix_value)
     except BridgeError as exc:
         return _fail(f"{args.model}: {exc}")
     except OSError as exc:
         return _fail(f"cannot read model file {args.model!r}: {exc.strerror or exc}")
     try:
-        core = _highs_core()
-    except BridgeError as exc:
-        return _fail(str(exc))
-    try:
-        with _lp_path(args.model, text) as path:
-            status, values, nodes, gap = _solve(core, path, model, args.time_limit, args.gap)
+        with _lp_path(args.model) as path:
+            status, values, nodes, gap = _solve(core, path, summary, options)
     except BridgeError as exc:
         return _fail(f"{args.model}: {exc}")
     except OSError as exc:
@@ -210,7 +259,8 @@ def main(argv=None) -> int:
 
     out = [f"# status {status}"]
     if values is not None:
-        out.append(f"# objective {model.objective_value(values):.12g}")
+        objective = sum(cost * values[name] for name, cost in summary.objective.items())
+        out.append(f"# objective {summary.constant + objective:.12g}")
     if nodes is not None:
         out.append(f"# nodes {int(nodes)}")
     if gap is not None:

@@ -1,6 +1,8 @@
 """Model construction, LP text round trips, and the solver bridge."""
 
 import hashlib
+import math
+import random
 import re
 import subprocess
 import sys
@@ -18,6 +20,7 @@ from gridtree.errors import (
     GridTreeError,
     InfeasibleError,
     ModelBuildError,
+    NetworkValidationError,
 )
 from gridtree.milp import (
     MilpModel,
@@ -522,22 +525,157 @@ def test_milpsolve_reports_an_unwritable_lp_copy_in_one_line(capsys, monkeypatch
 @pytest.mark.parametrize(
     "old, new, message",
     [("Bounds\n", "Bounds\n c free\n",
-      "HiGHS reads 2 columns, 1 rows and 2 nonzeros where parse_lp reads 3, 1 and 2"),
+      "HiGHS reads 2 columns, 1 rows and 2 nonzeros where the LP grammar reads 3, 1 and 2"),
      ("Subject To\n", "Subject To\n extra: 0 >= -1\n",
-      "HiGHS reads 2 columns, 1 rows and 2 nonzeros where parse_lp reads 2, 2 and 2"),
+      "HiGHS reads 2 columns, 1 rows and 2 nonzeros where the LP grammar reads 2, 2 and 2"),
      (" limit: a - 2 b <= 1\n", " limit: a <= 1\n",
-      "HiGHS reads 2 columns, 1 rows and 2 nonzeros where parse_lp reads 2, 1 and 1"),
-     (" b", " c", "HiGHS reads a column 'b' that parse_lp does not")],
-    ids=["column", "row", "nonzero", "name"],
+      "HiGHS reads 2 columns, 1 rows and 2 nonzeros where the LP grammar reads 2, 1 and 1"),
+     (" b", " c", "HiGHS reads a column 'b' that the LP grammar does not"),
+     (" obj: 3 a + b + 4\n", " obj: 2 a + b + 4\n",
+      "HiGHS reads an objective cost of 3 for 'a' where the LP grammar reads 2"),
+     (" obj: 3 a + b + 4\n", " obj: 3 a + b\n",
+      "HiGHS reads an objective constant of 4 where the LP grammar reads 0")],
+    ids=["column", "row", "nonzero", "name", "objective", "constant"],
 )
 def test_milpsolve_reports_a_file_highs_reads_otherwise_in_one_line(capsys, monkeypatch,
                                                                       tmp_path, old, new, message):
-    # parse_lp's reading is checked against HiGHS's reading of the same file
-    monkeypatch.setattr(milpsolve, "parse_lp", lambda text: parse_lp(text.replace(old, new)))
+    # the grammar's summary is checked against HiGHS's reading of the same file
+    summarize = milpsolve.summarize
+    monkeypatch.setattr(milpsolve, "summarize",
+                        lambda text, small: summarize(text.replace(old, new), small))
     (tmp_path / "toy.lp").write_text(GOLDEN_TOY_LP)
     assert milpsolve.main([str(tmp_path / "toy.lp"), str(tmp_path / "toy.sol")]) == 2
     assert message in _one_error_line(capsys.readouterr().err)
     assert not (tmp_path / "toy.sol").exists()
+
+
+# HiGHS keeps the last cost of a name the objective repeats (a: -1 here),
+# where it sums a row's repeated terms as the grammar does (a + b + 4)
+REPEATED_OBJECTIVE_TERM_LP = GOLDEN_TOY_LP.replace(" obj: 3 a + b + 4\n", " obj: 2 a + b - a + 4\n")
+
+
+def test_milpsolve_rejects_an_objective_highs_reads_otherwise(capsys, tmp_path):
+    assert parse_lp(REPEATED_OBJECTIVE_TERM_LP).objective == ((2.0, "a"), (1.0, "b"), (-1.0, "a"))
+    (tmp_path / "toy.lp").write_text(REPEATED_OBJECTIVE_TERM_LP)
+    assert milpsolve.main([str(tmp_path / "toy.lp"), str(tmp_path / "toy.sol")]) == 2
+    err = _one_error_line(capsys.readouterr().err)
+    assert "HiGHS reads an objective cost of -1 for 'a' where the LP grammar reads 1" in err
+    assert not (tmp_path / "toy.sol").exists()
+
+
+def _random_model(rng):
+    """A model whose numbers write_lp writes exactly: binaries free or fixed,
+    continuous columns in every bounds form, each column once in the
+    objective, and rows with repeated and no terms."""
+    model = MilpModel(name="random")
+    names = rng.sample(["a", "b", "x1", "y_2", "z", "q.3", "w"], rng.randint(1, 6))
+    for name in names:
+        if rng.random() < 0.5:
+            fixed = rng.choice([None, None, 0.0, 1.0])
+            model.add_variable(name, "binary", fixed, fixed)
+        else:
+            model.add_variable(name, "continuous", *rng.choice(
+                [(None, None), (-math.inf, math.inf), (0.0, 2.5), (-3.0, None), (1.5, 1.5),
+                 (-math.inf, 4.0)]))
+    numbers = [1.0, -1.0, 2.0, -0.5, 3.25, 1e-05, 120.0, -7.0]
+    model.set_objective([(rng.choice(numbers), name) for name in names],
+                        rng.choice([0.0, 4.0, -2.5]))
+    for row in range(rng.randint(0, 4)):
+        terms = [(rng.choice(numbers), rng.choice(names)) for _ in range(rng.randint(0, 4))]
+        model.add_constraint(f"r{row}", terms, rng.choice(["<=", ">=", "="]),
+                             rng.choice([0.0, 1.0, -2.0, 10.5]))
+    return model
+
+
+# words a mutation puts in: names, numbers and signs inside and outside the
+# dialect, keywords, headers and operators
+MUTATION_WORDS = ("a b zz _u é x.y b-c inf -inf nanny free Bin st END 0 1 -1 2.5 -0 1e-12 1e400 "
+                  ".5 5. 1_0 nan +3 + - <= >= = < : obj: r9: Minimize Subject To Bounds Binary "
+                  "End General").split()
+
+
+def _mutated(rng, text):
+    """``text`` with one word replaced (by a word of its line, of the text or
+    of MUTATION_WORDS), deleted, doubled, swapped with the next one or
+    preceded by another word."""
+    lines = [(line[:len(line) - len(line.lstrip())], line.split()) for line in text.split("\n")]
+    i, j = rng.choice([(i, j) for i, (_, words) in enumerate(lines) for j in range(len(words))])
+    words = lines[i][1]
+    change = rng.choice(["replace", "replace", "delete", "double", "swap", "insert"])
+    if change == "replace":
+        words[j] = rng.choice(rng.choice([words, [w for _, line in lines for w in line],
+                                          MUTATION_WORDS]))
+    elif change == "delete":
+        del words[j]
+    elif change == "double":
+        words.insert(j, words[j])
+    elif change == "swap" and j + 1 < len(words):
+        words[j], words[j + 1] = words[j + 1], words[j]
+    elif change == "insert":
+        words.insert(j, rng.choice(MUTATION_WORDS))
+    return "\n".join(indent + " ".join(words) for indent, words in lines)
+
+
+def _refused_by_highs(entries):
+    """Whether HiGHS refuses a value of a model at read time: a lower bound
+    at +infinity or an upper bound at -infinity (past its infinite_bound),
+    or a matrix entry of its large_matrix_value or more."""
+    options = milpsolve._highs_core().HighsOptions()
+    inf, big = options.infinite_bound, options.large_matrix_value
+    return (any(lo >= inf or hi <= -inf for (lo, hi), _ in entries["cols"].values())
+            or any(lo >= inf or hi <= -inf for lo, hi in entries["rows"].values())
+            or any(abs(value) >= big for value in entries["matrix"].values()))
+
+
+def test_lp_grammar_reads_random_models_and_their_mutations_as_highs_does(capsys, tmp_path):
+    # every mutation is rejected by parse_lp and by the child (exit 2), or a
+    # value HiGHS refuses reads `# status error` (as 1e400 does above), or
+    # the grammar and HiGHS read one model; they may differ only in the
+    # objective, where HiGHS keeps the last cost of a repeated name and the
+    # child's reading check exits 2
+    rng = random.Random(26)
+    small = milpsolve._highs_core().HighsOptions().small_matrix_value
+    model_path, solution_path = tmp_path / "m.lp", tmp_path / "m.sol"
+    seen = {"rejected": 0, "refused": 0, "same": 0, "objective": 0}
+    for _ in range(120):
+        model = _random_model(rng)
+        text = write_lp(model)
+        assert parse_lp(text) == model, text
+        for _ in range(10):
+            mutated = _mutated(rng, text)
+            model_path.write_text(mutated)
+            solution_path.unlink(missing_ok=True)
+            code = milpsolve.main([str(model_path), str(solution_path)])
+            err = capsys.readouterr().err
+            try:
+                parsed = parse_lp(mutated)
+            except BridgeError:
+                assert code == 2 and _one_error_line(err), mutated
+                seen["rejected"] += 1
+                continue
+            read = _parsed_entries(parsed)
+            read["matrix"] = {key: v for key, v in read["matrix"].items() if abs(v) > small}
+            summary = milpsolve.summarize(mutated, small)
+            assert summary == (read["cols"].keys(), {v.name for v in parsed.variables
+                                                     if v.kind == "binary"},
+                               len(read["rows"]), len(read["matrix"]), summary.objective,
+                               read["offset"]), mutated
+            assert {name: summary.objective.get(name, 0.0) for name in read["cols"]} == read["costs"]
+            if _refused_by_highs(read):
+                assert code == 0, mutated
+                assert solution_path.read_text() == "# status error\n", mutated
+                seen["refused"] += 1
+                continue
+            highs = _highs_entries(model_path)
+            if highs == read:
+                assert code == 0 and solution_path.read_text().startswith("# status "), mutated
+                seen["same"] += 1
+                continue
+            assert {**highs, "costs": None, "offset": None} == {**read, "costs": None, "offset": None}
+            assert code == 2 and "HiGHS reads an objective" in _one_error_line(err), mutated
+            assert not solution_path.exists()
+            seen["objective"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_milpsolve_process_exits_2_without_a_traceback(tmp_path):
@@ -762,7 +900,8 @@ def _bridge_model(monkeypatch, case, k, method):
 
 def _entries(cols, costs, offset, rows, matrix):
     """A model keyed by name: columns (bounds, integer?), costs, offset, row
-    bounds and the nonzero matrix entries by (row, column)."""
+    bounds and the nonzero matrix entries by (row, column); a row is keyed by
+    its (position, name), as two rows may share a name."""
     return {"cols": cols, "costs": costs, "offset": offset, "rows": rows,
             "matrix": {key: value for key, value in matrix.items() if value != 0.0}}
 
@@ -772,15 +911,16 @@ def _parsed_entries(model):
     for coef, name in model.objective:
         costs[name] += coef
     matrix = {}
-    for con in model.constraints:
+    for row, con in enumerate(model.constraints):
         for coef, name in con.terms:
-            matrix[con.name, name] = matrix.get((con.name, name), 0.0) + coef
+            matrix[(row, con.name), name] = matrix.get(((row, con.name), name), 0.0) + coef
     bounds = {"<=": lambda rhs: (-np.inf, rhs), ">=": lambda rhs: (rhs, np.inf),
               "=": lambda rhs: (rhs, rhs)}
     return _entries(
         {v.name: (v.effective_bounds(), v.kind == "binary") for v in model.variables},
         costs, model.objective_constant,
-        {con.name: bounds[con.sense](con.rhs) for con in model.constraints}, matrix)
+        {(row, con.name): bounds[con.sense](con.rhs) for row, con in enumerate(model.constraints)},
+        matrix)
 
 
 def _highs_entries(path):
@@ -791,15 +931,17 @@ def _highs_entries(path):
     highs.passOptions(options)
     assert highs.readModel(str(path)) != core.HighsStatus.kError
     lp = highs.getLp()
-    cols, rows = list(lp.col_names_), list(lp.row_names_)
+    cols, rows = list(lp.col_names_), list(enumerate(lp.row_names_))
     kinds = lp.integrality_ or [core.HighsVarType.kContinuous] * len(cols)
     integer = [kind == core.HighsVarType.kInteger for kind in kinds]
     matrix = {}
     a = lp.a_matrix_
     assert a.format_ == core.MatrixFormat.kColwise
+    # each read of a matrix attribute copies the whole array
+    start, index, value = list(a.start_), list(a.index_), list(map(float, a.value_))
     for j, col in enumerate(cols):
-        for at in range(a.start_[j], a.start_[j + 1]):
-            matrix[rows[a.index_[at]], col] = float(a.value_[at])
+        for at in range(start[j], start[j + 1]):
+            matrix[rows[index[at]], col] = value[at]
     return _entries(
         {col: ((float(lo), float(hi)), is_int)
          for col, lo, hi, is_int in zip(cols, lp.col_lower_, lp.col_upper_, integer)},
@@ -815,6 +957,40 @@ def test_highs_reads_write_lp_as_parse_lp_does(monkeypatch, tmp_path, case, k, m
     text = write_lp(_bridge_model(monkeypatch, case, k, method))
     (tmp_path / "m.lp").write_text(text)
     assert _highs_entries(tmp_path / "m.lp") == _parsed_entries(parse_lp(text))
+
+
+def _assert_child_check_passes(tmp_path, text):
+    """The solver child's reading check passes on ``text``, and HiGHS reads
+    the model parse_lp reads."""
+    core = milpsolve._highs_core()
+    options = milpsolve._options(core, None, None)
+    summary = milpsolve.summarize(text, options.small_matrix_value)
+    (tmp_path / "m.lp").write_text(text)
+    highs = core._Highs()
+    assert highs.passOptions(options) != core.HighsStatus.kError
+    assert highs.readModel(str(tmp_path / "m.lp")) != core.HighsStatus.kError
+    assert set(milpsolve._columns(highs, summary)) == summary.columns
+    assert _highs_entries(tmp_path / "m.lp") == _parsed_entries(parse_lp(text))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", sorted(path.stem for path in CASES_DIR.glob("*.m")))
+def test_child_check_passes_on_every_bundled_lp(tmp_path, case):
+    # the LP of every bundled (case, k, milp/ssr) cell, as the bridge writes it
+    checked = 0
+    for k in range(2, 6):
+        for ssr in (False, True):
+            try:
+                model = _partition_model(case, k, ssr)
+            except (NetworkValidationError, BudgetError):
+                continue  # no LP: k exceeds the generators, or a Steiner tree the budget
+            _assert_child_check_passes(tmp_path, write_lp(model))
+            checked += 1
+    assert checked >= 6
+
+
+def test_child_check_passes_on_the_dcopf_lp(monkeypatch, tmp_path):
+    _assert_child_check_passes(tmp_path, write_lp(_dcopf_model(monkeypatch, "net118")))
 
 
 @BRIDGE_MODELS
@@ -937,6 +1113,29 @@ print(*sorted(m for m in sys.modules if m.split(".")[0] in ("gridtree", "numpy",
     assert [m for m in loaded if m.split(".")[0] == "scipy"
             and not (m + ".").startswith(milpsolve._CORE + ".")] == []
     assert (tmp_path / "again.sol").read_text() == solution_path.read_text()
+
+
+def test_milpsolve_child_imports_no_dataclasses(tmp_path):
+    # the LP grammar's summary is all the child keeps of the file: no
+    # MilpModel, whose module no longer needs dataclasses either
+    model_path, solution_path = tmp_path / "toy.lp", tmp_path / "toy.sol"
+    model_path.write_text(GOLDEN_TOY_LP)
+    code = f"""
+import runpy, sys
+sys.argv = ["gridtree-milpsolve", {str(model_path)!r}, {str(solution_path)!r}]
+try:
+    runpy.run_module("gridtree.milpsolve", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print("dataclasses" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    assert [line for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and line.rsplit("|", 1)[-1].strip() == "dataclasses"] == []
+    assert solution_path.read_text().startswith("# status optimal\n")
 
 
 def test_import_gridtree_resolves_its_exports_lazily():
