@@ -37,9 +37,9 @@ members (ties to the lower label), so the first leaves keep much of the
 flow and the incumbent bounds the rest of the search early.  Placing a
 bus changes only the regions that held it (and the region of a cluster
 that gets its first member), so only those are flooded again.  Unplacing
-a bus restores the masks they replaced and the saved forced cross flow,
-so an interrupted search unwinds to the exact root state, float sums
-included.
+a bus restores the masks they replaced and the saved forced cross flow
+and forest (see below), so an interrupted search unwinds to the exact
+root state, float sums included.
 
 Leaves are scored with the stage-2 closed form (total cross weight
 minus the maximum-weight spanning tree of the reduced graph).  Subtrees
@@ -56,6 +56,20 @@ takes F in the stage-2 order (heaviest first, ties to the lower line
 id), builds exactly the stage-2 bridge tree.  The leaf reads its
 bridges off that forest: it is infeasible when the forest misses a
 merge, and otherwise scores the cross lines the forest did not credit.
+
+The forest is node state, kept next to F.  Placing a bus forces the
+lines N between it and the assigned buses of other clusters, and the
+new forest is Kruskal over the old forest's credited lines plus N, not
+over all of F.  The weight ranks order the lines strictly (weight
+descending, then line id), so each maximum-weight spanning forest is
+unique.  By the cycle property a line of F outside MSF(F) is the
+lightest line on a cycle of F, so it stays out of the forest of F + N:
+MSF(F + N) = MSF(MSF(F) + N).  The credited lines, and with them each
+leaf's bridge tree, are thus the ones Kruskal over all of F picks, and
+the credit is bit-identical, because the credited weights are still
+summed in ascending rank order.  Unplacing the bus restores the saved
+forest.
+
 A subtree is pruned only when its bound exceeds the incumbent by more
 than a relative tolerance, so every leaf that ties the optimum is still
 scored, and the search keeps each leaf that ties the final incumbent.
@@ -145,6 +159,9 @@ class _Search:
         self.assign = [0] * self.n
         self.forced_cross = 0.0
         self.cross_ranks = 0  # bit r set: the line of weight rank r is forced cross
+        # (credit, credited weight ranks, merges still missing) of the forced
+        # cross lines' maximum-weight spanning forest on the cluster labels
+        self.forest = (0.0, 0, k - 1)
         self.assigned_mask = 0
         self.all_buses = (1 << self.n) - 1
         self.cluster_mask = [0] * (k + 1)
@@ -154,17 +171,19 @@ class _Search:
         self.stale = (1 << (k + 1)) - 2  # bit r set: region[r] must be re-flooded
         self.saved: list[tuple[int, int]] = []  # (r, region[r] before its re-flood)
         # what place() changes and unplace() restores, one entry per placement
-        self.undo: list[tuple[float, int, int, int]] = []
+        self.undo: list[tuple[float, int, tuple[float, int, int], int, int]] = []
 
         self.nodes = 0
         self.incumbent: Optional[float] = None  # the least leaf value so far
+        self.limit = float("inf")  # _tie_limit(incumbent): prune bounds above it
         # (value, assignment) of every leaf that ties the incumbent
         self.tied: list[tuple[float, tuple[int, ...]]] = []
 
     # -- state updates ------------------------------------------------------
 
     def place(self, bus: int, r: int) -> None:
-        """Assign ``bus`` to ``r`` and mark the regions this may change.
+        """Assign ``bus`` to ``r``, mark the regions this may change, and
+        add the lines this forces cross to F and to its forest.
 
         A line is decided once both ends are assigned, so every line met
         here was undecided.  Another cluster's region only loses ``bus``
@@ -173,7 +192,9 @@ class _Search:
         no members (its region was every free bus) or did not hold ``bus``.
         """
         bit = 1 << bus
-        self.undo.append((self.forced_cross, self.cross_ranks, self.stale, len(self.saved)))
+        self.undo.append(
+            (self.forced_cross, self.cross_ranks, self.forest, self.stale, len(self.saved))
+        )
         for s in range(1, self.k + 1):
             if s != r and self.region[s] & bit:
                 self.stale |= 1 << s
@@ -183,15 +204,19 @@ class _Search:
         self.assigned_mask |= bit
         self.cluster_mask[r] |= bit
         self.n_unassigned -= 1
+        forced = 0
         for pos, other in self.lines_at[bus]:
             o = self.assign[other]
             if o and o != r:
                 self.forced_cross += self.weight[pos]
-                self.cross_ranks |= 1 << self.rank[pos]
+                forced |= 1 << self.rank[pos]
+        if forced:
+            self.cross_ranks |= forced
+            self.forest = self.kruskal(self.forest[1] | forced)
 
     def unplace(self, bus: int, r: int) -> None:
         """Undo the last ``place(bus, r)`` and the re-floods made since."""
-        self.forced_cross, self.cross_ranks, self.stale, mark = self.undo.pop()
+        self.forced_cross, self.cross_ranks, self.forest, self.stale, mark = self.undo.pop()
         while len(self.saved) > mark:
             s, region = self.saved.pop()
             self.region[s] = region
@@ -203,17 +228,17 @@ class _Search:
     # -- pruning ------------------------------------------------------------
 
     def bound(self) -> float:
-        return max(0.0, self.forced_cross - self.forest()[0])
+        return max(0.0, self.forced_cross - self.forest[0])
 
-    def forest(self) -> tuple[float, int, int]:
+    def kruskal(self, ranks: int) -> tuple[float, int, int]:
         """(credit, credited weight ranks, merges still missing) of a
-        maximum-weight spanning forest of the forced cross lines: Kruskal
-        on the cluster labels, heaviest first, at most k-1 merges."""
+        maximum-weight spanning forest of the lines whose weight ranks are
+        set in ``ranks``, all with both ends assigned: Kruskal on the
+        cluster labels, heaviest first, at most k-1 merges."""
         credit = 0.0
         credited = 0
         merges = self.k - 1
         comp = list(range(self.k + 1))
-        ranks = self.cross_ranks
         while ranks and merges:
             low = ranks & -ranks
             ranks ^= low
@@ -271,14 +296,6 @@ class _Search:
 
     # -- DFS ----------------------------------------------------------------
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
-            raise _Stop()
-        if self.time_limit_s is not None and self.nodes % 256 == 0:
-            if time.perf_counter() - self.started > self.time_limit_s:
-                raise _Stop()
-
     def next_bus(self, regions: list[int]) -> int:
         """The free bus with the fewest clusters in its domain; ties go to
         the most assigned neighbours, then to the lowest index."""
@@ -302,10 +319,15 @@ class _Search:
         return best_bus
 
     def dfs(self) -> None:
-        self.tick()
-        credit, credited, merges_missing = self.forest()
-        bound = max(0.0, self.forced_cross - credit)
-        if self.incumbent is not None and bound > _tie_limit(self.incumbent):
+        self.nodes += 1
+        if self.node_limit is not None and self.nodes > self.node_limit:
+            raise _Stop()
+        if self.time_limit_s is not None and self.nodes % 256 == 0:
+            if time.perf_counter() - self.started > self.time_limit_s:
+                raise _Stop()
+        credit, credited, merges_missing = self.forest
+        # the limit is positive, so this is bound() > limit
+        if self.forced_cross - credit > self.limit:
             return
         regions = self.regions()
         if regions is None:
@@ -320,17 +342,19 @@ class _Search:
             )
             if self.incumbent is None or value < self.incumbent:
                 self.incumbent = value
-                limit = _tie_limit(value)
-                self.tied = [leaf for leaf in self.tied if leaf[0] <= limit]
-            if value <= _tie_limit(self.incumbent):
+                self.limit = _tie_limit(value)
+                self.tied = [leaf for leaf in self.tied if leaf[0] <= self.limit]
+            if value <= self.limit:
                 self.tied.append((value, tuple(self.assign)))
             return
         bus = self.next_bus(regions)
-        kept = [0.0] * (self.k + 1)  # [r]: flow on bus's lines into cluster r
-        for pos, other in self.lines_at[bus]:
-            kept[self.assign[other]] += self.weight[pos]
         domain = [r for r in range(1, self.k + 1) if regions[r - 1] >> bus & 1]
-        for r in sorted(domain, key=lambda r: -kept[r]):
+        if len(domain) > 1:
+            kept = [0.0] * (self.k + 1)  # [r]: flow on bus's lines into cluster r
+            for pos, other in self.lines_at[bus]:
+                kept[self.assign[other]] += self.weight[pos]
+            domain.sort(key=lambda r: -kept[r])
+        for r in domain:
             self.place(bus, r)
             try:
                 self.dfs()

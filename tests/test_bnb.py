@@ -103,9 +103,8 @@ DESK_OPTIMA = {
 }
 
 
-@pytest.mark.parametrize("ssr", [False, True], ids=["milp", "ssr"])
-@pytest.mark.parametrize("case, k", sorted(DESK_OPTIMA))
-def test_desk_optima_are_pinned(case, k, ssr):
+def _solve_case(case, k, ssr):
+    """solve_builtin on a bundled case, plain or with its SSR fixings."""
     net = case_net(case)
     groups = coherency.slow_coherency(net, k)
     fixings = None
@@ -113,7 +112,13 @@ def test_desk_optima_are_pinned(case, k, ssr):
         fixings = steiner.build_fixings(
             net, [steiner.steiner_tree(net, g) for g in groups.groups]
         )
-    sol, stats = solve_builtin(net, groups, ssr=fixings)
+    return solve_builtin(net, groups, ssr=fixings)
+
+
+@pytest.mark.parametrize("ssr", [False, True], ids=["milp", "ssr"])
+@pytest.mark.parametrize("case, k", sorted(DESK_OPTIMA))
+def test_desk_optima_are_pinned(case, k, ssr):
+    sol, stats = _solve_case(case, k, ssr)
     assert stats.proved_optimal
     mw, assignment = DESK_OPTIMA[(case, k)]
     assert sol.disruption_mw == mw
@@ -154,7 +159,7 @@ def test_net118_k5_ssr_is_proved_within_node_budget():
 
 @pytest.mark.slow
 def test_net118_k5_milp_is_proved_within_node_budget():
-    # 362,616 nodes, about 7 s
+    # 124,366 nodes (362,616 on the uncontracted network), about 3 s
     net = case_net("net118")
     groups = coherency.slow_coherency(net, 5)
     sol, stats = solve_builtin(net, groups, node_limit=500_000)
@@ -214,13 +219,12 @@ def _reference_regions(search):
     return regions
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_incremental_regions_match_a_fresh_flood(k):
-    # random DFS walks: place a free bus (mostly inside its domain), or undo
-    # the last placement, and compare regions() with a from-scratch flood
-    # after every step; half the walks start with no cluster members at all
+def _random_walks(k):
+    """Random DFS walks: place a free bus (mostly inside its domain), or undo
+    the last placement; half the walks start with no cluster members at all.
+    Yields (search, its regions(), whether a step was just taken) at each
+    walk's start and after every step."""
     rng = np.random.default_rng(620 + k)
-    pruned = steps = 0
     for trial in range(40):
         net = random_connected_net(rng, int(rng.integers(2 * k, 2 * k + 8)),
                                    int(rng.integers(0, 6)))
@@ -231,7 +235,7 @@ def test_incremental_regions_match_a_fresh_flood(k):
                 search.place(b, r)
         placed = []
         regions = search.regions()
-        assert regions == _reference_regions(search)
+        yield search, regions, False
         for _ in range(60):
             free = [b for b in range(net.n) if not search.assign[b]]
             if placed and (regions is None or not free or rng.random() < 0.35):
@@ -248,10 +252,58 @@ def test_incremental_regions_match_a_fresh_flood(k):
             else:
                 break
             regions = search.regions()
-            assert regions == _reference_regions(search)
-            pruned += regions is None
-            steps += 1
+            yield search, regions, True
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_incremental_regions_match_a_fresh_flood(k):
+    # compare regions() with a from-scratch flood after every step
+    pruned = steps = 0
+    for search, regions, stepped in _random_walks(k):
+        assert regions == _reference_regions(search)
+        pruned += stepped and regions is None
+        steps += stepped
     assert steps >= 1000 and pruned >= 50, (steps, pruned)
+
+
+def _reference_forest(search):
+    """Kruskal over every forced cross line, found from scratch: both ends
+    assigned, to different clusters; heaviest first, ties to the lower id."""
+    ranks = sorted(
+        search.rank[pos] for pos, (a, b) in enumerate(search.ends)
+        if search.assign[a] and search.assign[b] and search.assign[a] != search.assign[b]
+    )
+    assert sum(1 << r for r in ranks) == search.cross_ranks
+    comp = list(range(search.k + 1))
+    credit, credited, merges = 0.0, 0, search.k - 1
+    for r in ranks:
+        if not merges:
+            break
+        w, a, b = search.by_rank[r]
+        ca, cb = comp[search.assign[a]], comp[search.assign[b]]
+        if ca != cb:
+            credit += w
+            credited |= 1 << r
+            merges -= 1
+            comp = [cb if c == ca else c for c in comp]
+    return credit, credited, merges
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_incremental_forest_matches_a_fresh_kruskal(k):
+    # the forest place() carries and unplace() restores equals Kruskal over
+    # all forced cross lines after every step, pruned nodes included; the
+    # credit with == (the same floats summed in the same order)
+    steps = uncredited = 0
+    for search, _regions, stepped in _random_walks(k):
+        credit, credited, merges = search.forest
+        want_credit, want_credited, want_merges = _reference_forest(search)
+        assert credit == want_credit
+        assert (credited, merges) == (want_credited, want_merges)
+        steps += stepped
+        # states where the forest left a forced line out
+        uncredited += credited != search.cross_ranks
+    assert steps >= 1000 and uncredited >= 400, (steps, uncredited)
 
 
 # free buses the oracle may enumerate, per k: at most about 20,000 assignments
@@ -386,6 +438,29 @@ def test_desk_cells_take_fewer_nodes_with_chains_contracted():
         for ssr in (None, fixings):
             nodes += solve_builtin(net, groups, ssr=ssr)[1].nodes
     assert nodes < 8_000
+
+
+# (case, k, ssr) -> BnBStats.nodes: the search's path, node for node.  A
+# per-node saving must leave these exact; the same counts hold under
+# OpenBLAS's default threads, one thread, and the Haswell and Prescott kernels
+NODE_COUNTS = {
+    ("net030", 2, False): 42, ("net030", 2, True): 39,
+    ("net030", 3, False): 150, ("net030", 3, True): 61,
+    ("net030", 4, False): 295, ("net030", 4, True): 131,
+    ("net030", 5, False): 2447, ("net030", 5, True): 2447,
+    ("net057", 2, False): 40, ("net057", 2, True): 48,
+    ("net057", 3, False): 142, ("net057", 3, True): 96,
+    ("net057", 4, False): 361, ("net057", 4, True): 281,
+    ("net057", 5, False): 511, ("net057", 5, True): 396,
+    ("net118", 5, True): 14_540,
+}
+
+
+@pytest.mark.parametrize("case, k, ssr", sorted(NODE_COUNTS))
+def test_node_counts_are_pinned(case, k, ssr):
+    _sol, stats = _solve_case(case, k, ssr)
+    assert stats.proved_optimal
+    assert stats.nodes == NODE_COUNTS[(case, k, ssr)]
 
 
 def test_infeasible_instance_raises():
