@@ -188,19 +188,23 @@ def _load_groups(net, cfg: RunConfig):
     return coherency.slow_coherency(net, cfg.k)
 
 
-def _solve_with_config(cfg: RunConfig):
-    """(net, solution, stop): ``stop`` is the BudgetError of a solve that
-    ran out of time holding an unproved solution, else None."""
-    net, _ = _flowed_network(cfg)
-    groups = _load_groups(net, cfg)
+def _solve(net, groups, cfg: RunConfig):
+    """(solution, stop): ``stop`` is the BudgetError of a solve that ran
+    out of time holding an unproved solution, else None."""
     cmd = cfg.bridge_cmd or os.environ.get(BRIDGE_ENV)
     bridge = milp.SolverBridge(command=cmd, timeout_s=cfg.time_limit) if cmd else None
     try:
-        return net, routes.solve(net, groups, cfg.method, bridge, cfg.time_limit, cfg.limit), None
+        return routes.solve(net, groups, cfg.method, bridge, cfg.time_limit, cfg.limit), None
     except BudgetError as stop:
         if stop.incumbent is None:
             raise
-        return net, stop.incumbent, stop
+        return stop.incumbent, stop
+
+
+def _solve_with_config(cfg: RunConfig):
+    """(net, solution, stop) for the configured case; see ``_solve``."""
+    net, _ = _flowed_network(cfg)
+    return (net, *_solve(net, _load_groups(net, cfg), cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +261,30 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     cases = [c for c in args.cases.split(",") if c]
     rows = []
     objective: dict[tuple[str, int, str], float] = {}
+
+    def failed(name, k_values, exc):
+        rows.extend([name, k, method, None, None, type(exc).__name__]
+                    for k in k_values for method in args.methods)
+
+    # one parse and DC flow per case and one grouping per (case, k), never
+    # a groups file: one file fits one case and k.  A failure there fails
+    # every row it feeds.
     for case in cases:
+        name = Path(case).stem
+        try:
+            net, _ = _flowed_network(replace(cfg, case=case))
+        except GridTreeError as exc:
+            failed(name, args.k_values, exc)
+            continue
         for k in args.k_values:
+            try:
+                groups = coherency.slow_coherency(net, k)
+            except GridTreeError as exc:
+                failed(name, [k], exc)
+                continue
             for method in args.methods:
-                # each cell computes its own groups: one file fits one case and k
-                cell = replace(cfg, case=case, k=k, method=method, groups=None)
-                name = Path(case).stem
                 try:
-                    _net, sol, stop = _solve_with_config(cell)
+                    sol, stop = _solve(net, groups, replace(cfg, method=method))
                     objective[(name, k, method)] = sol.disruption_mw
                     rows.append([name, k, method, sol.disruption_mw, sol.runtime_s,
                                  "ok" if stop is None else "unproved"])

@@ -10,7 +10,7 @@ injection imbalance is absorbed at the slack bus.  ``disruption`` is
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ from .errors import (
     NetworkValidationError,
     UnsupportedOperation,
 )
-from .network import Network, apply_switching, disruption, is_connected
+from .network import Line, Network, apply_switching, disruption, is_connected
 
 BALANCE_TOL_PU = 1e-8
 
@@ -165,13 +165,17 @@ def solve_dc(
 
 
 def with_flows(net: Network, sol: FlowSolution) -> Network:
-    """New network whose lines carry the solved MW flows."""
+    """New network whose lines carry the solved MW flows.
+
+    It shares ``net``'s validated topology and its cached views:
+    ``incident``, the id index and connectivity.
+    """
     if len(sol.flows_mw) != net.m:
         raise NetworkValidationError("flow vector does not match line count")
-    lines = tuple(
-        replace(ln, flow_mw=f) for ln, f in zip(net.lines, sol.flows_mw)
-    )
-    return replace(net, lines=lines)
+    return net._reflowed(tuple(
+        Line(ln.id, ln.from_bus, ln.to_bus, ln.susceptance, f, ln.capacity_mw)
+        for ln, f in zip(net.lines, sol.flows_mw)
+    ))
 
 
 @dataclass(frozen=True)

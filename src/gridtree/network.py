@@ -39,6 +39,7 @@ __all__ = [
     "apply_switching",
     "components",
     "is_connected",
+    "connected_without",
     "degree2_chains",
     "json_object",
     "network_to_json",
@@ -88,26 +89,39 @@ class RawBranch:
     capacity_mw: Optional[float] = None
 
 
+# the cached views of a Network that its lines' flows do not change
+_TOPOLOGY_VIEWS = frozenset({"incident", "_id_to_index", "_connected"})
+
+
 @dataclass(frozen=True, eq=True)
 class Network:
+    """Buses and lines, validated when built.
+
+    ``incident``, the id index and connectivity are computed on first use
+    and kept.  They depend on the buses and on each line's ends, not on
+    its flow, so ``with_flows`` hands them to the network it derives.
+    """
+
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
     base_mva: float = 100.0
 
     def __post_init__(self):
-        if len({b.id for b in self.buses}) != len(self.buses):
+        n = len(self.buses)
+        if len({b.id for b in self.buses}) != n:
             raise NetworkValidationError("duplicate bus ids")
-        if [b.index for b in self.buses] != list(range(len(self.buses))):
+        if [b.index for b in self.buses] != list(range(n)):
             raise NetworkValidationError("bus indices must be dense and ordered")
         pairs = set()
         for ln in self.lines:
-            if ln.from_bus == ln.to_bus:
-                raise NetworkValidationError(f"self-loop on bus index {ln.from_bus}")
-            if not (0 <= ln.from_bus < len(self.buses) and 0 <= ln.to_bus < len(self.buses)):
+            a, b = ln.from_bus, ln.to_bus
+            if a == b:
+                raise NetworkValidationError(f"self-loop on bus index {a}")
+            if not (0 <= a < n and 0 <= b < n):
                 raise NetworkValidationError(f"line {ln.id} references unknown bus index")
             if ln.susceptance <= 0:
                 raise NetworkValidationError(f"line {ln.id} has non-positive susceptance")
-            key = (min(ln.from_bus, ln.to_bus), max(ln.from_bus, ln.to_bus))
+            key = (a, b) if a < b else (b, a)
             if key in pairs:
                 raise NetworkValidationError(f"parallel lines between bus indices {key}")
             pairs.add(key)
@@ -144,6 +158,22 @@ class Network:
     @cached_property
     def _id_to_index(self) -> Mapping[int, int]:
         return {b.id: b.index for b in self.buses}
+
+    @cached_property
+    def _connected(self) -> bool:
+        return connected_without(self, ())
+
+    def _reflowed(self, lines: tuple[Line, ...]) -> Network:
+        """This network with ``lines``, which are its own lines in order
+        with other flows.  The copy skips ``__post_init__``, since its
+        topology is the validated one, and shares the cached views flows
+        do not change."""
+        copy = object.__new__(Network)
+        copy.__dict__.update(
+            {name: view for name, view in self.__dict__.items() if name in _TOPOLOGY_VIEWS},
+            buses=self.buses, lines=lines, base_mva=self.base_mva,
+        )
+        return copy
 
 
 @dataclass(frozen=True)
@@ -183,55 +213,67 @@ class ReducedGraph:
     k: int
     edges: tuple[ReducedEdge, ...]
 
+    def is_tree(self) -> bool:
+        """True iff k-1 edges join all k clusters."""
+        if len(self.edges) != self.k - 1:
+            return False
+        try:
+            max_weight_spanning_tree(self)
+        except NetworkValidationError:
+            return False
+        return True
+
 
 # ---------------------------------------------------------------------------
 # Case file parsing (MATPOWER subset)
 # ---------------------------------------------------------------------------
 
+_COMMENT_RE = re.compile(r"%[^\n]*")
 _BASE_RE = re.compile(r"mpc\.baseMVA\s*=\s*([^;]+);")
+# a table header; [^\S\n] keeps it within one line of the comment-stripped text
+_TABLE_RE = re.compile(r"mpc\.(bus|gen|branch)[^\S\n]*=[^\S\n]*\[")
 
 
-def _read_table(lines: list[str], name: str) -> list[tuple[int, list[float]]]:
-    """Extract rows of ``mpc.<name> = [...]`` as (line_no, values)."""
-    header = re.compile(rf"mpc\.{name}\s*=\s*\[")
-    start = None
-    for idx, text in enumerate(lines):
-        if header.search(text):
-            start = idx
-            break
-    if start is None:
-        raise CaseParseError(f"table mpc.{name} not found")
-    rows: list[tuple[int, list[float]]] = []
-    for idx in range(start, len(lines)):
-        text = lines[idx]
-        if idx == start:
-            text = text[header.search(text).end():]
-        closed = "]" in text
-        if closed:
-            text = text[: text.index("]")]
-        for chunk in text.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                rows.append((idx + 1, [float(tok) for tok in chunk.split()]))
-            except ValueError:
-                raise CaseParseError(f"malformed row in mpc.{name}", line_no=idx + 1)
-        if closed:
-            return rows
-    raise CaseParseError(f"table mpc.{name} not terminated", line_no=start + 1)
+def _read_tables(text: str) -> list[list[tuple[int, list[float]]]]:
+    """Rows of mpc.bus, mpc.gen and mpc.branch as (line_no, values).
+
+    ``text`` is the comment-stripped case, its lines joined by newlines.
+    A table starts after the first header naming it and ends at the next
+    ``]``; within a line, ``;`` separates rows.  An open table's rows are
+    read before it is reported, so a malformed row in it names its line.
+    """
+    headers: dict[str, re.Match] = {}
+    for m in _TABLE_RE.finditer(text):
+        headers.setdefault(m.group(1), m)
+    tables = []
+    for name in ("bus", "gen", "branch"):
+        m = headers.get(name)
+        if m is None:
+            raise CaseParseError(f"table mpc.{name} not found")
+        first = text.count("\n", 0, m.start()) + 1
+        close = text.find("]", m.end())
+        rows: list[tuple[int, list[float]]] = []
+        body = text[m.end():close] if close >= 0 else text[m.end():]
+        for line_no, line in enumerate(body.split("\n"), start=first):
+            for chunk in line.split(";"):
+                try:
+                    values = list(map(float, chunk.split()))
+                except ValueError:
+                    raise CaseParseError(f"malformed row in mpc.{name}", line_no=line_no)
+                if values:
+                    rows.append((line_no, values))
+        if close < 0:
+            raise CaseParseError(f"table mpc.{name} not terminated", line_no=first)
+        tables.append(rows)
+    return tables
 
 
-def _finite(value: float, column: str, line_no: int) -> float:
-    if not math.isfinite(value):
-        raise CaseParseError(f"{column} must be finite, got {value!r}", line_no=line_no)
-    return value
+def _not_finite(column: str, value: float, line_no: int) -> CaseParseError:
+    return CaseParseError(f"{column} must be finite, got {value!r}", line_no=line_no)
 
 
-def _bus_id(value: float, column: str, line_no: int) -> int:
-    if not value.is_integer():
-        raise CaseParseError(f"{column} must be an integer bus id, got {value!r}", line_no=line_no)
-    return int(value)
+def _not_bus_id(column: str, value: float, line_no: int) -> CaseParseError:
+    return CaseParseError(f"{column} must be an integer bus id, got {value!r}", line_no=line_no)
 
 
 def merge_parallel(records: Sequence[RawBranch]) -> list[Line]:
@@ -277,9 +319,7 @@ def parse_case(text: str) -> Network:
     merged, bus ids remapped to dense 0-based indices.  A non-finite value
     in any of these columns is a CaseParseError naming its line.
     """
-    raw_lines = [ln.split("%")[0] for ln in text.splitlines()]
-
-    joined = "\n".join(raw_lines)
+    joined = _COMMENT_RE.sub("", "\n".join(text.splitlines()))
     m = _BASE_RE.search(joined)
     if m is None:
         raise CaseParseError("mpc.baseMVA not found")
@@ -287,24 +327,27 @@ def parse_case(text: str) -> Network:
         base_mva = float(m.group(1))
     except ValueError:
         raise CaseParseError(f"bad baseMVA value: {m.group(1)!r}")
-    _finite(base_mva, "baseMVA", joined.count("\n", 0, m.start()) + 1)
+    if not math.isfinite(base_mva):
+        raise _not_finite("baseMVA", base_mva, joined.count("\n", 0, m.start()) + 1)
     if base_mva <= 0:
         raise CaseParseError(f"baseMVA must be positive, got {base_mva}")
 
-    bus_rows = _read_table(raw_lines, "bus")
-    gen_rows = _read_table(raw_lines, "gen")
-    branch_rows = _read_table(raw_lines, "branch")
+    bus_rows, gen_rows, branch_rows = _read_tables(joined)
 
     ids: list[int] = []
     load: dict[int, float] = {}
     for line_no, row in bus_rows:
         if len(row) < 3:
             raise CaseParseError("bus row needs at least 3 columns", line_no=line_no)
-        bus_id = _bus_id(row[0], "BUS_I", line_no)
+        if not row[0].is_integer():
+            raise _not_bus_id("BUS_I", row[0], line_no)
+        bus_id = int(row[0])
         if bus_id in load:
             raise NetworkValidationError(f"duplicate bus id {bus_id}")
+        if not math.isfinite(row[2]):
+            raise _not_finite("PD", row[2], line_no)
         ids.append(bus_id)
-        load[bus_id] = _finite(row[2], "PD", line_no)
+        load[bus_id] = row[2]
 
     index = {bus_id: i for i, bus_id in enumerate(ids)}
 
@@ -312,16 +355,24 @@ def parse_case(text: str) -> Network:
     for line_no, row in gen_rows:
         if len(row) < 2:
             raise CaseParseError("gen row needs at least 2 columns", line_no=line_no)
-        bus_id = _bus_id(row[0], "GEN_BUS", line_no)
+        if not row[0].is_integer():
+            raise _not_bus_id("GEN_BUS", row[0], line_no)
+        bus_id = int(row[0])
         if bus_id not in index:
             raise CaseParseError(f"gen references unknown bus {bus_id}", line_no=line_no)
-        gen[bus_id] = gen.get(bus_id, 0.0) + _finite(row[1], "PG", line_no)
+        if not math.isfinite(row[1]):
+            raise _not_finite("PG", row[1], line_no)
+        gen[bus_id] = gen.get(bus_id, 0.0) + row[1]
 
     records: list[RawBranch] = []
     for line_no, row in branch_rows:
         if len(row) < 11:
             raise CaseParseError("branch row needs at least 11 columns", line_no=line_no)
-        f_id, t_id = _bus_id(row[0], "F_BUS", line_no), _bus_id(row[1], "T_BUS", line_no)
+        if not row[0].is_integer():
+            raise _not_bus_id("F_BUS", row[0], line_no)
+        if not row[1].is_integer():
+            raise _not_bus_id("T_BUS", row[1], line_no)
+        f_id, t_id = int(row[0]), int(row[1])
         if f_id not in index or t_id not in index:
             raise CaseParseError(
                 f"branch references unknown bus {f_id if f_id not in index else t_id}",
@@ -329,12 +380,17 @@ def parse_case(text: str) -> Network:
             )
         if f_id == t_id:
             raise CaseParseError(f"self-loop branch at bus {f_id}", line_no=line_no)
-        if _finite(row[10], "BR_STATUS", line_no) == 0:
+        status, x, rate = row[10], row[3], row[5]
+        if not math.isfinite(status):
+            raise _not_finite("BR_STATUS", status, line_no)
+        if status == 0:
             continue
-        x = _finite(row[3], "BR_X", line_no)
+        if not math.isfinite(x):
+            raise _not_finite("BR_X", x, line_no)
         if x <= 0:
             raise CaseParseError(f"branch reactance must be positive, got {x}", line_no=line_no)
-        rate = _finite(row[5], "RATE_A", line_no)
+        if not math.isfinite(rate):
+            raise _not_finite("RATE_A", rate, line_no)
         records.append(
             RawBranch(
                 from_bus=index[f_id],
@@ -419,7 +475,25 @@ def components(net: Network, buses: Iterable[int]) -> list[list[int]]:
 
 
 def is_connected(net: Network) -> bool:
-    return len(components(net, range(net.n))) == 1
+    return net._connected
+
+
+def connected_without(net: Network, switched: Container[int]) -> bool:
+    """Whether the lines outside ``switched`` join every bus: the
+    connectivity of ``apply_switching(net, switched)``, without the copy."""
+    if not net.n:
+        return False
+    seen = [False] * net.n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for lid, other in net.incident[stack.pop()]:
+            if not seen[other] and lid not in switched:
+                seen[other] = True
+                reached += 1
+                stack.append(other)
+    return reached == net.n
 
 
 @dataclass(frozen=True)
@@ -523,14 +597,7 @@ def max_weight_spanning_tree(rg: ReducedGraph) -> tuple[frozenset[int], frozense
 
 def is_tree_partition(net: Network, p: Partition) -> bool:
     """True iff the reduced graph is a tree: k-1 edges joining all k clusters."""
-    rg = reduced_graph(net, p)
-    if len(rg.edges) != p.k - 1:
-        return False
-    try:
-        max_weight_spanning_tree(rg)
-    except NetworkValidationError:
-        return False
-    return True
+    return reduced_graph(net, p).is_tree()
 
 
 def disruption(net: Network, switched: Iterable[int]) -> float:

@@ -15,11 +15,9 @@ from .errors import NetworkValidationError
 from .network import (
     Network,
     Partition,
-    apply_switching,
-    cross_edges,
+    ReducedGraph,
+    connected_without,
     disruption,
-    is_connected,
-    is_tree_partition,
     json_object,
     max_weight_spanning_tree,
     reduced_graph,
@@ -72,9 +70,14 @@ def partition_solution(net: Network, partition: Partition, method: str) -> TreeP
 
 
 def validate_solution(net: Network, sol: TreePartitionSolution, groups=None):
-    """Raise NetworkValidationError unless every solution invariant holds."""
+    """Raise NetworkValidationError unless every solution invariant holds.
+
+    The post-switching network is walked on ``net`` itself, skipping the
+    switched lines.
+    """
     p = sol.partition
-    cross = set(cross_edges(net, p))
+    rg = reduced_graph(net, p)
+    cross = {e.line_id for e in rg.edges}
     if sol.switched & sol.retained_bridges:
         raise NetworkValidationError("switched and retained line sets overlap")
     if sol.switched | sol.retained_bridges != cross:
@@ -83,10 +86,10 @@ def validate_solution(net: Network, sol: TreePartitionSolution, groups=None):
         raise NetworkValidationError(
             f"expected {p.k - 1} retained bridges, got {len(sol.retained_bridges)}"
         )
-    post = apply_switching(net, sol.switched)
-    if not is_connected(post):
+    if not connected_without(net, sol.switched):
         raise NetworkValidationError("post-switching network is disconnected")
-    if not is_tree_partition(post, p):
+    kept = ReducedGraph(p.k, tuple(e for e in rg.edges if e.line_id not in sol.switched))
+    if not kept.is_tree():
         raise NetworkValidationError("partition is not a tree partition after switching")
     if groups is not None:
         for bus, r in groups.cluster_of.items():

@@ -17,6 +17,7 @@ from gridtree import cli, milpsolve
 from gridtree.cli import main
 from gridtree.coherency import slow_coherency
 from gridtree.milp import solution_to_values
+from gridtree.network import parse_case
 from gridtree.render import to_dot
 from gridtree.solution import solution_from_json, validate_solution
 from gridtree.twostage import two_stage
@@ -212,6 +213,21 @@ def test_bench_ignores_a_config_groups_key(capsys, tmp_path):
     plain = run(capsys, *bench)
     assert plain[0] == 0 and "NetworkValidationError" not in plain[1]
     assert run(capsys, *bench, "--config", str(config)) == plain
+
+
+def test_bench_parses_each_case_once(capsys, monkeypatch):
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse_case(text)
+
+    monkeypatch.setattr(cli, "parse_case", counting_parse)
+    net030 = str(CASES_DIR / "net030.m")
+    code, out = run(capsys, "bench", "--cases", f"{DEMO},{net030}", "--k-values", "2,3",
+                    "--methods", "two-stage,milp", "--no-timing")
+    assert code == 0 and len(out.splitlines()) == 1 + 2 * 2 * 2
+    assert parsed == [DEMO_TEXT, (CASES_DIR / "net030.m").read_text()]
 
 
 def test_byte_identical_reruns(capsys, toy_case):

@@ -9,7 +9,7 @@ from gridtree import dcflow
 from gridtree.dcflow import GenCost, balanced_injections, disruption, solve_dc, with_flows
 from gridtree.errors import InfeasibleError, NetworkValidationError, UnsupportedOperation
 from gridtree.milp import SolverBridge
-from gridtree.network import parse_case
+from gridtree.network import Line, Network, is_connected, parse_case
 
 from conftest import BRIDGE_CMD, CASES_DIR, build_net, random_connected_net
 
@@ -132,6 +132,35 @@ def test_with_flows_requires_matching_length():
     sol = solve_dc(net, 0)
     with pytest.raises(NetworkValidationError):
         with_flows(build_net(3, [(0, 1), (1, 2)]), sol)
+
+
+def test_with_flows_shares_the_validated_topology():
+    net = parse_case((CASES_DIR / "net030.m").read_text())
+    sol = solve_dc(net, 0, balanced_injections(net))
+    flowed = with_flows(net, sol)
+    fresh = Network(buses=net.buses, lines=flowed.lines, base_mva=net.base_mva)
+    assert flowed == fresh
+    assert tuple(ln.flow_mw for ln in flowed.lines) == sol.flows_mw
+    assert flowed.incident is net.incident and flowed.incident == fresh.incident
+    assert flowed.index_of(net.buses[7].id) == fresh.index_of(net.buses[7].id) == 7
+    assert is_connected(flowed) and is_connected(fresh)
+    assert dcflow.laplacian(flowed).tobytes() == dcflow.laplacian(fresh).tobytes()
+    # flows are not topology: the id-to-line map is the flowed network's own
+    assert flowed.line_by_id[0] is flowed.lines[0]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (Line(2, 1, 1, 1.0), "self-loop on bus index 1"),
+    (Line(2, 1, 3, 1.0), "line 2 references unknown bus index"),
+    (Line(2, 0, 2, 0.0), "line 2 has non-positive susceptance"),
+    (Line(2, 1, 0, 1.0), r"parallel lines between bus indices \(0, 1\)"),
+    (Line(1, 0, 2, 1.0), "duplicate line ids"),
+])
+def test_a_network_built_from_lines_still_validates_them(bad, message):
+    net = build_net(3, [(0, 1), (1, 2)])
+    flowed = with_flows(net, solve_dc(net, 0))
+    with pytest.raises(NetworkValidationError, match=f"^{message}$"):
+        Network(buses=flowed.buses, lines=(*flowed.lines, bad), base_mva=flowed.base_mva)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from gridtree.network import (
     RawBranch,
     apply_switching,
     bridges,
+    connected_without,
     cross_edges,
     degree2_chains,
     is_connected,
@@ -66,7 +67,15 @@ def test_parse_errors_carry_line_numbers():
     bad = TWO_BUS_CASE.replace("1 2 0 0.1 0 0 0 0 0 0 1;", "1 2 0 abc 0 0 0 0 0 0 1;")
     with pytest.raises(CaseParseError) as err:
         parse_case(bad)
-    assert "line" in str(err.value)
+    assert str(err.value) == "line 11: malformed row in mpc.branch"
+    assert err.value.line_no == 11
+    # a malformed row is reported before the missing "]" that follows it
+    open_table = bad.rsplit("];", 1)[0]
+    with pytest.raises(CaseParseError, match=r"^line 11: malformed row in mpc\.branch$"):
+        parse_case(open_table)
+    unterminated = TWO_BUS_CASE.rsplit("];", 1)[0]
+    with pytest.raises(CaseParseError, match=r"^line 10: table mpc\.branch not terminated$"):
+        parse_case(unterminated)
 
 
 def test_parse_accepts_inf_in_columns_it_does_not_read():
@@ -96,6 +105,21 @@ mpc.branch = [ 1 2 0 0.1 0 0 0 0 0 0 1; ];
 """
     with pytest.raises(NetworkValidationError):
         parse_case(case)
+
+
+def test_parse_reads_no_table_header_inside_a_comment():
+    bare = TWO_BUS_CASE.replace("mpc.bus = [", "% mpc.bus = [")
+    with pytest.raises(CaseParseError, match=r"^table mpc\.bus not found$"):
+        parse_case(bare)
+    # a commented header ahead of the real one is not where the table starts
+    shadowed = TWO_BUS_CASE.replace("mpc.bus = [", "% mpc.bus = [ 9 9 9;\nmpc.bus = [")
+    assert parse_case(shadowed) == parse_case(TWO_BUS_CASE)
+
+
+def test_parse_reads_a_table_whose_header_follows_other_text():
+    inline = TWO_BUS_CASE.replace("mpc.bus = [\n    ", "x = 1; mpc.bus = [ ")
+    assert "x = 1; mpc.bus = [ 1 3 0" in inline
+    assert parse_case(inline) == parse_case(TWO_BUS_CASE)
 
 
 def test_merge_parallel_same_direction():
@@ -239,6 +263,15 @@ def test_apply_switching_empty_and_bridge():
     assert not is_connected(chopped)
     with pytest.raises(NetworkValidationError):
         apply_switching(net, [99])
+
+
+def test_connected_without_matches_a_switched_copy():
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        net = random_connected_net(rng, 8, int(rng.integers(0, 5)))
+        off = [ln.id for ln in net.lines if rng.random() < 0.3]
+        assert connected_without(net, off) == is_connected(apply_switching(net, off))
+    assert connected_without(net, ()) and is_connected(net)
 
 
 def test_apply_switching_preserves_line_ids():
