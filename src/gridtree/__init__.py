@@ -28,7 +28,7 @@ _SOURCES = {
     "milp": ("SolverBridge", "build_model", "solve_via_bridge"),
     "network": ("Bus", "Line", "Network", "Partition", "ReducedGraph", "apply_switching",
                 "bridges", "cross_edges", "disruption", "is_tree_partition",
-                "max_weight_spanning_tree", "merge_parallel", "parse_case", "reduced_graph",
+                "max_weight_spanning_tree", "parse_case", "reduced_graph",
                 "serialize_case"),
     "oracle": ("enumerate_optimal",),
     "routes": ("METHODS", "solve"),

@@ -67,8 +67,22 @@ lightest line on a cycle of F, so it stays out of the forest of F + N:
 MSF(F + N) = MSF(MSF(F) + N).  The credited lines, and with them each
 leaf's bridge tree, are thus the ones Kruskal over all of F picks, and
 the credit is bit-identical, because the credited weights are still
-summed in ascending rank order.  Unplacing the bus restores the saved
-forest.
+summed in ascending rank order.  The forest also keeps the component
+label Kruskal left on each cluster.  When every line of N is lighter
+than every credited line, Kruskal over MSF(F) + N takes all the credited
+lines first and reaches exactly the kept credit and labels, so place()
+goes on from the kept forest over N alone instead of running Kruskal
+over MSF(F) + N.  A line of N that joins two labels of one component
+closes a cycle of the forest and is lighter than every forest line, so
+it is the lightest line on that cycle and is rejected: when every line
+of N is, or no merge is missing, the forest stays as it was.  Unplacing
+the bus restores the saved forest.
+
+A node is counted, held to the node and time limits and bounded right
+after its bus is placed, in its parent's child loop (the root after the
+fixed buses are placed), so a pruned child is unplaced without a call
+to dfs.  Pruned children count as nodes all the same, in the order they
+are placed, so node limits and counts read as if dfs entered each one.
 
 A subtree is pruned only when its bound exceeds the incumbent by more
 than a relative tolerance, so every leaf that ties the optimum is still
@@ -139,29 +153,30 @@ class _Search:
 
         self.line_ids = [ln.id for ln, _a, _b in lines]
         self.ends = [(a, b) for _ln, a, b in lines]
-        self.weight = [abs(ln.flow_mw) for ln, _a, _b in lines]
+        weight = [abs(ln.flow_mw) for ln, _a, _b in lines]
         # positions sorted by weight descending, id ascending for determinism
-        by_weight = sorted(
-            range(len(lines)), key=lambda p: (-self.weight[p], self.line_ids[p])
-        )
+        by_weight = sorted(range(len(lines)), key=lambda p: (-weight[p], self.line_ids[p]))
         self.rank = [0] * len(lines)
         for r, pos in enumerate(by_weight):
             self.rank[pos] = r
-        self.by_rank = [(self.weight[p], *self.ends[p]) for p in by_weight]
+        self.by_rank = [(weight[p], *self.ends[p]) for p in by_weight]
         self.nbr_mask = [0] * self.n
-        self.lines_at: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        # [bus]: (other end, weight, 1 << weight rank) of each line at bus
+        self.lines_at: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n)]
         for pos, (a, b) in enumerate(self.ends):
             self.nbr_mask[a] |= 1 << b
             self.nbr_mask[b] |= 1 << a
-            self.lines_at[a].append((pos, b))
-            self.lines_at[b].append((pos, a))
+            self.lines_at[a].append((b, weight[pos], 1 << self.rank[pos]))
+            self.lines_at[b].append((a, weight[pos], 1 << self.rank[pos]))
 
         self.assign = [0] * self.n
         self.forced_cross = 0.0
         self.cross_ranks = 0  # bit r set: the line of weight rank r is forced cross
-        # (credit, credited weight ranks, merges still missing) of the forced
-        # cross lines' maximum-weight spanning forest on the cluster labels
-        self.forest = (0.0, 0, k - 1)
+        # (credit, credited weight ranks, merges still missing, component label
+        # of each cluster) of the forced cross lines' maximum-weight spanning
+        # forest on the cluster labels
+        self.empty_forest = (0.0, 0, k - 1, list(range(k + 1)))
+        self.forest = self.empty_forest
         self.assigned_mask = 0
         self.all_buses = (1 << self.n) - 1
         self.cluster_mask = [0] * (k + 1)
@@ -171,7 +186,7 @@ class _Search:
         self.stale = (1 << (k + 1)) - 2  # bit r set: region[r] must be re-flooded
         self.saved: list[tuple[int, int]] = []  # (r, region[r] before its re-flood)
         # what place() changes and unplace() restores, one entry per placement
-        self.undo: list[tuple[float, int, tuple[float, int, int], int, int]] = []
+        self.undo: list[tuple[float, int, tuple, int, int]] = []
 
         self.nodes = 0
         self.incumbent: Optional[float] = None  # the least leaf value so far
@@ -205,14 +220,21 @@ class _Search:
         self.cluster_mask[r] |= bit
         self.n_unassigned -= 1
         forced = 0
-        for pos, other in self.lines_at[bus]:
-            o = self.assign[other]
+        forced_cross = self.forced_cross
+        assign = self.assign
+        for other, w, rank_bit in self.lines_at[bus]:
+            o = assign[other]
             if o and o != r:
-                self.forced_cross += self.weight[pos]
-                forced |= 1 << self.rank[pos]
+                forced_cross += w
+                forced |= rank_bit
         if forced:
+            self.forced_cross = forced_cross
             self.cross_ranks |= forced
-            self.forest = self.kruskal(self.forest[1] | forced)
+            credited = self.forest[1]
+            if forced & ((1 << credited.bit_length()) - 1):
+                self.forest = self.kruskal(self.empty_forest, credited | forced)
+            else:  # every new line is lighter than every credited one
+                self.forest = self.kruskal(self.forest, forced)
 
     def unplace(self, bus: int, r: int) -> None:
         """Undo the last ``place(bus, r)`` and the re-floods made since."""
@@ -230,15 +252,12 @@ class _Search:
     def bound(self) -> float:
         return max(0.0, self.forced_cross - self.forest[0])
 
-    def kruskal(self, ranks: int) -> tuple[float, int, int]:
-        """(credit, credited weight ranks, merges still missing) of a
-        maximum-weight spanning forest of the lines whose weight ranks are
-        set in ``ranks``, all with both ends assigned: Kruskal on the
-        cluster labels, heaviest first, at most k-1 merges."""
-        credit = 0.0
-        credited = 0
-        merges = self.k - 1
-        comp = list(range(self.k + 1))
+    def kruskal(self, forest: tuple, ranks: int) -> tuple[float, int, int, list[int]]:
+        """``forest`` grown by Kruskal over the lines whose weight ranks are
+        set in ``ranks``, all with both ends assigned and all lighter than
+        the lines ``forest`` credits: on the cluster labels, heaviest first,
+        at most k-1 merges in all."""
+        credit, credited, merges, comp = forest
         while ranks and merges:
             low = ranks & -ranks
             ranks ^= low
@@ -249,7 +268,7 @@ class _Search:
                 credited |= low
                 merges -= 1
                 comp = [cb if c == ca else c for c in comp]
-        return credit, credited, merges
+        return credit, credited, merges, comp
 
     def regions(self) -> Optional[list[int]]:
         """Bus mask of each cluster's region (see the module docstring), or
@@ -300,14 +319,21 @@ class _Search:
         """The free bus with the fewest clusters in its domain; ties go to
         the most assigned neighbours, then to the lowest index."""
         free = self.all_buses & ~self.assigned_mask
-        at_least = [free] + [0] * (self.k + 1)  # [j]: free buses in >= j regions
+        ones = twos = threes = 0  # buses in >= 1, >= 2, >= 3 regions
         for region in regions:
-            for j in range(self.k, 0, -1):
-                at_least[j] |= at_least[j - 1] & region
-        for j in range(1, self.k + 1):  # every free bus is in some region
-            fewest = at_least[j] & ~at_least[j + 1]
-            if fewest:
-                break
+            threes |= twos & region
+            twos |= ones & region
+            ones |= region
+        fewest = free & ~twos or free & twos & ~threes  # every free bus is in some region
+        if not fewest:
+            at_least = [free] + [0] * (self.k + 1)  # [j]: free buses in >= j regions
+            for region in regions:
+                for j in range(self.k, 0, -1):
+                    at_least[j] |= at_least[j - 1] & region
+            for j in range(3, self.k + 1):
+                fewest = at_least[j] & ~at_least[j + 1]
+                if fewest:
+                    break
         best_bus, best_score = -1, -1
         while fewest:  # ascending scan makes index the tie-break
             low = fewest & -fewest
@@ -318,22 +344,26 @@ class _Search:
                 best_bus, best_score = b, score
         return best_bus
 
-    def dfs(self) -> None:
+    def enter(self) -> bool:
+        """Count the node just placed, stop at the node or time limit, and
+        say whether its bound lets the search descend into it."""
         self.nodes += 1
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise _Stop()
         if self.time_limit_s is not None and self.nodes % 256 == 0:
             if time.perf_counter() - self.started > self.time_limit_s:
                 raise _Stop()
-        credit, credited, merges_missing = self.forest
-        # the limit is positive, so this is bound() > limit
-        if self.forced_cross - credit > self.limit:
-            return
+        # the limit is positive, so this is bound() <= limit
+        return self.forced_cross - self.forest[0] <= self.limit
+
+    def dfs(self) -> None:
+        """Search below a node that enter() let in."""
         regions = self.regions()
         if regions is None:
             return
         if self.n_unassigned == 0:
             # every line is decided, so the bound's forest is the bridge tree
+            _credit, credited, merges_missing, _comp = self.forest
             if merges_missing:
                 return
             switched = self.cross_ranks & ~credited
@@ -351,13 +381,14 @@ class _Search:
         domain = [r for r in range(1, self.k + 1) if regions[r - 1] >> bus & 1]
         if len(domain) > 1:
             kept = [0.0] * (self.k + 1)  # [r]: flow on bus's lines into cluster r
-            for pos, other in self.lines_at[bus]:
-                kept[self.assign[other]] += self.weight[pos]
+            for other, w, _rank_bit in self.lines_at[bus]:
+                kept[self.assign[other]] += w
             domain.sort(key=lambda r: -kept[r])
         for r in domain:
             self.place(bus, r)
             try:
-                self.dfs()
+                if self.enter():
+                    self.dfs()
             finally:
                 self.unplace(bus, r)
 
@@ -429,7 +460,8 @@ def solve_builtin(
 
     proved = True
     try:
-        search.dfs()
+        if search.enter():
+            search.dfs()
     except _Stop:
         proved = False
 

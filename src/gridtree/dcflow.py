@@ -66,15 +66,21 @@ class GenCost:
 
 
 def laplacian(net: Network) -> np.ndarray:
-    """Susceptance-weighted bus Laplacian (per unit), dense."""
-    rows, cols, vals = [], [], []
-    for ln in net.lines:
-        i, j, b = ln.from_bus, ln.to_bus, ln.susceptance
-        rows += [i, j, i, j]
-        cols += [i, j, j, i]
-        vals += [b, b, -b, -b]
-    lap = np.zeros((net.n, net.n))
-    np.add.at(lap, (rows, cols), vals)
+    """Susceptance-weighted bus Laplacian (per unit), dense.
+
+    Each diagonal entry sums its lines' susceptances in line order; a
+    Network has no parallel lines, so each off-diagonal entry is one
+    line's negated susceptance.
+    """
+    n, lines = net.n, net.lines
+    f = np.array([ln.from_bus for ln in lines], dtype=np.intp)
+    t = np.array([ln.to_bus for ln in lines], dtype=np.intp)
+    sus = np.array([ln.susceptance for ln in lines], dtype=float)
+    lap = np.zeros((n, n))
+    # line i's ends are entries 2i and 2i+1, so each sum runs in line order
+    lap.flat[:: n + 1] = np.bincount(np.column_stack((f, t)).ravel(), np.repeat(sus, 2), minlength=n)
+    lap[f, t] = -sus
+    lap[t, f] = -sus
     return lap
 
 

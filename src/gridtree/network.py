@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional
 
 from .errors import CaseParseError, NetworkValidationError
 
@@ -26,10 +26,8 @@ __all__ = [
     "ReducedEdge",
     "ReducedGraph",
     "Chain",
-    "RawBranch",
     "parse_case",
     "serialize_case",
-    "merge_parallel",
     "cross_edges",
     "reduced_graph",
     "max_weight_spanning_tree",
@@ -76,17 +74,6 @@ class Line:
 
     def other(self, bus: int) -> int:
         return self.to_bus if bus == self.from_bus else self.from_bus
-
-
-@dataclass(frozen=True)
-class RawBranch:
-    """An unmerged branch record as read from a case file."""
-
-    from_bus: int
-    to_bus: int
-    susceptance: float
-    flow_mw: float = 0.0
-    capacity_mw: Optional[float] = None
 
 
 # the cached views of a Network that its lines' flows do not change
@@ -276,47 +263,16 @@ def _not_bus_id(column: str, value: float, line_no: int) -> CaseParseError:
     return CaseParseError(f"{column} must be an integer bus id, got {value!r}", line_no=line_no)
 
 
-def merge_parallel(records: Sequence[RawBranch]) -> list[Line]:
-    """Merge parallel branches into one line per unordered bus pair.
-
-    Flows are re-signed to the canonical (min index, max index) orientation
-    and summed; susceptances add; capacities add unless any branch of the
-    pair is unlimited (None), which makes the merged line unlimited.
-    """
-    acc: dict[tuple[int, int], list] = {}
-    for rec in records:
-        a, b = rec.from_bus, rec.to_bus
-        sign = 1.0 if a < b else -1.0
-        key = (min(a, b), max(a, b))
-        slot = acc.setdefault(key, [0.0, 0.0, 0.0, False])  # susceptance, flow, cap, unlimited
-        slot[0] += rec.susceptance
-        slot[1] += sign * rec.flow_mw
-        if rec.capacity_mw is None:
-            slot[3] = True
-        else:
-            slot[2] += rec.capacity_mw
-    out = []
-    for lid, (key, (sus, flow, cap, unlimited)) in enumerate(acc.items()):
-        out.append(
-            Line(
-                id=lid,
-                from_bus=key[0],
-                to_bus=key[1],
-                susceptance=sus,
-                flow_mw=flow,
-                capacity_mw=None if unlimited else cap,
-            )
-        )
-    return out
-
-
 def parse_case(text: str) -> Network:
     """Parse a MATPOWER-subset case file into a connected Network.
 
     Reads baseMVA, bus columns (BUS_I, PD), gen columns
     (GEN_BUS, PG) and branch columns (F_BUS, T_BUS, BR_X, RATE_A,
-    BR_STATUS).  Out-of-service branches are dropped, parallel branches
-    merged, bus ids remapped to dense 0-based indices.  A non-finite value
+    BR_STATUS).  Out-of-service branches are dropped and bus ids remapped
+    to dense 0-based indices.  Parallel branches become one line per
+    unordered bus pair, in the order each pair first appears, oriented
+    from the lower index: susceptances add, and so do capacities unless a
+    branch of the pair is unlimited (RATE_A 0), which leaves it unlimited.  A non-finite value
     in any of these columns is a CaseParseError naming its line.
     """
     joined = _COMMENT_RE.sub("", "\n".join(text.splitlines()))
@@ -364,7 +320,7 @@ def parse_case(text: str) -> Network:
             raise _not_finite("PG", row[1], line_no)
         gen[bus_id] = gen.get(bus_id, 0.0) + row[1]
 
-    records: list[RawBranch] = []
+    pairs: dict[tuple[int, int], list] = {}  # [susceptance, capacity, unlimited]
     for line_no, row in branch_rows:
         if len(row) < 11:
             raise CaseParseError("branch row needs at least 11 columns", line_no=line_no)
@@ -391,14 +347,13 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(f"branch reactance must be positive, got {x}", line_no=line_no)
         if not math.isfinite(rate):
             raise _not_finite("RATE_A", rate, line_no)
-        records.append(
-            RawBranch(
-                from_bus=index[f_id],
-                to_bus=index[t_id],
-                susceptance=1.0 / x,
-                capacity_mw=rate if rate > 0 else None,
-            )
-        )
+        a, b = index[f_id], index[t_id]
+        pair = pairs.setdefault((a, b) if a < b else (b, a), [0.0, 0.0, False])
+        pair[0] += 1.0 / x
+        if rate > 0:
+            pair[1] += rate
+        else:
+            pair[2] = True
 
     buses = tuple(
         Bus(
@@ -411,7 +366,11 @@ def parse_case(text: str) -> Network:
         )
         for bus_id in ids
     )
-    net = Network(buses=buses, lines=tuple(merge_parallel(records)), base_mva=base_mva)
+    lines = tuple(
+        Line(lid, a, b, sus, capacity_mw=None if unlimited else cap)
+        for lid, ((a, b), (sus, cap, unlimited)) in enumerate(pairs.items())
+    )
+    net = Network(buses=buses, lines=lines, base_mva=base_mva)
     if not is_connected(net):
         raise NetworkValidationError("network is not connected")
     return net

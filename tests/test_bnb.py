@@ -268,7 +268,8 @@ def test_incremental_regions_match_a_fresh_flood(k):
 
 def _reference_forest(search):
     """Kruskal over every forced cross line, found from scratch: both ends
-    assigned, to different clusters; heaviest first, ties to the lower id."""
+    assigned, to different clusters; heaviest first, ties to the lower id.
+    Also the component label of each cluster, as Kruskal relabels them."""
     ranks = sorted(
         search.rank[pos] for pos, (a, b) in enumerate(search.ends)
         if search.assign[a] and search.assign[b] and search.assign[a] != search.assign[b]
@@ -286,24 +287,59 @@ def _reference_forest(search):
             credited |= 1 << r
             merges -= 1
             comp = [cb if c == ca else c for c in comp]
-    return credit, credited, merges
+    return credit, credited, merges, comp
+
+
+def _union_of(search, credited):
+    """The clusters each credited line joins, merged by a plain union-find,
+    as a partition of the labels 1..k."""
+    parent = list(range(search.k + 1))
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for r in range(credited.bit_length()):
+        if credited >> r & 1:
+            _w, a, b = search.by_rank[r]
+            parent[root(search.assign[a])] = root(search.assign[b])
+    return {frozenset(c for c in range(1, search.k + 1) if root(c) == rc)
+            for rc in {root(c) for c in range(1, search.k + 1)}}
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_incremental_forest_matches_a_fresh_kruskal(k):
     # the forest place() carries and unplace() restores equals Kruskal over
     # all forced cross lines after every step, pruned nodes included; the
-    # credit with == (the same floats summed in the same order)
-    steps = uncredited = 0
+    # credit with == (the same floats summed in the same order), and the
+    # carried component labels are the ones a fresh union of the credited
+    # lines gives
+    steps = uncredited = resumed = grown = 0
+    before = None
     for search, _regions, stepped in _random_walks(k):
-        credit, credited, merges = search.forest
-        want_credit, want_credited, want_merges = _reference_forest(search)
+        credit, credited, merges, comp = search.forest
+        want_credit, want_credited, want_merges, want_comp = _reference_forest(search)
         assert credit == want_credit
-        assert (credited, merges) == (want_credited, want_merges)
+        assert (credited, merges, comp) == (want_credited, want_merges, want_comp)
+        labels = {frozenset(c for c in range(1, k + 1) if comp[c] == comp[d])
+                  for d in range(1, k + 1)}
+        assert labels == _union_of(search, credited)
         steps += stepped
         # states where the forest left a forced line out
         uncredited += credited != search.cross_ranks
+        # placements that forced only lines lighter than every credited
+        # one, whose forest place() grows from the carried one instead of
+        # running Kruskal again
+        if stepped and before is not None and search.cross_ranks & ~before[0]:
+            new = search.cross_ranks & ~before[0]
+            if new & ((1 << before[1].bit_length()) - 1) == 0:
+                resumed += 1
+                grown += credited != before[1]
+        before = (search.cross_ranks, credited)
+    # the resumed Kruskal both kept the forest as it was and added lines to it
     assert steps >= 1000 and uncredited >= 400, (steps, uncredited)
+    assert resumed - grown >= 15 and grown >= 100, (resumed, grown)
 
 
 # free buses the oracle may enumerate, per k: at most about 20,000 assignments
@@ -461,6 +497,41 @@ def test_node_counts_are_pinned(case, k, ssr):
     _sol, stats = _solve_case(case, k, ssr)
     assert stats.proved_optimal
     assert stats.nodes == NODE_COUNTS[(case, k, ssr)]
+
+
+# net030 k=5 stopped by node_limit -> (nodes, incumbent assignment,
+# incumbent_mw.hex(), best_bound.hex()), or the node count of the
+# BudgetError raised before any leaf.  A child pruned by its bound is
+# counted where its parent places it, in the order dfs would enter it, so
+# these are the stop points of a search that enters every node.  The
+# assignments hold under every OpenBLAS kernel; the incumbent's last bits
+# follow the kernel's flows (0x1.203d29182a5eep+8 under Haswell)
+STOP_POINTS = {
+    1: 2,
+    10: 11,
+    100: (101, "555142253112545525552555225545", "0x1.203d29182a5ecp+8", "0x0.0p+0"),
+    1000: (1001, "555142253112545555552555225545", "0x1.79d75d7a37dcap+7", "0x0.0p+0"),
+    2446: (2447, "551142213112343553132515223145", "0x1.799b909256c8ap+7", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("node_limit", sorted(STOP_POINTS))
+def test_stop_points_are_pinned(node_limit):
+    net = case_net("net030")
+    groups = coherency.slow_coherency(net, 5)
+    want = STOP_POINTS[node_limit]
+    if isinstance(want, int):
+        with pytest.raises(BudgetError, match=f"^budget exhausted after {want} nodes with no"):
+            solve_builtin(net, groups, node_limit=node_limit)
+        return
+    nodes, assignment, incumbent_hex, bound_hex = want
+    sol, stats = solve_builtin(net, groups, node_limit=node_limit)
+    assert not stats.proved_optimal
+    assert stats.nodes == nodes
+    assert "".join(map(str, sol.partition.assignment)) == assignment
+    assert stats.incumbent_mw == sol.disruption_mw
+    assert stats.incumbent_mw == pytest.approx(float.fromhex(incumbent_hex), rel=1e-13, abs=0)
+    assert stats.best_bound.hex() == bound_hex
 
 
 def test_infeasible_instance_raises():

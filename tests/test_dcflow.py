@@ -30,6 +30,35 @@ def test_three_cycle_split_matches_hand_solution():
     assert sol.flows_mw[2] == pytest.approx(100.0 / 3.0)
 
 
+def _reference_laplacian(net):
+    """The Laplacian as np.add.at assembles it, entry by entry in line order."""
+    rows, cols, vals = [], [], []
+    for ln in net.lines:
+        i, j, b = ln.from_bus, ln.to_bus, ln.susceptance
+        rows += [i, j, i, j]
+        cols += [i, j, j, i]
+        vals += [b, b, -b, -b]
+    lap = np.zeros((net.n, net.n))
+    np.add.at(lap, (rows, cols), vals)
+    return lap
+
+
+def test_laplacian_bytes_match_an_add_at_assembly():
+    nets = [parse_case(path.read_text()) for path in sorted(CASES_DIR.glob("*.m"))]
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        net = random_connected_net(rng, int(rng.integers(1, 25)), int(rng.integers(0, 12)))
+        # shuffled line order and flipped ends change the order of each sum
+        lines = [net.lines[i] for i in rng.permutation(net.m)]
+        lines = [Line(ln.id, ln.to_bus, ln.from_bus, ln.susceptance) if rng.random() < 0.5 else ln
+                 for ln in lines]
+        nets.append(Network(buses=net.buses, lines=tuple(lines), base_mva=net.base_mva))
+    for net in nets:
+        got, want = dcflow.laplacian(net), _reference_laplacian(net)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_flow_balance_identity_random():
     rng = np.random.default_rng(3)
     for _ in range(10):

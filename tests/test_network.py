@@ -11,7 +11,6 @@ from gridtree.errors import CaseParseError, NetworkValidationError
 from gridtree.network import (
     Chain,
     Partition,
-    RawBranch,
     apply_switching,
     bridges,
     connected_without,
@@ -19,7 +18,6 @@ from gridtree.network import (
     degree2_chains,
     is_connected,
     is_tree_partition,
-    merge_parallel,
     network_to_json,
     parse_case,
     reduced_graph,
@@ -122,48 +120,71 @@ def test_parse_reads_a_table_whose_header_follows_other_text():
     assert parse_case(inline) == parse_case(TWO_BUS_CASE)
 
 
-def test_merge_parallel_same_direction():
-    lines = merge_parallel(
-        [RawBranch(0, 1, 1.0, flow_mw=30.0), RawBranch(0, 1, 2.0, flow_mw=20.0)]
-    )
-    assert len(lines) == 1
-    assert lines[0].flow_mw == pytest.approx(50.0)
-    assert lines[0].susceptance == pytest.approx(3.0)
+def _branch_case(n_buses, branches):
+    """Case text with ``n_buses`` buses (ids 1..n) and one branch row per
+    (from id, to id, BR_X, RATE_A, BR_STATUS)."""
+    buses = "\n".join(f"    {i} 1 0 0 0 0 1 1 0 0 1 1.1 0.9;" for i in range(1, n_buses + 1))
+    rows = "\n".join(f"    {f} {t} 0 {x!r} 0 {rate!r} 0 0 0 0 {status};"
+                     for f, t, x, rate, status in branches)
+    return (f"mpc.baseMVA = 100;\nmpc.bus = [\n{buses}\n];\n"
+            f"mpc.gen = [\n    1 0 0 0 0 1 100 1 0 0;\n];\nmpc.branch = [\n{rows}\n];\n")
 
 
-def test_merge_parallel_opposite_direction_resigns_flow():
-    lines = merge_parallel(
-        [RawBranch(0, 1, 1.0, flow_mw=30.0), RawBranch(1, 0, 1.0, flow_mw=20.0)]
-    )
-    assert len(lines) == 1
-    assert lines[0].from_bus == 0 and lines[0].to_bus == 1
-    assert lines[0].flow_mw == pytest.approx(10.0)
+def test_parse_merges_parallel_branches_in_the_same_direction():
+    net = parse_case(_branch_case(2, [(1, 2, 1.0, 30.0, 1), (1, 2, 0.5, 20.0, 1)]))
+    assert len(net.lines) == 1
+    (ln,) = net.lines
+    assert (ln.id, ln.from_bus, ln.to_bus) == (0, 0, 1)
+    assert ln.susceptance == 3.0 and ln.capacity_mw == 50.0 and ln.flow_mw == 0.0
 
 
-def test_merge_parallel_identity_and_empty():
-    assert merge_parallel([]) == []
-    lines = merge_parallel([RawBranch(2, 5, 1.5, flow_mw=-3.0)])
-    assert len(lines) == 1 and lines[0].susceptance == 1.5
+def test_parse_orients_opposite_parallel_branches_from_the_lower_index():
+    # the pair keeps the place of its first branch, which runs 3 -> 2
+    net = parse_case(_branch_case(3, [(3, 2, 1.0, 10.0, 1), (1, 2, 2.0, 5.0, 1),
+                                      (2, 3, 0.5, 7.0, 1)]))
+    assert [(ln.id, ln.from_bus, ln.to_bus, ln.susceptance, ln.capacity_mw)
+            for ln in net.lines] == [(0, 1, 2, 3.0, 17.0), (1, 0, 1, 0.5, 5.0)]
 
 
-def test_merge_parallel_conserves_signed_flow():
+def test_parse_leaves_a_pair_with_an_unlimited_branch_unlimited():
+    # RATE_A 0 (or below) means unlimited, whichever branch of the pair has it
+    for rates in [(0.0, 40.0), (40.0, 0.0), (-1.0, 40.0)]:
+        net = parse_case(_branch_case(2, [(1, 2, 1.0, rates[0], 1), (2, 1, 1.0, rates[1], 1)]))
+        assert net.lines[0].capacity_mw is None and net.lines[0].susceptance == 2.0
+
+
+def test_parse_single_branch_and_empty_branch_table():
+    net = parse_case(_branch_case(2, [(2, 1, 0.4, 0.0, 1)]))
+    assert [(ln.from_bus, ln.to_bus, ln.susceptance, ln.capacity_mw) for ln in net.lines] == [
+        (0, 1, 2.5, None)
+    ]
+    assert parse_case(_branch_case(1, [])).lines == ()
+
+
+def test_parse_merges_random_parallel_branches():
+    # each unordered pair: susceptances summed in file order, capacities
+    # summed unless a branch is unlimited, out-of-service branches dropped,
+    # lines numbered in the order their pairs first appear
     rng = np.random.default_rng(7)
-    records = []
-    for _ in range(40):
-        a, b = sorted(rng.integers(0, 5, size=2).tolist())
-        if a == b:
-            continue
-        if rng.random() < 0.5:
-            a, b = b, a
-        records.append(RawBranch(a, b, float(rng.uniform(0.5, 2)), flow_mw=float(rng.uniform(-10, 10))))
-    merged = merge_parallel(records)
-    for ln in merged:
-        want = sum(
-            (r.flow_mw if r.from_bus == ln.from_bus else -r.flow_mw)
-            for r in records
-            if {r.from_bus, r.to_bus} == {ln.from_bus, ln.to_bus}
-        )
-        assert ln.flow_mw == pytest.approx(want)
+    for _ in range(20):
+        branches = [(b, b + 1, 1.0, 0.0, 1) for b in range(1, 5)]  # keeps it connected
+        for _ in range(30):
+            f, t = rng.choice(np.arange(1, 6), size=2, replace=False).tolist()
+            rate = float(rng.choice([0.0, 10.0, 25.5]))
+            branches.append((f, t, float(rng.uniform(0.05, 2.0)), rate, int(rng.random() < 0.8)))
+        want = {}
+        for f, t, x, rate, status in branches:
+            if status:
+                slot = want.setdefault((min(f, t) - 1, max(f, t) - 1), [0.0, 0.0, False])
+                slot[0] += 1.0 / x
+                slot[1] += max(rate, 0.0)
+                slot[2] |= rate <= 0
+        net = parse_case(_branch_case(5, branches))
+        assert [(ln.id, ln.from_bus, ln.to_bus, ln.susceptance, ln.capacity_mw)
+                for ln in net.lines] == [
+            (i, a, b, sus, None if unlimited else cap)
+            for i, ((a, b), (sus, cap, unlimited)) in enumerate(want.items())
+        ]
 
 
 def test_cross_edges_single_cluster_empty():
