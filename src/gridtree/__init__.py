@@ -19,11 +19,10 @@ __version__ = "0.1.0"
 _SOURCES = {
     "bnb": ("BnBStats", "solve_builtin"),
     "coherency": ("CoherencyGroups", "slow_coherency"),
-    "dcflow": ("FlowSolution", "GenCost", "balanced_injections", "check_localization",
-               "solve_dc", "solve_dcopf_via_bridge", "with_flows"),
+    "dcflow": ("FlowSolution", "balanced_injections", "check_localization", "solve_dc",
+               "with_flows"),
     "errors": ("BridgeError", "BudgetError", "CaseParseError", "GridTreeError",
-               "InfeasibleError", "ModelBuildError", "NetworkValidationError",
-               "UnsupportedOperation"),
+               "InfeasibleError", "ModelBuildError", "NetworkValidationError"),
     "lp": ("MilpModel", "parse_lp"),
     "milp": ("SolverBridge", "build_model", "solve_via_bridge"),
     "network": ("Bus", "Line", "Network", "Partition", "ReducedGraph", "apply_switching",

@@ -32,7 +32,6 @@ from .errors import (
     InfeasibleError,
     ModelBuildError,
     NetworkValidationError,
-    UnsupportedOperation,
 )
 from .network import Network, network_to_json, parse_case
 from .solution import _pair, solution_from_json, solution_to_json, validate_solution
@@ -45,7 +44,6 @@ _EXIT_CODES = (
     (InfeasibleError, 4),
     (BudgetError, 5),
     (BridgeError, 6),
-    (UnsupportedOperation, 7),
     (ModelBuildError, 7),
     (GridTreeError, 1),
 )

@@ -15,18 +15,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InfeasibleError,
-    NetworkValidationError,
-    UnsupportedOperation,
-)
+from .errors import NetworkValidationError
 from .network import Line, Network, apply_switching, disruption, is_connected
 
 BALANCE_TOL_PU = 1e-8
 
 __all__ = [
     "FlowSolution",
-    "GenCost",
     "LocalizationReport",
     "laplacian",
     "solve_dc",
@@ -34,7 +29,6 @@ __all__ = [
     "balanced_injections",
     "disruption",
     "check_localization",
-    "solve_dcopf_via_bridge",
 ]
 
 
@@ -53,16 +47,6 @@ class FlowSolution:
             "flows_mw": list(self.flows_mw),
         }
         return json.dumps(doc, indent=2) + "\n"
-
-
-@dataclass(frozen=True)
-class GenCost:
-    """Linear dispatch cost and limits for one generator bus (external id)."""
-
-    bus_id: int
-    cost_per_mw: float
-    pmin: float = 0.0
-    pmax: Optional[float] = None
 
 
 def laplacian(net: Network) -> np.ndarray:
@@ -229,71 +213,3 @@ def check_localization(net, solution, line_id: int, tol: float = 1e-6) -> Locali
         worst = max(worst, abs(f - base_by_id[ln.id]))
     outcome = "pass" if worst < tol else "fail"
     return LocalizationReport(outcome, line_id, ra, worst, tol)
-
-
-def solve_dcopf_via_bridge(net: Network, costs: Sequence[GenCost], bridge) -> FlowSolution:
-    """Linear-cost DC optimal dispatch solved through the external bridge.
-
-    Buses without a cost entry keep their case-file generation as a fixed
-    injection.  Returns a dispatch-consistent flow solution.
-    """
-    from . import milp  # local import: milp -> coherency -> dcflow is an import cycle
-
-    if bridge is None:
-        raise UnsupportedOperation("DC-OPF requires a configured solver bridge")
-
-    slack = 0
-    idx = {c.bus_id: net.index_of(c.bus_id) for c in costs}
-    for c in costs:
-        if not net.buses[idx[c.bus_id]].is_generator:
-            raise NetworkValidationError(f"bus {c.bus_id} is not a generator bus")
-
-    # named by bus index: LP readers take the "-" of a negative bus id for a minus
-    model = milp.MilpModel(name="dcopf")
-    for c in costs:
-        model.add_variable(f"pg_{idx[c.bus_id]}", "continuous", c.pmin, c.pmax)
-    for b in net.buses:
-        lb, ub = (0.0, 0.0) if b.index == slack else (-np.inf, np.inf)
-        model.add_variable(f"th_{b.index}", "continuous", lb, ub)
-
-    dispatchable = {idx[c.bus_id]: c for c in costs}
-    for b in net.buses:
-        terms = []
-        for lid, other in net.incident[b.index]:
-            ln = net.line_by_id[lid]
-            coef = net.base_mva * ln.susceptance
-            terms.append((coef, f"th_{b.index}"))
-            terms.append((-coef, f"th_{other}"))
-        fixed_gen = 0.0 if b.index in dispatchable else b.gen_mw
-        if b.index in dispatchable:
-            terms.append((-1.0, f"pg_{b.index}"))
-        model.add_constraint(f"bal_{b.index}", terms, "=", fixed_gen - b.load_mw)
-
-    for ln in net.lines:
-        if ln.capacity_mw is None:
-            continue
-        coef = net.base_mva * ln.susceptance
-        terms = [(coef, f"th_{ln.from_bus}"), (-coef, f"th_{ln.to_bus}")]
-        model.add_constraint(f"cap_hi_{ln.id}", terms, "<=", ln.capacity_mw)
-        model.add_constraint(f"cap_lo_{ln.id}", terms, ">=", -ln.capacity_mw)
-
-    model.set_objective([(c.cost_per_mw, f"pg_{idx[c.bus_id]}") for c in costs])
-
-    values = milp.run_bridge(model, bridge)
-    theta = np.array([values.get(f"th_{i}", 0.0) for i in range(net.n)])
-    flows = _line_flows(net, theta)
-
-    # dispatch consistency: implied injections must match dispatch minus load
-    implied = _net_injections(net, flows)
-    for b in net.buses:
-        gen = values.get(f"pg_{b.index}", 0.0) if b.index in dispatchable else b.gen_mw
-        if abs(implied[b.index] - (gen - b.load_mw)) > 1e-6 * max(1.0, net.base_mva):
-            raise InfeasibleError(
-                f"bridge OPF solution violates balance at bus {b.id}"
-            )
-
-    return FlowSolution(
-        theta=tuple(float(t) for t in theta),
-        flows_mw=tuple(float(f) for f in flows),
-        slack_bus=slack,
-    )

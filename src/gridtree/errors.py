@@ -47,7 +47,3 @@ class ModelBuildError(GridTreeError):
 class BridgeError(GridTreeError):
     """External solver failure: bad exit, killed past its deadline, or
     output that is no answer (a missing or unknown status, bad values)."""
-
-
-class UnsupportedOperation(GridTreeError):
-    """Operation requires an external solver bridge that is not configured."""

@@ -20,11 +20,12 @@ by first appearance.  So the process imports no numpy, ``dataclasses``,
 ``scipy.optimize.milp``, so ``--gap`` is relative to the rest.  The
 solution file gets a ``# status ...`` line (``optimal``, ``infeasible`` or
 ``unbounded``; ``feasible`` or ``timeout`` for a stop at a HiGHS limit with
-or without a point; ``error`` for anything else, such as a model HiGHS
-rejects), an ``# objective ...`` line when there is a point, ``# nodes``
-and ``# gap`` (the relative MIP gap) lines when HiGHS reports them, and
-``name value`` lines; stdout stays empty.  An unreadable model, an LP
-outside the dialect or that HiGHS reads otherwise, a ``.lp`` copy that
+or without a point; ``error`` for anything else, such as
+kUnboundedOrInfeasible), an ``# objective ...`` line when there is a point,
+``# nodes`` and ``# gap`` (the relative MIP gap) lines when HiGHS reports
+them, and ``name value`` lines; stdout stays empty.  An unreadable model,
+an LP outside the dialect, with a value HiGHS refuses (an infinite bound
+or a huge entry) or that HiGHS reads otherwise, a ``.lp`` copy that
 cannot be written, an unwritable solution file or a scipy without the
 HiGHS binding ends with one
 ``gridtree-milpsolve: error: ...`` line on stderr and exit code 2.  Any
@@ -127,26 +128,47 @@ def _summed(terms) -> dict:
     return summed
 
 
-def summarize(text: str, small: float) -> Summary:
+def summarize(text: str, small: float, infinite: float, large: float) -> Summary:
     """``read_lp``'s reading of ``text`` as a Summary, with row entries up to
-    ``small`` dropped; it builds no model and keeps no row once read."""
+    ``small`` dropped; it builds no model and keeps no row once read.  A value
+    HiGHS refuses to read is a BridgeError naming it: a lower bound of
+    ``infinite`` or more, an upper bound of ``-infinite`` or less, or a
+    (summed) row entry of magnitude ``large`` or more."""
     (terms, constant), rows, bounds, binaries = read_lp(text)
+    for name, (lo, hi) in bounds.items():
+        if lo >= infinite or hi <= -infinite:
+            which, value = ("lower", lo) if lo >= infinite else ("upper", hi)
+            raise _refused(f"the {which} bound {value:.12g} of column {name!r}",
+                           "infinite_bound", infinite)
     objective = _summed(terms)
     columns = binaries | bounds.keys() | objective.keys()
     count = nonzeros = 0
-    for count, (_, expression, _, _, _) in enumerate(rows, 1):
+    for count, (row, expression, _, sense, rhs) in enumerate(rows, 1):
+        value = float(rhs)
+        if (value >= infinite and sense != "<=") or (value <= -infinite and sense != ">="):
+            raise _refused(f"the {'lower' if value > 0 else 'upper'} bound {value:.12g} "
+                           f"of row {row!r}", "infinite_bound", infinite)
         # the words of terms the grammar matched alternate sign and name,
         # unless a term has a coefficient
         words = expression.split()
         odd = len(words) % 2
         names = words[1 - odd::2]
-        if _SIGNS.issuperset(words[odd::2]) and len(set(names)) == len(names) and small < 1:
+        if (_SIGNS.issuperset(words[odd::2]) and len(set(names)) == len(names)
+                and small < 1 < large):
             nonzeros += len(names)
         else:
             names = _summed(read_terms(expression))
-            nonzeros += sum(abs(coef) > small for coef in names.values())
+            for name, coef in names.items():
+                if abs(coef) >= large:
+                    raise _refused(f"the entry {coef:.12g} of column {name!r} in row {row!r}",
+                                   "large_matrix_value", large)
+                nonzeros += abs(coef) > small
         columns.update(names)
     return Summary(frozenset(columns), frozenset(binaries), count, nonzeros, objective, constant)
+
+
+def _refused(what: str, option: str, limit: float) -> BridgeError:
+    return BridgeError(f"HiGHS refuses {what} (its {option} is {limit:.12g})")
 
 
 def _columns(highs, summary):
@@ -244,7 +266,8 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     options = _options(core, args.time_limit, args.gap)
     try:
-        summary = summarize(Path(args.model).read_text(), options.small_matrix_value)
+        summary = summarize(Path(args.model).read_text(), options.small_matrix_value,
+                            options.infinite_bound, options.large_matrix_value)
     except BridgeError as exc:
         return _fail(f"{args.model}: {exc}")
     except OSError as exc:

@@ -263,12 +263,20 @@ def _not_bus_id(column: str, value: float, line_no: int) -> CaseParseError:
     return CaseParseError(f"{column} must be an integer bus id, got {value!r}", line_no=line_no)
 
 
+def _unmodelled(column: str, value: float, needs: str, line_no: int) -> CaseParseError:
+    return CaseParseError(f"{column} {value:g} is not modelled: {needs}", line_no=line_no)
+
+
 def parse_case(text: str) -> Network:
     """Parse a MATPOWER-subset case file into a connected Network.
 
-    Reads baseMVA, bus columns (BUS_I, PD), gen columns
-    (GEN_BUS, PG) and branch columns (F_BUS, T_BUS, BR_X, RATE_A,
-    BR_STATUS).  Out-of-service branches are dropped and bus ids remapped
+    Reads baseMVA, bus columns (BUS_I, BUS_TYPE, PD), gen columns
+    (GEN_BUS, PG, GEN_STATUS) and branch columns (F_BUS, T_BUS, BR_X,
+    RATE_A, TAP, SHIFT, BR_STATUS).  The model has no isolated bus, offline
+    generator, off-nominal tap or phase shift: a bus of type 4, a
+    GEN_STATUS of 0 or less, and an in-service branch with a TAP other than
+    0 or 1 or a nonzero SHIFT are each a CaseParseError naming its line and
+    column.  Out-of-service branches are dropped and bus ids remapped
     to dense 0-based indices.  Parallel branches become one line per
     unordered bus pair, in the order each pair first appears, oriented
     from the lower index: susceptances add, and so do capacities unless a
@@ -298,6 +306,8 @@ def parse_case(text: str) -> Network:
         if not row[0].is_integer():
             raise _not_bus_id("BUS_I", row[0], line_no)
         bus_id = int(row[0])
+        if row[1] == 4:
+            raise _unmodelled("BUS_TYPE", row[1], "an isolated bus", line_no)
         if bus_id in load:
             raise NetworkValidationError(f"duplicate bus id {bus_id}")
         if not math.isfinite(row[2]):
@@ -318,6 +328,8 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(f"gen references unknown bus {bus_id}", line_no=line_no)
         if not math.isfinite(row[1]):
             raise _not_finite("PG", row[1], line_no)
+        if len(row) > 7 and not row[7] > 0:
+            raise _unmodelled("GEN_STATUS", row[7], "an out-of-service generator", line_no)
         gen[bus_id] = gen.get(bus_id, 0.0) + row[1]
 
     pairs: dict[tuple[int, int], list] = {}  # [susceptance, capacity, unlimited]
@@ -347,6 +359,10 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(f"branch reactance must be positive, got {x}", line_no=line_no)
         if not math.isfinite(rate):
             raise _not_finite("RATE_A", rate, line_no)
+        if row[8] not in (0, 1):
+            raise _unmodelled("TAP", row[8], "an off-nominal transformer ratio", line_no)
+        if row[9] != 0:
+            raise _unmodelled("SHIFT", row[9], "a phase-shifting transformer", line_no)
         a, b = index[f_id], index[t_id]
         pair = pairs.setdefault((a, b) if a < b else (b, a), [0.0, 0.0, False])
         pair[0] += 1.0 / x

@@ -35,7 +35,7 @@ def _no_bridge_from_the_shell(monkeypatch):
 
 
 def build_net(n, edges, flows=None, susceptances=None, injections=None,
-              base_mva=100.0, gen_buses=(), ext_offset=1):
+              base_mva=100.0, gen_buses=()):
     """Small-network builder; edges are (a, b) index pairs."""
     flows = flows if flows is not None else [0.0] * len(edges)
     sus = susceptances if susceptances is not None else [1.0] * len(edges)
@@ -43,7 +43,7 @@ def build_net(n, edges, flows=None, susceptances=None, injections=None,
     gens = set(gen_buses)
     buses = tuple(
         Bus(
-            id=i + ext_offset,
+            id=i + 1,
             index=i,
             injection_mw=float(inj[i]),
             is_generator=i in gens,
@@ -72,7 +72,7 @@ def uncontracted_search(net, k, node_limit=None):
     return _Search(net, net.n, lines, k, node_limit, None)
 
 
-def random_connected_net(rng, n, extra, flow_scale=10.0, ext_offset=1):
+def random_connected_net(rng, n, extra, flow_scale=10.0):
     """Random spanning tree plus `extra` chords, random signed flows."""
     edges = []
     for b in range(1, n):
@@ -90,7 +90,7 @@ def random_connected_net(rng, n, extra, flow_scale=10.0, ext_offset=1):
         extra -= 1
     flows = rng.uniform(-flow_scale, flow_scale, size=len(edges))
     sus = rng.uniform(0.5, 5.0, size=len(edges))
-    return build_net(n, edges, flows=flows, susceptances=sus, ext_offset=ext_offset)
+    return build_net(n, edges, flows=flows, susceptances=sus)
 
 
 def random_groups(rng, net, k, max_size=2):

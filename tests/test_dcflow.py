@@ -1,4 +1,4 @@
-"""DC power flow, disruption metric, and bridge-based DC-OPF."""
+"""DC power flow and the disruption metric."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gridtree import dcflow
-from gridtree.dcflow import GenCost, balanced_injections, disruption, solve_dc, with_flows
-from gridtree.errors import InfeasibleError, NetworkValidationError, UnsupportedOperation
-from gridtree.milp import SolverBridge
+from gridtree.dcflow import balanced_injections, disruption, solve_dc, with_flows
+from gridtree.errors import NetworkValidationError
 from gridtree.network import Line, Network, is_connected, parse_case
 
-from conftest import BRIDGE_CMD, CASES_DIR, build_net, random_connected_net
+from conftest import CASES_DIR, build_net, random_connected_net
 
 
 def test_two_bus_single_path():
@@ -190,96 +189,3 @@ def test_a_network_built_from_lines_still_validates_them(bad, message):
     flowed = with_flows(net, solve_dc(net, 0))
     with pytest.raises(NetworkValidationError, match=f"^{message}$"):
         Network(buses=flowed.buses, lines=(*flowed.lines, bad), base_mva=flowed.base_mva)
-
-
-# ---------------------------------------------------------------------------
-# DC-OPF through the solver bridge
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def bridge():
-    return SolverBridge(command=BRIDGE_CMD, timeout_s=120)
-
-
-def test_dcopf_requires_bridge():
-    net = build_net(2, [(0, 1)], gen_buses=(0,))
-    with pytest.raises(UnsupportedOperation):
-        dcflow.solve_dcopf_via_bridge(net, [GenCost(bus_id=1, cost_per_mw=1.0)], None)
-
-
-def test_dcopf_forced_dispatch_equals_solve_dc(bridge):
-    net = build_net(2, [(0, 1)], injections=[100.0, -100.0], gen_buses=(0,))
-    sol = dcflow.solve_dcopf_via_bridge(
-        net, [GenCost(bus_id=1, cost_per_mw=3.0, pmax=200.0)], bridge
-    )
-    plain = solve_dc(net, 0)
-    assert sol.flows_mw[0] == pytest.approx(plain.flows_mw[0], abs=1e-6)
-
-
-def test_dcopf_cheap_generator_serves_everything(bridge):
-    # gens at both ends, load in the middle, no ratings: cheap one wins
-    net = build_net(
-        3, [(0, 1), (1, 2)], injections=[0.0, -150.0, 0.0], gen_buses=(0, 2)
-    )
-    sol = dcflow.solve_dcopf_via_bridge(
-        net,
-        [
-            GenCost(bus_id=1, cost_per_mw=1.0, pmax=300.0),
-            GenCost(bus_id=3, cost_per_mw=10.0, pmax=300.0),
-        ],
-        bridge,
-    )
-    assert sol.flows_mw[0] == pytest.approx(150.0, abs=1e-6)  # all from the cheap end
-    assert sol.flows_mw[1] == pytest.approx(0.0, abs=1e-6)  # expensive end idle
-
-
-def test_dcopf_solves_with_negative_bus_ids(bridge):
-    # bus ids -2, -1, 0: a variable named by id would read "pg_-2", which LP
-    # readers take for pg_ minus 2
-    net = build_net(
-        3, [(0, 1), (1, 2)], injections=[0.0, -150.0, 0.0], gen_buses=(0, 2), ext_offset=-2
-    )
-    sol = dcflow.solve_dcopf_via_bridge(
-        net,
-        [
-            GenCost(bus_id=-2, cost_per_mw=1.0, pmax=300.0),
-            GenCost(bus_id=0, cost_per_mw=10.0, pmax=300.0),
-        ],
-        bridge,
-    )
-    assert sol.flows_mw == pytest.approx((150.0, 0.0), abs=1e-6)
-
-
-def test_dcopf_binding_rating_matches_lp_vertex(bridge):
-    # triangle with one rated line; optimum sits at the hand-derived vertex
-    net = build_net(
-        3,
-        [(0, 1), (1, 2), (0, 2)],
-        injections=[0.0, -100.0, 0.0],
-        gen_buses=(0, 2),
-    )
-    from dataclasses import replace
-
-    lines = list(net.lines)
-    lines[0] = replace(lines[0], capacity_mw=40.0)
-    net = replace(net, lines=tuple(lines))
-    sol = dcflow.solve_dcopf_via_bridge(
-        net,
-        [
-            GenCost(bus_id=1, cost_per_mw=1.0, pmax=500.0),
-            GenCost(bus_id=3, cost_per_mw=5.0, pmax=500.0),
-        ],
-        bridge,
-    )
-    # enumerating the 2-variable LP vertices: g1 = 20, g3 = 80, line 0 binding
-    assert sol.flows_mw[0] == pytest.approx(40.0, abs=1e-6)
-    implied_g1 = sol.flows_mw[0] + sol.flows_mw[2]
-    assert implied_g1 == pytest.approx(20.0, abs=1e-6)
-
-
-def test_dcopf_infeasible_surfaces(bridge):
-    net = build_net(2, [(0, 1)], injections=[0.0, -100.0], gen_buses=(0,))
-    with pytest.raises(InfeasibleError):
-        dcflow.solve_dcopf_via_bridge(
-            net, [GenCost(bus_id=1, cost_per_mw=1.0, pmax=50.0)], bridge
-        )

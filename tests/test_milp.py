@@ -341,11 +341,14 @@ def test_a_wrapper_on_milp_write_lp_sees_the_lp_solve_via_bridge_writes(bridge, 
 
 
 def test_run_bridge_reads_a_model_highs_rejects_as_a_bridge_failure(bridge):
-    # HiGHS rejects a 1e300 coefficient (kModelError): a bad model, not "infeasible"
+    # HiGHS refuses a 1e300 coefficient: the child names it and exits 2, a
+    # bad model, not "infeasible"
     model = toy_model()
     model.add_constraint("huge", [(1e300, "b")], ">=", 1.0)
-    with pytest.raises(BridgeError, match="status error") as exc:
+    with pytest.raises(BridgeError, match=re.escape(
+            "solver exited with 2: gridtree-milpsolve: error: ")) as exc:
         run_bridge(model, bridge)
+    assert "HiGHS refuses the entry 1e+300 of column 'b' in row 'huge'" in str(exc.value)
     assert type(exc.value) is BridgeError
 
 
@@ -366,12 +369,9 @@ def test_every_bridge_route_reads_the_status_the_same_way(four_cycle, tmp_path, 
     script.write_text(f"import sys\nopen(sys.argv[2], 'w').write({text!r})\n")
     fake = SolverBridge(command=f"python3 {script} {{model}} {{solution}}")
     net, groups = four_cycle
-    costs = [dcflow.GenCost(bus_id=1, cost_per_mw=1.0, pmax=100.0)]
-    for route in (lambda: solve_via_bridge(net, groups, fake),
-                  lambda: dcflow.solve_dcopf_via_bridge(net, costs, fake)):
-        with pytest.raises(GridTreeError) as exc:
-            route()
-        assert type(exc.value) is error
+    with pytest.raises(GridTreeError) as exc:
+        solve_via_bridge(net, groups, fake)
+    assert type(exc.value) is error
 
 
 def test_parse_lp_rejects_unsupported():
@@ -542,7 +542,7 @@ def test_milpsolve_reports_a_file_highs_reads_otherwise_in_one_line(capsys, monk
     # the grammar's summary is checked against HiGHS's reading of the same file
     summarize = milpsolve.summarize
     monkeypatch.setattr(milpsolve, "summarize",
-                        lambda text, small: summarize(text.replace(old, new), small))
+                        lambda text, *limits: summarize(text.replace(old, new), *limits))
     (tmp_path / "toy.lp").write_text(GOLDEN_TOY_LP)
     assert milpsolve.main([str(tmp_path / "toy.lp"), str(tmp_path / "toy.sol")]) == 2
     assert message in _one_error_line(capsys.readouterr().err)
@@ -627,14 +627,47 @@ def _refused_by_highs(entries):
             or any(abs(value) >= big for value in entries["matrix"].values()))
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [(" r: 1e15 x >= 1\n", "the entry 1e+15 of column 'x' in row 'r'"),
+     (" r: 6e14 x + 4e14 x >= 1\n", "the entry 1e+15 of column 'x' in row 'r'"),
+     (" r: x >= 1e20\n", "the lower bound 1e+20 of row 'r'"),
+     (" r: x = -1e20\n", "the upper bound -1e+20 of row 'r'"),
+     (" r: x >= 1\nBounds\n x = inf\n", "the lower bound inf of column 'x'"),
+     (" r: x >= 1\nBounds\n -3 <= x <= -inf\n", "the upper bound -inf of column 'x'"),
+     (" r: 999999999999999 x >= 1\n", None),
+     (" r: x <= 9.9e19\n r2: x >= -9.9e19\nBounds\n -inf <= x <= 9.9e19\n", None)],
+    ids=["large-entry", "summed-entry", "row-lower", "row-upper", "column-lower",
+         "column-upper", "entry-below-limit", "bounds-inside-limit"],
+)
+def test_milpsolve_names_a_value_highs_refuses(capsys, tmp_path, body, message):
+    # HiGHS's reader fails on such a value (1e400 is the model-error case below)
+    text = f"Minimize\n obj: x\nSubject To\n{body}End\n"
+    (tmp_path / "m.lp").write_text(text)
+    core = milpsolve._highs_core()
+    highs = core._Highs()
+    highs.passOptions(milpsolve._options(core, None, None))
+    refused = highs.readModel(str(tmp_path / "m.lp")) == core.HighsStatus.kError
+    assert refused == _refused_by_highs(_parsed_entries(parse_lp(text))) == (message is not None)
+    code = milpsolve.main([str(tmp_path / "m.lp"), str(tmp_path / "m.sol")])
+    if message is None:
+        assert code == 0 and (tmp_path / "m.sol").read_text().startswith("# status ")
+        return
+    assert code == 2 and f"HiGHS refuses {message} (its " in _one_error_line(
+        capsys.readouterr().err)
+    assert not (tmp_path / "m.sol").exists()
+
+
 def test_lp_grammar_reads_random_models_and_their_mutations_as_highs_does(capsys, tmp_path):
-    # every mutation is rejected by parse_lp and by the child (exit 2), or a
-    # value HiGHS refuses reads `# status error` (as 1e400 does above), or
-    # the grammar and HiGHS read one model; they may differ only in the
+    # every mutation is rejected by parse_lp and by the child (exit 2), or
+    # holds a value HiGHS refuses, which the child names (exit 2), or the
+    # grammar and HiGHS read one model; they may differ only in the
     # objective, where HiGHS keeps the last cost of a repeated name and the
     # child's reading check exits 2
     rng = random.Random(26)
-    small = milpsolve._highs_core().HighsOptions().small_matrix_value
+    options = milpsolve._highs_core().HighsOptions()
+    limits = options.small_matrix_value, options.infinite_bound, options.large_matrix_value
+    small = limits[0]
     model_path, solution_path = tmp_path / "m.lp", tmp_path / "m.sol"
     seen = {"rejected": 0, "refused": 0, "same": 0, "objective": 0}
     for _ in range(120):
@@ -655,17 +688,17 @@ def test_lp_grammar_reads_random_models_and_their_mutations_as_highs_does(capsys
                 continue
             read = _parsed_entries(parsed)
             read["matrix"] = {key: v for key, v in read["matrix"].items() if abs(v) > small}
-            summary = milpsolve.summarize(mutated, small)
+            if _refused_by_highs(read):
+                assert code == 2 and "HiGHS refuses " in _one_error_line(err), mutated
+                assert not solution_path.exists()
+                seen["refused"] += 1
+                continue
+            summary = milpsolve.summarize(mutated, *limits)
             assert summary == (read["cols"].keys(), {v.name for v in parsed.variables
                                                      if v.kind == "binary"},
                                len(read["rows"]), len(read["matrix"]), summary.objective,
                                read["offset"]), mutated
             assert {name: summary.objective.get(name, 0.0) for name in read["cols"]} == read["costs"]
-            if _refused_by_highs(read):
-                assert code == 0, mutated
-                assert solution_path.read_text() == "# status error\n", mutated
-                seen["refused"] += 1
-                continue
             highs = _highs_entries(model_path)
             if highs == read:
                 assert code == 0 and solution_path.read_text().startswith("# status "), mutated
@@ -871,12 +904,27 @@ def _partition_model(case, k, ssr):
     return model
 
 
-def _dcopf_model(monkeypatch, case):
+def _dcopf_shaped_model(case):
+    """A linear-cost DC dispatch LP on ``case``'s topology: a free angle
+    column per bus (bus 0's fixed at 0), a ranged dispatch column per
+    generator, and a balance row per bus."""
     net = case_net(case)
-    costs = [dcflow.GenCost(bus_id=b.id, cost_per_mw=1.0 + i, pmax=2 * b.gen_mw + 50.0)
-             for i, b in enumerate(b for b in net.buses if b.is_generator)]
-    model = _captured(monkeypatch,
-                      lambda bridge: dcflow.solve_dcopf_via_bridge(net, costs, bridge))
+    gens = [b for b in net.buses if b.is_generator]
+    model = MilpModel(name="dcopf")
+    for b in gens:
+        model.add_variable(f"pg_{b.index}", "continuous", 0.0, 2 * b.gen_mw + 50.0)
+    for b in net.buses:
+        model.add_variable(f"th_{b.index}", "continuous",
+                           *((0.0, 0.0) if b.index == 0 else (-np.inf, np.inf)))
+    for b in net.buses:
+        terms = []
+        for lid, other in net.incident[b.index]:
+            coef = net.base_mva * net.line_by_id[lid].susceptance
+            terms += [(coef, f"th_{b.index}"), (-coef, f"th_{other}")]
+        if b.is_generator:
+            terms.append((-1.0, f"pg_{b.index}"))
+        model.add_constraint(f"bal_{b.index}", terms, "=", -b.load_mw)
+    model.set_objective([(1.0 + i, f"pg_{b.index}") for i, b in enumerate(gens)])
     # a balance row names its bus once per incident line: repeated entries add up
     assert any(len({v for _, v in con.terms}) < len(con.terms) for con in model.constraints)
     return model
@@ -889,9 +937,9 @@ BRIDGE_MODELS = pytest.mark.parametrize(
 )
 
 
-def _bridge_model(monkeypatch, case, k, method):
+def _bridge_model(case, k, method):
     if method == "dcopf":
-        return _dcopf_model(monkeypatch, case)
+        return _dcopf_shaped_model(case)
     model = _partition_model(case, k, method == "ssr")
     if method == "ssr":
         assert any(con.name.startswith("chain_") for con in model.constraints)
@@ -951,10 +999,10 @@ def _highs_entries(path):
 
 
 @BRIDGE_MODELS
-def test_highs_reads_write_lp_as_parse_lp_does(monkeypatch, tmp_path, case, k, method):
+def test_highs_reads_write_lp_as_parse_lp_does(tmp_path, case, k, method):
     # the solver child hands HiGHS the file: both readers must see one model,
     # entry for entry, repeated terms summed (only the column order differs)
-    text = write_lp(_bridge_model(monkeypatch, case, k, method))
+    text = write_lp(_bridge_model(case, k, method))
     (tmp_path / "m.lp").write_text(text)
     assert _highs_entries(tmp_path / "m.lp") == _parsed_entries(parse_lp(text))
 
@@ -964,7 +1012,8 @@ def _assert_child_check_passes(tmp_path, text):
     the model parse_lp reads."""
     core = milpsolve._highs_core()
     options = milpsolve._options(core, None, None)
-    summary = milpsolve.summarize(text, options.small_matrix_value)
+    summary = milpsolve.summarize(text, options.small_matrix_value, options.infinite_bound,
+                                  options.large_matrix_value)
     (tmp_path / "m.lp").write_text(text)
     highs = core._Highs()
     assert highs.passOptions(options) != core.HighsStatus.kError
@@ -989,13 +1038,13 @@ def test_child_check_passes_on_every_bundled_lp(tmp_path, case):
     assert checked >= 6
 
 
-def test_child_check_passes_on_the_dcopf_lp(monkeypatch, tmp_path):
-    _assert_child_check_passes(tmp_path, write_lp(_dcopf_model(monkeypatch, "net118")))
+def test_child_check_passes_on_the_dcopf_shaped_lp(tmp_path):
+    _assert_child_check_passes(tmp_path, write_lp(_dcopf_shaped_model("net118")))
 
 
 @BRIDGE_MODELS
-def test_milpsolve_answers_like_scipy_milp(monkeypatch, tmp_path, case, k, method):
-    model = parse_lp(write_lp(_bridge_model(monkeypatch, case, k, method)))
+def test_milpsolve_answers_like_scipy_milp(tmp_path, case, k, method):
+    model = parse_lp(write_lp(_bridge_model(case, k, method)))
     _, lines = _milpsolve_header(tmp_path, write_lp(model))
     want_status, want_x, _, _ = _scipy_milp(model)
     want = model.objective_value(dict(zip((v.name for v in model.variables), want_x)))
@@ -1018,8 +1067,9 @@ def _milpsolve_header(tmp_path, lp_text, *flags):
         ("Minimize\n obj: a + b\nSubject To\n r: a + b >= 3\nBinary\n a\n b\nEnd\n",
          "infeasible"),
         ("Minimize\n obj: - x\nSubject To\n r: x - y >= 0\nEnd\n", "unbounded"),
-        # HiGHS rejects an infinite coefficient (kModelError): scipy says infeasible
-        ("Minimize\n obj: x\nSubject To\n r: 1e400 x >= 1\nEnd\n", "error"),
+        # HiGHS refuses an infinite coefficient (kModelError; scipy says
+        # infeasible): the child names it and exits 2 without a status
+        ("Minimize\n obj: x\nSubject To\n r: 1e400 x >= 1\nEnd\n", None),
         # presolve stops at kUnboundedOrInfeasible with no point, not at a
         # limit: scipy says timeout
         ("Minimize\n obj: - x + a\nSubject To\n r: x - a >= 0\nBinary\n a\nEnd\n",
@@ -1027,7 +1077,14 @@ def _milpsolve_header(tmp_path, lp_text, *flags):
     ],
     ids=["infeasible-milp", "unbounded-lp", "model-error", "unbounded-or-infeasible-milp"],
 )
-def test_milpsolve_status_words_without_a_point(tmp_path, lp_text, status):
+def test_milpsolve_status_words_without_a_point(capsys, tmp_path, lp_text, status):
+    if status is None:
+        (tmp_path / "m.lp").write_text(lp_text)
+        assert milpsolve.main([str(tmp_path / "m.lp"), str(tmp_path / "m.sol")]) == 2
+        assert "HiGHS refuses the entry inf of column 'x' in row 'r'" in _one_error_line(
+            capsys.readouterr().err)
+        assert not (tmp_path / "m.sol").exists()
+        return
     header, lines = _milpsolve_header(tmp_path, lp_text)
     assert (header, lines[0]) == (["status"], f"# status {status}")
     if status != "error":
@@ -1052,10 +1109,10 @@ def test_milpsolve_stops_at_a_zero_time_limit(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["toy", "net118-dcopf"])
-def test_milpsolve_process_prints_nothing_on_stdout(monkeypatch, tmp_path, kind):
+def test_milpsolve_process_prints_nothing_on_stdout(tmp_path, kind):
     # HiGHS prints a banner on reading a model before its options are set;
-    # on the DC-OPF LP, whose repeated terms it sums, it also warns
-    model = toy_model() if kind == "toy" else _dcopf_model(monkeypatch, "net118")
+    # on the DC-OPF-shaped LP, whose repeated terms it sums, it also warns
+    model = toy_model() if kind == "toy" else _dcopf_shaped_model("net118")
     (tmp_path / "m.lp").write_text(write_lp(model))
     proc = subprocess.run(
         [sys.executable, "-m", "gridtree.milpsolve", str(tmp_path / "m.lp"),

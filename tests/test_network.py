@@ -1,5 +1,6 @@
 """Network model: parsing, merging, partitions, bridges, switching."""
 
+import re
 import runpy
 import subprocess
 import sys
@@ -118,6 +119,53 @@ def test_parse_reads_a_table_whose_header_follows_other_text():
     inline = TWO_BUS_CASE.replace("mpc.bus = [\n    ", "x = 1; mpc.bus = [ ")
     assert "x = 1; mpc.bus = [ 1 3 0" in inline
     assert parse_case(inline) == parse_case(TWO_BUS_CASE)
+
+
+THREE_BUS_CASE = """
+mpc.baseMVA = 100;
+mpc.bus = [
+    1 3 0  0 0 0 1 1 0 0 1 1.1 0.9;
+    2 2 0  0 0 0 1 1 0 0 1 1.1 0.9;
+    3 1 90 0 0 0 1 1 0 0 1 1.1 0.9;
+];
+mpc.gen = [
+    1 60 0 0 0 1 100 1 200 0;
+    2 30 0 0 0 1 100 1 200 0;
+];
+mpc.branch = [
+    1 2 0 0.1 0 0 0 0 0 0 1;
+    2 3 0 0.1 0 0 0 0 1 0 1;
+    1 3 0 0.2 0 0 0 0 0 0 1;
+];
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [("2 3 0 0.1 0 0 0 0 1 0 1;", "2 3 0 0.1 0 0 0 0 0.5 0 1;",
+      "line 14: TAP 0.5 is not modelled: an off-nominal transformer ratio"),
+     ("2 3 0 0.1 0 0 0 0 1 0 1;", "2 3 0 0.1 0 0 0 0 1 10 1;",
+      "line 14: SHIFT 10 is not modelled: a phase-shifting transformer"),
+     ("2 30 0 0 0 1 100 1 200 0;", "2 30 0 0 0 1 100 0 200 0;",
+      "line 10: GEN_STATUS 0 is not modelled: an out-of-service generator"),
+     ("3 1 90", "3 4 90", "line 6: BUS_TYPE 4 is not modelled: an isolated bus")],
+    ids=["tap", "shift", "gen-status", "isolated-bus"],
+)
+def test_parse_refuses_a_case_column_it_does_not_model(old, new, message):
+    # MATPOWER's DC model reads these columns; ignoring them would misread the case
+    assert old in THREE_BUS_CASE and parse_case(THREE_BUS_CASE).m == 3
+    with pytest.raises(CaseParseError, match=f"^{re.escape(message)}$"):
+        parse_case(THREE_BUS_CASE.replace(old, new))
+
+
+def test_parse_reads_tap_and_shift_of_in_service_branches_and_gen_status_when_present():
+    # an out-of-service branch's TAP and SHIFT, and a gen row without
+    # GEN_STATUS, change nothing
+    case = (THREE_BUS_CASE
+            .replace("    1 3 0 0.2 0 0 0 0 0 0 1;", "    1 3 0 0.2 0 0 0 0 0 0 1;\n"
+                     "    1 3 0 0.2 0 0 0 0 0.5 10 0;")
+            .replace("2 30 0 0 0 1 100 1 200 0;", "2 30;"))
+    assert parse_case(case) == parse_case(THREE_BUS_CASE)
 
 
 def _branch_case(n_buses, branches):
