@@ -37,9 +37,9 @@ members (ties to the lower label), so the first leaves keep much of the
 flow and the incumbent bounds the rest of the search early.  Placing a
 bus changes only the regions that held it (and the region of a cluster
 that gets its first member), so only those are flooded again.  Unplacing
-a bus restores the masks they replaced and the saved forced cross flow
-and forest (see below), so an interrupted search unwinds to the exact
-root state, float sums included.
+a bus restores the masks they replaced and the saved forced cross flow,
+forest and path state (see below), so an interrupted search unwinds to
+the exact root state, float sums included.
 
 Leaves are scored with the stage-2 closed form (total cross weight
 minus the maximum-weight spanning tree of the reduced graph).  Subtrees
@@ -78,6 +78,55 @@ it is the lightest line on that cycle and is rejected: when every line
 of N is, or no merge is missing, the forest stays as it was.  Unplacing
 the bus restores the saved forest.
 
+The bound also charges paths between clusters, as multicut duality does
+(Garg, Vazirani and Yannakakis, SIAM J. Comput. 1996).  Before any bus is
+placed, edge-disjoint paths are packed, each joining two buses fixed to
+different clusters through free buses.  A path is live while it holds no
+forced cross line, and m_p is the weight of its lightest line that is not
+internal (both ends in one cluster); a live path has one, as its ends lie
+in different clusters.  The bound is w(F) + sum of m_p - H, where H sums
+the k-1 heaviest weights among the forest's credited lines and the m_p.
+It never exceeds a leaf below the node.  The leaf splits each live path's
+ends, so the path holds a cross line x_p outside F, not internal now, of
+weight at least m_p, and no two paths share a line: w(C) >= w(F) + sum of
+w(x_p).  Its bridge tree T puts j lines in F, which weigh at most the
+first j lines Kruskal credited (a maximum-weight forest of j lines), and
+at most k-1-j lines among the x_p; every x_p outside T still counts at
+least m_p, so w(C) - w(T) >= w(F) + sum of m_p - H.  At a leaf every line
+is decided, so every path holds a cross line and none is live: H is the
+forest's credit, and the bound, its pruning and the leaf's score are the
+forest bound's own.  The bound only rises above the forest bound, so the
+search meets every leaf that ties the final incumbent, and every leaf that
+improved the incumbent, that it met before.
+
+The path state is node state too, ``path_state`` and the charge below.
+In weight-rank masks, ``mins`` holds the rank of each live path's
+lightest line that is not internal
+(one bit per path, as the paths share no line, and never a credited rank,
+as credited lines are forced cross), ``internal`` the path lines that are
+internal.  place() touches only the paths whose lines it decides: a forced
+cross line clears its path's bit, and an internal line that held its
+path's bit hands it to the path's next lighter line that is not internal,
+the highest set bit of the path's ranks outside ``internal``.  The sum of
+the m_p is added up from ``mins`` in rank order, H from the k-1 lowest set
+bits of the credited ranks and ``mins``, and the node keeps the charge,
+the sum less H, so that the bound is w(F) plus the charge.  With no live
+path the charge is minus the forest's credit, and w(F) plus it is the
+forest bound's own float.  Unplacing the bus restores all of it.
+
+The paths are packed one at a time, each path's lines taken out before the
+next is sought, in two deterministic ways.  Breadth-first: a search from
+every fixed bus at once, each bus labelled with the cluster of the bus
+that reached it, up to the first line that joins two labels.  Widest:
+Kruskal, heaviest line first, up to the first line that would join
+components holding buses fixed to different clusters; the path is that
+line and the forest's way from each of its ends to the nearest fixed bus.
+Self-loops lie on no path.  Short paths leave room for more paths and
+wide ones charge more each, and which bound is larger depends on the
+grid, so the search keeps the packing with the larger root bound,
+breadth-first on a tie (breadth-first proves net030 k=5 in 1,518 nodes,
+widest in 2,274; widest proves net240 and net300 at k=5 with SSR).
+
 A node is counted, held to the node and time limits and bounded right
 after its bus is placed, in its parent's child loop (the root after the
 fixed buses are placed), so a pruned child is unplaced without a call
@@ -105,6 +154,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -160,6 +210,7 @@ class _Search:
         for r, pos in enumerate(by_weight):
             self.rank[pos] = r
         self.by_rank = [(weight[p], *self.ends[p]) for p in by_weight]
+        self.rank_weight = [weight[p] for p in by_weight]
         self.nbr_mask = [0] * self.n
         # [bus]: (other end, weight, 1 << weight rank) of each line at bus
         self.lines_at: list[list[tuple[int, float, int]]] = [[] for _ in range(self.n)]
@@ -177,6 +228,17 @@ class _Search:
         # forest on the cluster labels
         self.empty_forest = (0.0, 0, k - 1, list(range(k + 1)))
         self.forest = self.empty_forest
+        # the packed paths (see pack()): the weight ranks of each path's
+        # lines, the path that holds each rank, and the ranks on any path
+        self.paths: list[int] = []
+        self.path_of: list[int] = []
+        self.on_paths = 0
+        # (path lines that are internal, the rank of each live path's lightest
+        # line that is not internal, those lines' weights summed in rank order)
+        self.path_state = (0, 0, 0.0)
+        # the bound less w(F): that sum less the k-1 heaviest weights among
+        # those lines and the forest's credited lines
+        self.charge = 0.0
         self.assigned_mask = 0
         self.all_buses = (1 << self.n) - 1
         self.cluster_mask = [0] * (k + 1)
@@ -186,7 +248,7 @@ class _Search:
         self.stale = (1 << (k + 1)) - 2  # bit r set: region[r] must be re-flooded
         self.saved: list[tuple[int, int]] = []  # (r, region[r] before its re-flood)
         # what place() changes and unplace() restores, one entry per placement
-        self.undo: list[tuple[float, int, tuple, int, int]] = []
+        self.undo: list[tuple] = []
 
         self.nodes = 0
         self.incumbent: Optional[float] = None  # the least leaf value so far
@@ -197,8 +259,9 @@ class _Search:
     # -- state updates ------------------------------------------------------
 
     def place(self, bus: int, r: int) -> None:
-        """Assign ``bus`` to ``r``, mark the regions this may change, and
-        add the lines this forces cross to F and to its forest.
+        """Assign ``bus`` to ``r``, mark the regions this may change, add
+        the lines this forces cross to F and to its forest, and update the
+        paths whose lines it decides.
 
         A line is decided once both ends are assigned, so every line met
         here was undecided.  Another cluster's region only loses ``bus``
@@ -207,9 +270,8 @@ class _Search:
         no members (its region was every free bus) or did not hold ``bus``.
         """
         bit = 1 << bus
-        self.undo.append(
-            (self.forced_cross, self.cross_ranks, self.forest, self.stale, len(self.saved))
-        )
+        self.undo.append((self.forced_cross, self.cross_ranks, self.forest, self.path_state,
+                          self.charge, self.stale, len(self.saved)))
         for s in range(1, self.k + 1):
             if s != r and self.region[s] & bit:
                 self.stale |= 1 << s
@@ -219,14 +281,17 @@ class _Search:
         self.assigned_mask |= bit
         self.cluster_mask[r] |= bit
         self.n_unassigned -= 1
-        forced = 0
+        forced = joined = 0
         forced_cross = self.forced_cross
         assign = self.assign
         for other, w, rank_bit in self.lines_at[bus]:
             o = assign[other]
-            if o and o != r:
-                forced_cross += w
-                forced |= rank_bit
+            if o:
+                if o != r:
+                    forced_cross += w
+                    forced |= rank_bit
+                else:
+                    joined |= rank_bit
         if forced:
             self.forced_cross = forced_cross
             self.cross_ranks |= forced
@@ -235,10 +300,15 @@ class _Search:
                 self.forest = self.kruskal(self.empty_forest, credited | forced)
             else:  # every new line is lighter than every credited one
                 self.forest = self.kruskal(self.forest, forced)
+        if (forced | joined) & self.on_paths:
+            self.decide(forced, joined)
+        elif forced:
+            self.charge = self.path_charge()
 
     def unplace(self, bus: int, r: int) -> None:
         """Undo the last ``place(bus, r)`` and the re-floods made since."""
-        self.forced_cross, self.cross_ranks, self.forest, self.stale, mark = self.undo.pop()
+        (self.forced_cross, self.cross_ranks, self.forest, self.path_state,
+         self.charge, self.stale, mark) = self.undo.pop()
         while len(self.saved) > mark:
             s, region = self.saved.pop()
             self.region[s] = region
@@ -250,7 +320,58 @@ class _Search:
     # -- pruning ------------------------------------------------------------
 
     def bound(self) -> float:
-        return max(0.0, self.forced_cross - self.forest[0])
+        return max(0.0, self.forced_cross + self.charge)
+
+    def weight_sum(self, ranks: int) -> float:
+        """The weights of the lines whose ranks are set, heaviest first."""
+        total = 0.0
+        while ranks:
+            low = ranks & -ranks
+            ranks ^= low
+            total += self.rank_weight[low.bit_length() - 1]
+        return total
+
+    def path_charge(self) -> float:
+        """The sum of the live paths' lightest weights less the k-1 heaviest
+        weights among those lines and the forest's credited lines; less the
+        forest's credit when no path is live (then w(F) plus this is the
+        forest bound's own float)."""
+        credit, credited, _merges, _comp = self.forest
+        _internal, mins, path_sum = self.path_state
+        if not mins:
+            return -credit
+        ranks = rest = credited | mins
+        for _ in range(self.k - 1):
+            rest &= rest - 1  # drop the lowest set bit
+        return path_sum - self.weight_sum(ranks ^ rest)
+
+    def decide(self, forced: int, joined: int) -> None:
+        """Update the path state and the charge for the lines ``place``
+        forced cross and made internal, some of them on paths: a forced
+        cross line ends its path's life, and an internal line that was its
+        live path's lightest one hands that role to the next lighter line."""
+        paths, path_of = self.paths, self.path_of
+        internal, mins, path_sum = self.path_state
+        live = mins
+        ended = forced & self.on_paths
+        while ended:
+            low = ended & -ended
+            ended ^= low
+            mins &= ~paths[path_of[low.bit_length() - 1]]
+        joined &= self.on_paths
+        if joined:
+            internal |= joined
+            moved = joined & mins
+            while moved:
+                low = moved & -moved
+                moved ^= low
+                left = paths[path_of[low.bit_length() - 1]] & ~internal
+                mins ^= low | 1 << (left.bit_length() - 1)
+        if mins != live:
+            path_sum = self.weight_sum(mins)
+        self.path_state = (internal, mins, path_sum)
+        if forced or mins != live:
+            self.charge = self.path_charge()
 
     def kruskal(self, forest: tuple, ranks: int) -> tuple[float, int, int, list[int]]:
         """``forest`` grown by Kruskal over the lines whose weight ranks are
@@ -313,6 +434,144 @@ class _Search:
             return None
         return regions
 
+    # -- paths between clusters ----------------------------------------------
+
+    def pack(self, fixed: dict[int, int]) -> None:
+        """Pack edge-disjoint paths between buses that ``fixed`` puts in
+        different clusters, breadth-first and widest, and keep the packing
+        whose root bound is larger (breadth-first on a tie).  Called once,
+        before any bus is placed; each packing's root bound is read by
+        placing the fixed buses and unplacing them again."""
+        order = sorted(fixed.items())
+        best_bound, best = -1.0, []
+        for paths in (self.bfs_paths(fixed), self.widest_paths(fixed)):
+            self.set_paths(paths)
+            for b, r in order:
+                self.place(b, r)
+            bound = self.bound()
+            for b, r in reversed(order):
+                self.unplace(b, r)
+            if bound > best_bound:
+                best_bound, best = bound, paths
+        self.set_paths(best)
+
+    def set_paths(self, paths: list[int]) -> None:
+        """Make ``paths`` (weight-rank masks) the bound's paths, with no
+        bus placed: every path is live and no line internal."""
+        self.paths = paths
+        self.path_of = [-1] * len(self.rank)
+        self.on_paths = mins = 0
+        for p, ranks in enumerate(paths):
+            self.on_paths |= ranks
+            mins |= 1 << (ranks.bit_length() - 1)
+            while ranks:
+                low = ranks & -ranks
+                ranks ^= low
+                self.path_of[low.bit_length() - 1] = p
+        self.path_state = (0, mins, self.weight_sum(mins))
+        self.charge = self.path_charge()
+
+    def links(self, ranks) -> list[list[tuple[int, int]]]:
+        """[bus]: (weight rank, other end) of each line of ``ranks`` at the
+        bus, in rank order; self-loops left out."""
+        at: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for rank in ranks:
+            _w, a, b = self.by_rank[rank]
+            if a != b:
+                at[a].append((rank, b))
+                at[b].append((rank, a))
+        return at
+
+    def bfs_paths(self, fixed: dict[int, int]) -> list[int]:
+        """Paths found one at a time by a breadth-first search from every
+        fixed bus at once, each bus taking the cluster of the bus that
+        reached it, up to the first line that joins two clusters; each
+        path's lines are taken out before the next search."""
+        at = self.links(range(len(self.by_rank)))
+        sources = sorted(fixed)
+        paths = []
+        while True:
+            label = [0] * self.n
+            for b in sources:
+                label[b] = fixed[b]
+            via: dict[int, tuple[int, int]] = {}  # bus -> (rank, bus it was reached from)
+            queue = deque(sources)
+            hit = None
+            while queue and hit is None:
+                u = queue.popleft()
+                lu = label[u]
+                for rank, v in at[u]:
+                    lv = label[v]
+                    if not lv:
+                        label[v] = lu
+                        via[v] = (rank, u)
+                        queue.append(v)
+                    elif lv != lu:
+                        hit = (rank, u, v)
+                        break
+            if hit is None:
+                return paths
+            rank, u, v = hit
+            path = 1 << rank
+            at[u].remove((rank, v))
+            at[v].remove((rank, u))
+            for end in (u, v):
+                while end in via:
+                    step, prev = via[end]
+                    path |= 1 << step
+                    at[end].remove((step, prev))
+                    at[prev].remove((step, end))
+                    end = prev
+            paths.append(path)
+
+    def widest_paths(self, fixed: dict[int, int]) -> list[int]:
+        """Paths found one at a time by Kruskal, heaviest line first, up to
+        the first line that would join components holding buses fixed to
+        different clusters: that line and the forest's way from each of its
+        ends to the nearest fixed bus.  Each path's lines are taken out
+        before the next run."""
+        lines = [(rank, a, b) for rank, (_w, a, b) in enumerate(self.by_rank) if a != b]
+        paths = []
+        while True:
+            parent = list(range(self.n))
+            label = [0] * self.n  # [root]: the cluster its component's fixed buses share
+            for b, r in fixed.items():
+                label[b] = r
+            tree = []
+            hit = None
+            for rank, a, b in lines:
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a == b:
+                    continue
+                if label[a] and label[b] and label[a] != label[b]:
+                    hit = rank
+                    break
+                parent[a] = b
+                label[b] = label[b] or label[a]
+                tree.append(rank)
+            if hit is None:
+                return paths
+            _w, a, b = self.by_rank[hit]
+            at = self.links(tree)
+            path = 1 << hit
+            for end in (a, b):
+                via = {end: None}
+                queue = deque([end])
+                while end not in fixed:
+                    end = queue.popleft()
+                    for rank, v in at[end]:
+                        if v not in via:
+                            via[v] = (rank, end)
+                            queue.append(v)
+                while via[end] is not None:
+                    rank, end = via[end]
+                    path |= 1 << rank
+            lines = [line for line in lines if not path >> line[0] & 1]
+            paths.append(path)
+
     # -- DFS ----------------------------------------------------------------
 
     def next_bus(self, regions: list[int]) -> int:
@@ -354,7 +613,7 @@ class _Search:
             if time.perf_counter() - self.started > self.time_limit_s:
                 raise _Stop()
         # the limit is positive, so this is bound() <= limit
-        return self.forced_cross - self.forest[0] <= self.limit
+        return self.forced_cross + self.charge <= self.limit
 
     def dfs(self) -> None:
         """Search below a node that enter() let in."""
@@ -446,15 +705,20 @@ def solve_builtin(
 ) -> tuple[TreePartitionSolution, BnBStats]:
     """Exact optimum by combinatorial branch-and-bound.
 
-    Designed for desk-scale instances (tens of buses).  When a node or
-    time budget interrupts the search, the best expansion of the leaves
-    kept so far is returned with ``proved_optimal`` false; with no
-    incumbent a BudgetError is raised instead.  Both limits default to
-    none; ``gridtree.solve`` passes its ``time_limit_s`` and turns an
-    unproved return into a BudgetError that carries the solution.
+    Proves each desk cell (tens of buses) in a few milliseconds.  Within
+    60 s on a 2-CPU VM it also proves net118 k=5, net240 k=4 and, with SSR
+    fixings, net240 k=5 and net300 k=5; net240 k=5 and net300 k=5 without
+    them stop at that limit with their bounds short of the optimum, and
+    belong on the bridge.  When a node or time budget interrupts the
+    search, the best expansion of the leaves kept so far is returned with
+    ``proved_optimal`` false; with no incumbent a BudgetError is raised
+    instead.  Both limits default to none; ``gridtree.solve`` passes its
+    ``time_limit_s`` and turns an unproved return into a BudgetError that
+    carries the solution.
     """
     work = _Contracted(net, collect_bus_fixings(net, groups, ssr))
     search = _Search(net, len(work.buses), work.lines, groups.k, node_limit, time_limit_s)
+    search.pack(work.fixed)
     for b, r in sorted(work.fixed.items()):
         search.place(b, r)
 
@@ -480,10 +744,9 @@ def solve_builtin(
         ),
         key=lambda s: (s.disruption_mw, s.partition.assignment),
     )
-    # an interrupted search has unwound to the root, whose bound is the
-    # least on any path: adding a line to F raises w(F) by its weight
-    # and the forest by at most that much; it bounds the original optimum
-    # because the contracted optimum equals it
+    # an interrupted search has unwound to the root, whose bound no leaf
+    # undercuts; it bounds the original optimum because the contracted
+    # optimum equals it
     best_bound = sol.disruption_mw if proved else min(sol.disruption_mw, search.bound())
     stats = BnBStats(nodes=search.nodes, best_bound=best_bound,
                      incumbent_mw=sol.disruption_mw, proved_optimal=proved)

@@ -66,10 +66,17 @@ def case_net(name):
     return dcflow.with_flows(net, dcflow.solve_dc(net, 0, dcflow.balanced_injections(net)))
 
 
-def uncontracted_search(net, k, node_limit=None):
-    """The built-in B&B's search on ``net`` itself, with no chain contracted."""
+def uncontracted_search(net, k, node_limit=None, fixed=None):
+    """The built-in B&B's search on ``net`` itself, with no chain contracted.
+    Given ``fixed`` (bus -> cluster), its paths are packed and the fixed
+    buses placed, as ``solve_builtin`` does at the root."""
     lines = [(ln, ln.from_bus, ln.to_bus) for ln in net.lines]
-    return _Search(net, net.n, lines, k, node_limit, None)
+    search = _Search(net, net.n, lines, k, node_limit, None)
+    if fixed:
+        search.pack(fixed)
+        for b, r in sorted(fixed.items()):
+            search.place(b, r)
+    return search
 
 
 def random_connected_net(rng, n, extra, flow_scale=10.0):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridtree import coherency, oracle, steiner
-from gridtree.bnb import _Contracted, _Search, _Stop, solve_builtin
+from gridtree.bnb import _Contracted, _Search, _Stop, _tie_limit, solve_builtin
 from gridtree.coherency import CoherencyGroups
 from gridtree.errors import BudgetError, InfeasibleError
 from gridtree.milp import SolverBridge, solve_via_bridge
@@ -159,10 +159,11 @@ def test_net118_k5_ssr_is_proved_within_node_budget():
 
 @pytest.mark.slow
 def test_net118_k5_milp_is_proved_within_node_budget():
-    # 124,366 nodes (362,616 on the uncontracted network), about 3 s
+    # 16,795 nodes, about 0.3 s; the forest bound alone needed 124,366
+    # (362,616 on the uncontracted network)
     net = case_net("net118")
     groups = coherency.slow_coherency(net, 5)
-    sol, stats = solve_builtin(net, groups, node_limit=500_000)
+    sol, stats = solve_builtin(net, groups, node_limit=50_000)
     assert stats.proved_optimal
     assert sol.disruption_mw == pytest.approx(380.90312, abs=1e-5)
 
@@ -170,19 +171,18 @@ def test_net118_k5_milp_is_proved_within_node_budget():
 def test_interrupted_search_unwinds_to_the_exact_root_state():
     # adding and then subtracting line weights drifted forced_cross off its
     # root value (1.47e-09 MW after 200,000 nodes here), and the reported
-    # bound with it
+    # bound with it; 10,000 nodes stop both searches (the contracted one
+    # proves this cell in 16,795)
     net = case_net("net118")
     groups = coherency.slow_coherency(net, 5)
-    fixed = collect_bus_fixings(net, groups)
-    search = uncontracted_search(net, groups.k, 20_000)
-    for b, r in sorted(fixed.items()):
-        search.place(b, r)
-    at_root, root_bound = search.forced_cross, search.bound()
+    search = uncontracted_search(net, groups.k, 10_000, collect_bus_fixings(net, groups))
+    at_root = (search.forced_cross, search.path_state, search.charge)
+    root_bound = search.bound()
     with pytest.raises(_Stop):
         search.dfs()
-    assert search.forced_cross == at_root
-    assert search.bound() == root_bound
-    _sol, stats = solve_builtin(net, groups, node_limit=20_000)
+    assert (search.forced_cross, search.path_state, search.charge) == at_root
+    assert search.bound() == root_bound > 0.0
+    _sol, stats = solve_builtin(net, groups, node_limit=10_000)
     assert not stats.proved_optimal
     assert stats.best_bound == root_bound < stats.incumbent_mw
 
@@ -221,18 +221,18 @@ def _reference_regions(search):
 
 def _random_walks(k):
     """Random DFS walks: place a free bus (mostly inside its domain), or undo
-    the last placement; half the walks start with no cluster members at all.
-    Yields (search, its regions(), whether a step was just taken) at each
-    walk's start and after every step."""
+    the last placement; half the walks start with no cluster members at all,
+    the rest at the root solve_builtin builds, paths packed and fixed buses
+    placed.  Yields (search, its regions(), whether a step was just taken)
+    at each walk's start and after every step."""
     rng = np.random.default_rng(620 + k)
     for trial in range(40):
         net = random_connected_net(rng, int(rng.integers(2 * k, 2 * k + 8)),
                                    int(rng.integers(0, 6)))
-        search = uncontracted_search(net, k)
+        fixed = None
         if trial % 2:
-            groups = random_groups(rng, net, k, max_size=2)
-            for b, r in sorted(collect_bus_fixings(net, groups).items()):
-                search.place(b, r)
+            fixed = collect_bus_fixings(net, random_groups(rng, net, k, max_size=2))
+        search = uncontracted_search(net, k, fixed=fixed)
         placed = []
         regions = search.regions()
         yield search, regions, False
@@ -340,6 +340,187 @@ def test_incremental_forest_matches_a_fresh_kruskal(k):
     # the resumed Kruskal both kept the forest as it was and added lines to it
     assert steps >= 1000 and uncredited >= 400, (steps, uncredited)
     assert resumed - grown >= 15 and grown >= 100, (resumed, grown)
+
+
+def _rank_sum(search, ranks):
+    """The weights of the lines whose ranks are set, added heaviest first."""
+    total = 0.0
+    for r in range(ranks.bit_length()):
+        if ranks >> r & 1:
+            total += search.by_rank[r][0]
+    return total
+
+
+def _reference_paths(search):
+    """The path state recounted from the packed paths, the forced cross
+    lines and the assignment: (internal path lines, each live path's
+    lightest line that is not internal, their weights' sum), and the charge:
+    that sum less the k-1 heaviest weights among those lines and the
+    forest's credited ones, or less the forest's credit with no live path."""
+    on_paths = 0
+    for path in search.paths:
+        on_paths |= path
+    internal = 0
+    for pos, (a, b) in enumerate(search.ends):
+        if search.assign[a] and search.assign[a] == search.assign[b]:
+            internal |= 1 << search.rank[pos]
+    internal &= on_paths
+    mins = 0
+    for path in search.paths:
+        if not path & search.cross_ranks:
+            mins |= 1 << ((path & ~internal).bit_length() - 1)
+    credit, credited, _merges, _comp = _reference_forest(search)
+    heaviest = credited | mins
+    for _ in range(search.k - 1):
+        heaviest &= heaviest - 1
+    relief = _rank_sum(search, (credited | mins) & ~heaviest)
+    if not mins:
+        assert relief == credit
+        return (internal, 0, 0.0), -credit
+    path_sum = _rank_sum(search, mins)
+    return (internal, mins, path_sum), path_sum - relief
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_incremental_paths_match_a_recount(k):
+    # the path state place() carries and unplace() restores equals a recount
+    # after every step, the sums with == (the same floats added in the same
+    # order), pruned nodes included
+    steps = live = ended = 0
+    before = None
+    for search, _regions, stepped in _random_walks(k):
+        assert (search.path_state, search.charge) == _reference_paths(search)
+        mins = search.path_state[1]
+        steps += stepped
+        live += bool(mins)
+        if stepped and before is not None and search.paths is before[0]:
+            ended += mins.bit_count() < before[1].bit_count()
+        before = (search.paths, mins)
+    assert steps >= 1000 and live >= 200 and ended >= 80, (steps, live, ended)
+
+
+def test_path_bound_follows_a_path_whose_lightest_line_turns_internal():
+    # a 6-cycle with its two group buses opposite: the paths 0-1-2-3 and
+    # 0-5-4-3, lightest lines 0-1 (1 MW) and 4-5 (2 MW); the root bound
+    # 1 + 2 - 2 is the optimum.  Bus 1 in cluster 1 makes 0-1 internal, so
+    # that path's lightest undecided line is 2-3 (3 MW), and the bound
+    # 3 + 2 - 3 is again the best completion
+    net = build_net(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+                    flows=[1.0, 6.0, 3.0, 5.0, 2.0, 4.0], gen_buses=(0, 3))
+    search = uncontracted_search(net, 2, fixed={0: 1, 3: 2})
+    assert sorted(_path_ends(search, path)[0] for path in search.paths) == [[0, 3], [0, 3]]
+    assert (search.path_state[2], search.bound()) == (3.0, 1.0)
+    assert search.bound() == oracle.enumerate_optimal(
+        net, CoherencyGroups(groups=(frozenset([0]), frozenset([3])), k=2)).disruption_mw
+    root = (search.path_state, search.charge)
+    search.place(1, 1)
+    internal, _mins, path_sum = search.path_state
+    assert (internal, path_sum, search.bound()) == (1 << search.rank[0], 5.0, 2.0)
+    assert (search.path_state, search.charge) == _reference_paths(search)
+    search.place(2, 2)  # 1-2 forced cross: that path ends
+    assert search.path_state[1].bit_count() == 1 and search.path_state[2] == 2.0
+    assert search.bound() == 6.0 + 2.0 - 6.0
+    search.unplace(2, 2)
+    search.unplace(1, 1)
+    assert (search.path_state, search.charge) == root
+
+
+def _path_ends(search, path):
+    """The two end buses of a packed path, after checking that its lines
+    form one simple path."""
+    degree = {}
+    for r in range(path.bit_length()):
+        if path >> r & 1:
+            _w, a, b = search.by_rank[r]
+            assert a != b
+            degree[a] = degree.get(a, 0) + 1
+            degree[b] = degree.get(b, 0) + 1
+    ends = sorted(b for b, d in degree.items() if d == 1)
+    assert len(ends) == 2 and all(d in (1, 2) for d in degree.values())
+    assert len(degree) == path.bit_count() + 1  # acyclic and connected
+    return ends, [b for b, d in degree.items() if d == 2]
+
+
+def _packing_instances():
+    """(network, groups, SSR fixings or None): random instances whose chains
+    contract to parallel lines and self-loops, then net030 and net057."""
+    for k in (2, 3, 4, 5):
+        rng = np.random.default_rng(900 + k)
+        for trial in range(20):
+            net, groups = _chained_instance(rng, k, unit_mw=False)
+            fixings = None
+            if trial % 2:
+                fixings = steiner.build_fixings(
+                    net, [steiner.steiner_tree(net, g) for g in groups.groups]
+                )
+            yield net, groups, fixings
+    for case, k in sorted(DESK_OPTIMA):
+        net = case_net(case)
+        yield net, coherency.slow_coherency(net, k), None
+
+
+def test_packed_paths_join_clusters_and_share_no_line():
+    # both packings on contracted multigraphs: each path joins buses fixed
+    # to different clusters through free buses and no line is on two paths;
+    # pack() keeps the packing with the larger root bound, breadth-first on
+    # a tie, and packing again gives the same paths
+    packed = 0
+    kept = {"bfs": 0, "widest": 0}
+    for net, groups, fixings in _packing_instances():
+        k = groups.k
+        work = _Contracted(net, collect_bus_fixings(net, groups, fixings))
+        search = _Search(net, len(work.buses), work.lines, k, None, None)
+        bfs, widest = search.bfs_paths(work.fixed), search.widest_paths(work.fixed)
+        bounds = []
+        for paths in (bfs, widest):
+            used = 0
+            for path in paths:
+                assert not path & used
+                used |= path
+                (a, b), inner = _path_ends(search, path)
+                assert work.fixed.get(a) and work.fixed.get(b)
+                assert work.fixed[a] != work.fixed[b]
+                assert not any(bus in work.fixed for bus in inner)
+            packed += len(paths)
+            at_root = _Search(net, len(work.buses), work.lines, k, None, None)
+            at_root.set_paths(paths)
+            for b, r in sorted(work.fixed.items()):
+                at_root.place(b, r)
+            bounds.append(at_root.bound())
+        search.pack(work.fixed)
+        assert search.paths == (widest if bounds[1] > bounds[0] else bfs)
+        kept["widest" if bounds[1] > bounds[0] else "bfs"] += bfs != widest
+        again = _Search(net, len(work.buses), work.lines, k, None, None)
+        again.pack(work.fixed)
+        assert again.paths == search.paths
+    assert packed >= 800 and kept["bfs"] >= 40 and kept["widest"] >= 10, (packed, kept)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_path_bound_never_exceeds_the_best_completion(k):
+    # at every walk state the oracle can enumerate, the bound is at most the
+    # best completion of the current assignment (within the tolerance the
+    # search prunes by), and the path term raises it above the forest bound
+    # on some of them
+    checked = raised = 0
+    for search, _regions, _stepped in _random_walks(k):
+        # walks with packed paths start at fixed buses, so no cluster is empty
+        free = search.assign.count(0)
+        if not search.paths or free > 10 or k ** free > 4_000:
+            continue
+        groups = CoherencyGroups(
+            groups=tuple(frozenset(b for b, r in enumerate(search.assign) if r == s)
+                         for s in range(1, k + 1)),
+            k=k,
+        )
+        try:
+            best = oracle.enumerate_optimal(search.net, groups).disruption_mw
+        except InfeasibleError:
+            continue
+        assert search.bound() <= _tie_limit(best), (search.bound(), best)
+        checked += 1
+        raised += search.bound() > max(0.0, search.forced_cross - search.forest[0])
+    assert checked >= 100 and raised >= 50, (checked, raised)
 
 
 # free buses the oracle may enumerate, per k: at most about 20,000 assignments
@@ -452,6 +633,7 @@ def test_interrupted_contracted_search_returns_a_validated_incumbent():
     work = _Contracted(net, collect_bus_fixings(net, groups))
     assert len(work.chains) == 10 and len(work.buses) == net.n - 10
     search = _Search(net, len(work.buses), work.lines, groups.k, None, None)
+    search.pack(work.fixed)
     for b, r in sorted(work.fixed.items()):
         search.place(b, r)
     sol, stats = solve_builtin(net, groups, node_limit=100)
@@ -465,7 +647,7 @@ def test_interrupted_contracted_search_returns_a_validated_incumbent():
 def test_desk_cells_take_fewer_nodes_with_chains_contracted():
     # the 16 desk cells took 11,950 nodes on the uncontracted network, and
     # 8,275 when chains beside a line or chain, loops and chains to a leaf
-    # bus were left uncontracted
+    # bus were left uncontracted; 7,487 before the bound packed paths
     nodes = 0
     for case, k in DESK_OPTIMA:
         net = case_net(case)
@@ -473,22 +655,22 @@ def test_desk_cells_take_fewer_nodes_with_chains_contracted():
         fixings = steiner.build_fixings(net, [steiner.steiner_tree(net, g) for g in groups.groups])
         for ssr in (None, fixings):
             nodes += solve_builtin(net, groups, ssr=ssr)[1].nodes
-    assert nodes < 8_000
+    assert nodes < 5_000
 
 
 # (case, k, ssr) -> BnBStats.nodes: the search's path, node for node.  A
 # per-node saving must leave these exact; the same counts hold under
 # OpenBLAS's default threads, one thread, and the Haswell and Prescott kernels
 NODE_COUNTS = {
-    ("net030", 2, False): 42, ("net030", 2, True): 39,
-    ("net030", 3, False): 150, ("net030", 3, True): 61,
-    ("net030", 4, False): 295, ("net030", 4, True): 131,
-    ("net030", 5, False): 2447, ("net030", 5, True): 2447,
-    ("net057", 2, False): 40, ("net057", 2, True): 48,
-    ("net057", 3, False): 142, ("net057", 3, True): 96,
-    ("net057", 4, False): 361, ("net057", 4, True): 281,
-    ("net057", 5, False): 511, ("net057", 5, True): 396,
-    ("net118", 5, True): 14_540,
+    ("net030", 2, False): 33, ("net030", 2, True): 30,
+    ("net030", 3, False): 100, ("net030", 3, True): 42,
+    ("net030", 4, False): 244, ("net030", 4, True): 84,
+    ("net030", 5, False): 1518, ("net030", 5, True): 1518,
+    ("net057", 2, False): 38, ("net057", 2, True): 36,
+    ("net057", 3, False): 57, ("net057", 3, True): 78,
+    ("net057", 4, False): 212, ("net057", 4, True): 134,
+    ("net057", 5, False): 310, ("net057", 5, True): 179,
+    ("net118", 5, True): 2452,
 }
 
 
@@ -503,15 +685,20 @@ def test_node_counts_are_pinned(case, k, ssr):
 # incumbent_mw.hex(), best_bound.hex()), or the node count of the
 # BudgetError raised before any leaf.  A child pruned by its bound is
 # counted where its parent places it, in the order dfs would enter it, so
-# these are the stop points of a search that enters every node.  The
-# assignments hold under every OpenBLAS kernel; the incumbent's last bits
-# follow the kernel's flows (0x1.203d29182a5eep+8 under Haswell)
+# these are the stop points of a search that enters every node; the search
+# proves the cell in 1,518 nodes.  The assignments hold under every
+# OpenBLAS kernel; the last bits of the incumbent and of the root bound
+# follow the kernel's flows (0x1.203d29182a5eep+8 and 0x1.da7f2cb73953cp+4
+# under Haswell)
 STOP_POINTS = {
     1: 2,
     10: 11,
-    100: (101, "555142253112545525552555225545", "0x1.203d29182a5ecp+8", "0x0.0p+0"),
-    1000: (1001, "555142253112545555552555225545", "0x1.79d75d7a37dcap+7", "0x0.0p+0"),
-    2446: (2447, "551142213112343553132515223145", "0x1.799b909256c8ap+7", "0x0.0p+0"),
+    100: (101, "555142253112545525552555225545", "0x1.203d29182a5ecp+8",
+          "0x1.da7f2cb73952cp+4"),
+    1000: (1001, "551142213112343553132515223145", "0x1.799b909256c8ap+7",
+           "0x1.da7f2cb73952cp+4"),
+    1517: (1518, "551142213112343553132515223145", "0x1.799b909256c8ap+7",
+           "0x1.da7f2cb73952cp+4"),
 }
 
 
@@ -531,7 +718,8 @@ def test_stop_points_are_pinned(node_limit):
     assert "".join(map(str, sol.partition.assignment)) == assignment
     assert stats.incumbent_mw == sol.disruption_mw
     assert stats.incumbent_mw == pytest.approx(float.fromhex(incumbent_hex), rel=1e-13, abs=0)
-    assert stats.best_bound.hex() == bound_hex
+    assert stats.best_bound == pytest.approx(float.fromhex(bound_hex), rel=1e-13, abs=0)
+    assert stats.best_bound > 0.0
 
 
 def test_infeasible_instance_raises():
@@ -573,13 +761,14 @@ def test_budget_exhaustion_without_incumbent():
 def test_budget_returns_unproved_incumbent():
     # a 2x6 ladder whose four corners are group buses has no free degree-2
     # bus, so contraction cannot shrink it (a 12-bus path is proved at the
-    # root in 1 node); the first DFS descent reaches a feasible leaf early
+    # root in 1 node); the first DFS descent reaches a feasible leaf early,
+    # and the search proves the optimum in 36 nodes
     rails = [(i, i + 1) for i in range(5)] + [(i, i + 1) for i in range(6, 11)]
     net = build_net(12, rails + [(i, i + 6) for i in range(6)], flows=list(range(1, 17)),
                     gen_buses=(0, 5, 6, 11))
     groups = CoherencyGroups(groups=(frozenset([0, 6]), frozenset([5, 11])), k=2)
     assert _Contracted(net, collect_bus_fixings(net, groups)).chains == []
-    sol, stats = solve_builtin(net, groups, node_limit=40)
+    sol, stats = solve_builtin(net, groups, node_limit=20)
     assert not stats.proved_optimal
     assert stats.incumbent_mw is not None
     assert stats.best_bound <= stats.incumbent_mw
