@@ -4,9 +4,10 @@ Verbs: parse, flows, coherency, solve, steiner, bench, export-dot.
 Each option is declared once, as a ``RunConfig`` field naming its
 reader, default and help; ``_VERBS`` names the options each verb's
 parser takes.  Option precedence is flags > config file (flat
-key=value lines) > defaults.  Exit codes distinguish parse errors (2),
-validation errors (3), infeasibility (4), budget exhaustion (5), bridge
-failures (6) and model/configuration problems (7).  ``solve`` and
+key=value lines) > defaults; no option is read from the environment.
+Exit codes distinguish parse errors (2), validation errors (3),
+infeasibility (4), budget exhaustion (5), bridge failures (6) and
+model/configuration problems (7).  ``solve`` and
 ``bench`` load the case and the groups, then call ``gridtree.solve``
 (``routes.solve``), which owns the method routes, the backend and
 ``runtime_s``.  A solve that stops at its time limit holding an
@@ -35,8 +36,6 @@ from .errors import (
 )
 from .network import Network, network_to_json, parse_case
 from .solution import _pair, solution_from_json, solution_to_json, validate_solution
-
-BRIDGE_ENV = "GRIDTREE_BRIDGE_CMD"
 
 _EXIT_CODES = (
     (CaseParseError, 2),
@@ -189,8 +188,8 @@ def _load_groups(net, cfg: RunConfig):
 def _solve(net, groups, cfg: RunConfig):
     """(solution, stop): ``stop`` is the BudgetError of a solve that ran
     out of time holding an unproved solution, else None."""
-    cmd = cfg.bridge_cmd or os.environ.get(BRIDGE_ENV)
-    bridge = milp.SolverBridge(command=cmd, timeout_s=cfg.time_limit) if cmd else None
+    bridge = (milp.SolverBridge(command=cfg.bridge_cmd, timeout_s=cfg.time_limit)
+              if cfg.bridge_cmd else None)
     try:
         return routes.solve(net, groups, cfg.method, bridge, cfg.time_limit, cfg.limit), None
     except BudgetError as stop:

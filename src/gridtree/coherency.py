@@ -1,10 +1,10 @@
 """Slow-coherency grouping of generators.
 
 Pipeline: susceptance-weighted Laplacian over all buses, Kron reduction
-onto the generator buses, inertia scaling, then k-means over the slow
-(smallest-eigenvalue) eigenbasis.  Every step is deterministic: dense
-symmetric eigendecomposition with a fixed sign convention, farthest-first
-seeding, and index-based tie-breaking.
+onto the generator buses, then k-means over the slow (smallest-eigenvalue)
+eigenbasis.  Every step is deterministic: dense symmetric
+eigendecomposition with a fixed sign convention, farthest-first seeding,
+and index-based tie-breaking.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -85,12 +85,9 @@ def _slow_modes(sym: np.ndarray, k: int) -> np.ndarray:
     return slow
 
 
-def spectral_embedding(net: Network, gens: Sequence[int], k: int, h: np.ndarray) -> np.ndarray:
-    """Rows of the k slowest eigenvectors of the inertia-scaled reduced Laplacian."""
-    reduced = kron_reduction(net, gens)
-    inv_sqrt = 1.0 / np.sqrt(h)
-    sym = inv_sqrt[:, None] * reduced * inv_sqrt[None, :]
-    return inv_sqrt[:, None] * _slow_modes(sym, k)
+def spectral_embedding(net: Network, gens: Sequence[int], k: int) -> np.ndarray:
+    """Rows of the k slowest eigenvectors of the reduced Laplacian."""
+    return _slow_modes(kron_reduction(net, gens), k)
 
 
 def _farthest_first_seeds(rows: np.ndarray, k: int) -> list[int]:
@@ -139,44 +136,25 @@ def _kmeans(rows: np.ndarray, centroids: np.ndarray, pinned: int = 0) -> np.ndar
     return labels
 
 
-def slow_coherency(
-    net: Network,
-    k: int,
-    inertia_h: Union[float, Mapping[int, float]] = 1.0,
-    generator_buses: Optional[Sequence[int]] = None,
-) -> CoherencyGroups:
+def slow_coherency(net: Network, k: int) -> CoherencyGroups:
     """Identify k coherent generator groups.
 
-    By default the grouping runs over the actively dispatching generator
-    buses (positive case generation); if fewer than k of those exist it
-    falls back to all generator buses.  Supplying ``generator_buses``
-    overrides the selection.
+    The grouping runs over the actively dispatching generator buses
+    (positive case generation); if fewer than k of those exist it falls
+    back to all generator buses.
     """
     if k < 2:
         raise NetworkValidationError("slow coherency needs k >= 2")
-    if generator_buses is not None:
-        gens = sorted(generator_buses)
-        for g in gens:
-            if not net.buses[g].is_generator:
-                raise NetworkValidationError(f"bus index {g} is not a generator")
-    else:
-        gens = sorted(b.index for b in net.buses if b.is_generator and b.gen_mw > 0)
-        if len(gens) < k:
-            gens = sorted(b.index for b in net.buses if b.is_generator)
+    gens = [b.index for b in net.buses if b.is_generator and b.gen_mw > 0]
+    if len(gens) < k:
+        gens = [b.index for b in net.buses if b.is_generator]
     if k > len(gens):
         raise NetworkValidationError(f"k={k} exceeds generator count {len(gens)}")
-
-    if isinstance(inertia_h, Mapping):
-        h = np.array([float(inertia_h.get(g, 1.0)) for g in gens])
-    else:
-        h = np.full(len(gens), float(inertia_h))
-    if np.any(h <= 0):
-        raise NetworkValidationError("inertia constants must be positive")
 
     if k == len(gens):
         groups = [frozenset([g]) for g in gens]
     else:
-        rows = spectral_embedding(net, gens, k, h)
+        rows = spectral_embedding(net, gens, k)
         labels = _kmeans(rows, rows[_farthest_first_seeds(rows, k)])
         groups = [
             frozenset(g for g, lab in zip(gens, labels) if lab == r) for r in range(k)

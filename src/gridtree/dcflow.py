@@ -19,6 +19,7 @@ from .errors import NetworkValidationError
 from .network import Line, Network, apply_switching, disruption, is_connected
 
 BALANCE_TOL_PU = 1e-8
+LOCALIZATION_TOL_MW = 1e-6
 
 __all__ = [
     "FlowSolution",
@@ -49,6 +50,31 @@ class FlowSolution:
         return json.dumps(doc, indent=2) + "\n"
 
 
+def _line_arrays(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each line's from bus, to bus and susceptance, in line order."""
+    lines = net.lines
+    f = np.array([ln.from_bus for ln in lines], dtype=np.intp)
+    t = np.array([ln.to_bus for ln in lines], dtype=np.intp)
+    sus = np.array([ln.susceptance for ln in lines], dtype=float)
+    return f, t, sus
+
+
+def _ends_sum(n: int, f, t, at_f, at_t) -> np.ndarray:
+    """Per bus, the sum of ``at_f`` over the lines leaving it and ``at_t``
+    over the lines entering it.  Line i's ends are entries 2i and 2i+1,
+    so each sum runs in line order."""
+    ends = np.column_stack((f, t)).ravel()
+    return np.bincount(ends, np.column_stack((at_f, at_t)).ravel(), minlength=n)
+
+
+def _laplacian(n: int, f: np.ndarray, t: np.ndarray, sus: np.ndarray) -> np.ndarray:
+    lap = np.zeros((n, n))
+    lap.flat[:: n + 1] = _ends_sum(n, f, t, sus, sus)
+    lap[f, t] = -sus
+    lap[t, f] = -sus
+    return lap
+
+
 def laplacian(net: Network) -> np.ndarray:
     """Susceptance-weighted bus Laplacian (per unit), dense.
 
@@ -56,32 +82,7 @@ def laplacian(net: Network) -> np.ndarray:
     Network has no parallel lines, so each off-diagonal entry is one
     line's negated susceptance.
     """
-    n, lines = net.n, net.lines
-    f = np.array([ln.from_bus for ln in lines], dtype=np.intp)
-    t = np.array([ln.to_bus for ln in lines], dtype=np.intp)
-    sus = np.array([ln.susceptance for ln in lines], dtype=float)
-    lap = np.zeros((n, n))
-    # line i's ends are entries 2i and 2i+1, so each sum runs in line order
-    lap.flat[:: n + 1] = np.bincount(np.column_stack((f, t)).ravel(), np.repeat(sus, 2), minlength=n)
-    lap[f, t] = -sus
-    lap[t, f] = -sus
-    return lap
-
-
-def _line_flows(net: Network, theta: np.ndarray) -> np.ndarray:
-    """MW flow on each line for bus angles ``theta`` (radians)."""
-    return np.array(
-        [net.base_mva * ln.susceptance * (theta[ln.from_bus] - theta[ln.to_bus]) for ln in net.lines]
-    )
-
-
-def _net_injections(net: Network, flows: Sequence[float]) -> np.ndarray:
-    """MW leaving each bus through its lines for the given line flows."""
-    out = np.zeros(net.n)
-    for ln, f in zip(net.lines, flows):
-        out[ln.from_bus] += f
-        out[ln.to_bus] -= f
-    return out
+    return _laplacian(net.n, *_line_arrays(net))
 
 
 def balanced_injections(net: Network) -> np.ndarray:
@@ -104,9 +105,9 @@ def solve_dc(
     The slack row and column are removed before the dense factorization,
     which pins the slack angle to zero and absorbs any net injection
     imbalance there.  Raises NetworkValidationError if the network is
-    disconnected, or if the per-bus balance residual exceeds 1e-8 p.u.,
-    which happens when per-unit values are too extreme for double
-    precision.
+    disconnected, if an injection is not finite, or if the per-bus
+    balance residual exceeds 1e-8 p.u., which happens when per-unit
+    values are too extreme for double precision.
     """
     n = net.n
     if not 0 <= slack < n:
@@ -122,12 +123,19 @@ def solve_dc(
             raise NetworkValidationError(
                 f"injection vector has shape {p.shape}, expected ({n},)"
             )
+        bad = np.flatnonzero(~np.isfinite(p))
+        if bad.size:
+            i = int(bad[0])
+            raise NetworkValidationError(
+                f"injection at bus {net.buses[i].id} must be finite, got {float(p[i])!r}"
+            )
     p = p / net.base_mva
+    f, t, sus = _line_arrays(net)
 
     theta = np.zeros(n)
     if n > 1:
         keep = np.arange(n) != slack
-        reduced = laplacian(net)[np.ix_(keep, keep)]
+        reduced = _laplacian(n, f, t, sus)[np.ix_(keep, keep)]
         try:
             theta[keep] = np.linalg.solve(reduced, p[keep])
         except np.linalg.LinAlgError as exc:  # singular factorization
@@ -135,10 +143,10 @@ def solve_dc(
         if not np.all(np.isfinite(theta)):
             raise NetworkValidationError("DC flow system is singular")
 
-    flows = _line_flows(net, theta)
+    flows = net.base_mva * sus * (theta[f] - theta[t])
 
-    # flow conservation at every non-slack bus
-    residual = np.abs(_net_injections(net, flows) / net.base_mva - p)
+    # flow conservation at every non-slack bus: MW leaving each bus through its lines
+    residual = np.abs(_ends_sum(n, f, t, flows, -flows) / net.base_mva - p)
     residual[slack] = 0.0
     worst = float(residual.max()) if n > 1 else 0.0
     if worst > BALANCE_TOL_PU:
@@ -148,8 +156,8 @@ def solve_dc(
         )
 
     return FlowSolution(
-        theta=tuple(float(t) for t in theta),
-        flows_mw=tuple(float(f) for f in flows),
+        theta=tuple(theta.tolist()),
+        flows_mw=tuple(flows.tolist()),
         slack_bus=slack,
     )
 
@@ -174,16 +182,15 @@ class LocalizationReport:
     line_id: int
     cluster: int
     max_outside_delta_mw: Optional[float]
-    tol_mw: float
 
 
-def check_localization(net, solution, line_id: int, tol: float = 1e-6) -> LocalizationReport:
+def check_localization(net, solution, line_id: int) -> LocalizationReport:
     """Check that an internal-line outage stays inside its cluster.
 
     Removes ``line_id`` from the post-switching network and re-solves the
     DC flow; the check passes when no line outside the failed line's
-    cluster changes flow by ``tol`` MW or more.  A removal that splits the
-    network is reported as "islanding" and not evaluated.
+    cluster changes flow by ``LOCALIZATION_TOL_MW`` or more.  A removal
+    that splits the network is reported as "islanding" and not evaluated.
     """
     post = apply_switching(net, solution.switched)
     line = post.line_by_id.get(line_id)
@@ -195,7 +202,7 @@ def check_localization(net, solution, line_id: int, tol: float = 1e-6) -> Locali
     removed = apply_switching(post, [line_id])
     if not is_connected(removed):
         # retained bridges and internal cut-edges land here
-        return LocalizationReport("islanding", line_id, ra if ra == rb else 0, None, tol)
+        return LocalizationReport("islanding", line_id, ra if ra == rb else 0, None)
     if ra != rb:
         raise NetworkValidationError(
             f"line {line_id} is a non-separating cross edge; the partition "
@@ -211,5 +218,5 @@ def check_localization(net, solution, line_id: int, tol: float = 1e-6) -> Locali
         if inside:
             continue
         worst = max(worst, abs(f - base_by_id[ln.id]))
-    outcome = "pass" if worst < tol else "fail"
-    return LocalizationReport(outcome, line_id, ra, worst, tol)
+    outcome = "pass" if worst < LOCALIZATION_TOL_MW else "fail"
+    return LocalizationReport(outcome, line_id, ra, worst)

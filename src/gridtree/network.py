@@ -264,6 +264,10 @@ def _not_bus_id(column: str, value: float, line_no: int) -> CaseParseError:
 
 
 def _unmodelled(column: str, value: float, needs: str, line_no: int) -> CaseParseError:
+    """The refusal of a value the model does not represent; a non-finite
+    value is refused as such."""
+    if not math.isfinite(value):
+        return _not_finite(column, value, line_no)
     return CaseParseError(f"{column} {value:g} is not modelled: {needs}", line_no=line_no)
 
 
@@ -281,7 +285,7 @@ def parse_case(text: str) -> Network:
     unordered bus pair, in the order each pair first appears, oriented
     from the lower index: susceptances add, and so do capacities unless a
     branch of the pair is unlimited (RATE_A 0), which leaves it unlimited.  A non-finite value
-    in any of these columns is a CaseParseError naming its line.
+    in any of these columns is a CaseParseError naming its line and column.
     """
     joined = _COMMENT_RE.sub("", "\n".join(text.splitlines()))
     m = _BASE_RE.search(joined)
@@ -306,7 +310,7 @@ def parse_case(text: str) -> Network:
         if not row[0].is_integer():
             raise _not_bus_id("BUS_I", row[0], line_no)
         bus_id = int(row[0])
-        if row[1] == 4:
+        if row[1] == 4 or not math.isfinite(row[1]):
             raise _unmodelled("BUS_TYPE", row[1], "an isolated bus", line_no)
         if bus_id in load:
             raise NetworkValidationError(f"duplicate bus id {bus_id}")
@@ -328,7 +332,7 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(f"gen references unknown bus {bus_id}", line_no=line_no)
         if not math.isfinite(row[1]):
             raise _not_finite("PG", row[1], line_no)
-        if len(row) > 7 and not row[7] > 0:
+        if len(row) > 7 and not 0 < row[7] < math.inf:
             raise _unmodelled("GEN_STATUS", row[7], "an out-of-service generator", line_no)
         gen[bus_id] = gen.get(bus_id, 0.0) + row[1]
 

@@ -28,12 +28,6 @@ def _solver_children_import_checkout():
         yield
 
 
-@pytest.fixture(autouse=True)
-def _no_bridge_from_the_shell(monkeypatch):
-    """A GRIDTREE_BRIDGE_CMD set in the calling shell reaches no test."""
-    monkeypatch.delenv("GRIDTREE_BRIDGE_CMD", raising=False)
-
-
 def build_net(n, edges, flows=None, susceptances=None, injections=None,
               base_mva=100.0, gen_buses=()):
     """Small-network builder; edges are (a, b) index pairs."""

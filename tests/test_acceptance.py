@@ -370,7 +370,7 @@ def test_criterion_5_localization():
                 continue
             if assign[ln.from_bus] != assign[ln.to_bus]:
                 continue
-            report = dcflow.check_localization(net, sol, ln.id, tol=1e-6)
+            report = dcflow.check_localization(net, sol, ln.id)
             if report.outcome == "islanding":
                 continue
             assert report.outcome == "pass", (

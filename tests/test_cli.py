@@ -395,13 +395,6 @@ def test_huge_time_limit_runs_the_bridge_without_a_kill_deadline(capsys, limit):
     assert json.loads(capsys.readouterr().out)["disruption_mw"] == want
 
 
-def test_bridge_env_is_the_default_bridge_and_the_flag_wins(capsys, monkeypatch):
-    monkeypatch.setenv("GRIDTREE_BRIDGE_CMD", "false {model} {solution}")
-    argv = ["solve", "--case", DEMO, "--k", "2", "--method", "milp"]
-    assert main(argv) == 6
-    assert main([*argv, "--bridge-cmd", BRIDGE_CMD]) == 0
-
-
 def test_bridge_timeout_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--case", DEMO, "--k", "2", "--bridge-timeout", "5"])

@@ -36,14 +36,32 @@ def _two_islands_weak_tie(tie_susceptance=0.01):
 
 def test_weak_tie_splits_sides():
     net = _two_islands_weak_tie()
-    got = slow_coherency(net, 2, generator_buses=[0, 1, 4, 5])
+    got = slow_coherency(net, 2)
     assert set(got.groups) == {frozenset({0, 1}), frozenset({4, 5})}
 
 
 def test_k_equals_generator_count_gives_singletons():
     net = _two_islands_weak_tie()
-    got = slow_coherency(net, 4, generator_buses=[0, 1, 4, 5])
+    got = slow_coherency(net, 4)
     assert set(got.groups) == {frozenset({0}), frozenset({1}), frozenset({4}), frozenset({5})}
+
+
+def test_groups_use_the_dispatching_generators_unless_fewer_than_k_dispatch():
+    # generators at 0, 1, 4, 5 dispatch; those at 2 and 6 have 0 MW
+    tied = _two_islands_weak_tie()
+    inj = [10.0, 10.0, 0.0, -20.0, 10.0, 10.0, 0.0, -20.0]
+    net = build_net(8, [(ln.from_bus, ln.to_bus) for ln in tied.lines],
+                    susceptances=[ln.susceptance for ln in tied.lines],
+                    injections=inj, gen_buses=(0, 1, 2, 4, 5, 6))
+    assert [b.index for b in net.buses if b.is_generator and b.gen_mw > 0] == [0, 1, 4, 5]
+    assert slow_coherency(net, 2).groups == (frozenset({0, 1}), frozenset({4, 5}))
+    assert slow_coherency(net, 3).all_members() == {0, 1, 4, 5}
+    assert slow_coherency(net, 4).groups == tuple(frozenset({g}) for g in (0, 1, 4, 5))
+    # five groups need five generators: every generator is grouped
+    assert slow_coherency(net, 5).all_members() == {0, 1, 2, 4, 5, 6}
+    assert slow_coherency(net, 6).groups == tuple(frozenset({g}) for g in (0, 1, 2, 4, 5, 6))
+    with pytest.raises(NetworkValidationError, match="k=7 exceeds generator count 6"):
+        slow_coherency(net, 7)
 
 
 def test_barbell_matches_embedding_enumeration():
@@ -51,9 +69,9 @@ def test_barbell_matches_embedding_enumeration():
     edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)]
     net = build_net(7, edges, gen_buses=(0, 1, 5, 6))
     gens = [0, 1, 5, 6]
-    got = slow_coherency(net, 2, generator_buses=gens)
+    got = slow_coherency(net, 2)
 
-    rows = spectral_embedding(net, gens, 2, np.ones(len(gens)))
+    rows = spectral_embedding(net, gens, 2)
     best, best_cost = None, np.inf
     for labels in itertools.product([0, 1], repeat=len(gens)):
         if len(set(labels)) != 2:
@@ -92,7 +110,7 @@ def test_susceptance_scaling_invariance():
 
 def test_groups_partition_generator_subset():
     net = _two_islands_weak_tie()
-    got = slow_coherency(net, 3, generator_buses=[0, 1, 4, 5])
+    got = slow_coherency(net, 3)
     seen = set()
     for g in got.groups:
         assert g
@@ -105,7 +123,7 @@ def test_groups_partition_generator_subset():
 def test_k_too_large_raises():
     net = _two_islands_weak_tie()
     with pytest.raises(NetworkValidationError):
-        slow_coherency(net, 5, generator_buses=[0, 1, 4, 5])
+        slow_coherency(net, 5)
 
 
 def test_kron_reduction_keeps_row_sums_zero():
@@ -120,12 +138,6 @@ def test_kron_reduction_keeping_every_bus_is_the_laplacian(case):
     net = parse_case((CASES_DIR / f"{case}.m").read_text())
     reduced = kron_reduction(net, range(net.n))
     assert reduced.tobytes() == laplacian(net).tobytes()
-
-
-def test_inertia_mapping_accepted():
-    net = _two_islands_weak_tie()
-    got = slow_coherency(net, 2, inertia_h={0: 2.0, 1: 2.0, 4: 1.0, 5: 1.0})
-    assert got.k == 2
 
 
 def test_groups_json_round_trip():

@@ -128,6 +128,26 @@ def test_imbalance_absorbed_at_slack():
     assert sol.flows_mw[0] == pytest.approx(80.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_injection_names_its_bus(bad):
+    net = parse_case((CASES_DIR / "demo9.m").read_text())
+    inj = balanced_injections(net)
+    inj[4] = bad
+    with pytest.raises(NetworkValidationError,
+                       match=rf"^injection at bus 5 must be finite, got {bad!r}$"):
+        solve_dc(net, 0, inj)
+
+
+def test_flows_match_the_per_line_formula_bytes():
+    # the array expression in solve_dc gives the per-line formula's exact bytes
+    for path in sorted(CASES_DIR.glob("*.m")):
+        net = parse_case(path.read_text())
+        sol = solve_dc(net, 0, balanced_injections(net))
+        want = [net.base_mva * ln.susceptance * (sol.theta[ln.from_bus] - sol.theta[ln.to_bus])
+                for ln in net.lines]
+        assert sol.flows_mw == tuple(want), path.stem
+
+
 def test_disconnected_network_raises():
     net = build_net(4, [(0, 1), (2, 3)])
     with pytest.raises(NetworkValidationError):

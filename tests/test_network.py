@@ -148,11 +148,27 @@ mpc.branch = [
       "line 14: SHIFT 10 is not modelled: a phase-shifting transformer"),
      ("2 30 0 0 0 1 100 1 200 0;", "2 30 0 0 0 1 100 0 200 0;",
       "line 10: GEN_STATUS 0 is not modelled: an out-of-service generator"),
-     ("3 1 90", "3 4 90", "line 6: BUS_TYPE 4 is not modelled: an isolated bus")],
-    ids=["tap", "shift", "gen-status", "isolated-bus"],
+     ("3 1 90", "3 4 90", "line 6: BUS_TYPE 4 is not modelled: an isolated bus"),
+     ("2 3 0 0.1 0 0 0 0 1 0 1;", "2 3 0 0.1 0 0 0 0 nan 0 1;",
+      "line 14: TAP must be finite, got nan"),
+     ("2 3 0 0.1 0 0 0 0 1 0 1;", "2 3 0 0.1 0 0 0 0 inf 0 1;",
+      "line 14: TAP must be finite, got inf"),
+     ("2 3 0 0.1 0 0 0 0 1 0 1;", "2 3 0 0.1 0 0 0 0 1 nan 1;",
+      "line 14: SHIFT must be finite, got nan"),
+     ("2 3 0 0.1 0 0 0 0 1 0 1;", "2 3 0 0.1 0 0 0 0 1 -inf 1;",
+      "line 14: SHIFT must be finite, got -inf"),
+     ("2 30 0 0 0 1 100 1 200 0;", "2 30 0 0 0 1 100 nan 200 0;",
+      "line 10: GEN_STATUS must be finite, got nan"),
+     ("2 30 0 0 0 1 100 1 200 0;", "2 30 0 0 0 1 100 inf 200 0;",
+      "line 10: GEN_STATUS must be finite, got inf"),
+     ("3 1 90", "3 nan 90", "line 6: BUS_TYPE must be finite, got nan"),
+     ("3 1 90", "3 inf 90", "line 6: BUS_TYPE must be finite, got inf")],
+    ids=["tap", "shift", "gen-status", "isolated-bus", "tap-nan", "tap-inf", "shift-nan",
+         "shift-inf", "gen-status-nan", "gen-status-inf", "bus-type-nan", "bus-type-inf"],
 )
 def test_parse_refuses_a_case_column_it_does_not_model(old, new, message):
-    # MATPOWER's DC model reads these columns; ignoring them would misread the case
+    # MATPOWER's DC model reads these columns; ignoring them would misread the
+    # case, and a non-finite value in one is refused as non-finite
     assert old in THREE_BUS_CASE and parse_case(THREE_BUS_CASE).m == 3
     with pytest.raises(CaseParseError, match=f"^{re.escape(message)}$"):
         parse_case(THREE_BUS_CASE.replace(old, new))
