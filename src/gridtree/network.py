@@ -280,8 +280,9 @@ def parse_case(text: str) -> Network:
     generator, off-nominal tap or phase shift: a bus of type 4, a
     GEN_STATUS of 0 or less, and an in-service branch with a TAP other than
     0 or 1 or a nonzero SHIFT are each a CaseParseError naming its line and
-    column.  Out-of-service branches are dropped and bus ids remapped
-    to dense 0-based indices.  Parallel branches become one line per
+    column, and so is a BUS_TYPE that MATPOWER does not define (1 to 4).
+    Out-of-service branches are dropped and bus ids remapped to dense
+    0-based indices.  Parallel branches become one line per
     unordered bus pair, in the order each pair first appears, oriented
     from the lower index: susceptances add, and so do capacities unless a
     branch of the pair is unlimited (RATE_A 0), which leaves it unlimited.  A non-finite value
@@ -312,6 +313,9 @@ def parse_case(text: str) -> Network:
         bus_id = int(row[0])
         if row[1] == 4 or not math.isfinite(row[1]):
             raise _unmodelled("BUS_TYPE", row[1], "an isolated bus", line_no)
+        if row[1] not in (1, 2, 3):
+            raise CaseParseError(f"BUS_TYPE {row[1]:g} is not a MATPOWER bus type "
+                                 "(1 PQ, 2 PV, 3 reference, 4 isolated)", line_no=line_no)
         if bus_id in load:
             raise NetworkValidationError(f"duplicate bus id {bus_id}")
         if not math.isfinite(row[2]):

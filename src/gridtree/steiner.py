@@ -27,19 +27,29 @@ the other entries can only grow; a larger value never wins a strict
 comparison, so the root, every split and walk choice, and every
 walk-back step are the same.
 
-The DP is vectorised per subset mask.  The split step scores every
-unordered split of the mask at once as one NumPy gather-add-argmin over
-(split, node) arrays; the walk step closes the result under shortest
-paths with one (node, node) argmin.  Ties are broken deterministically:
-among equal splits the largest submask (the part without the mask's top
-terminal) wins, and among equal walks the lowest source node index wins;
-a split or walk replaces the incumbent only when strictly better, and a
-walk is tried only after all splits.  With t terminals and n kept nodes
-the cost is about 3^t * n / 2 element operations for splits plus
-2^t * n^2 for walks, and memory is two (2^t, n) int32 tables plus
-(2^(t-1), n) split temporaries and an (n, n) walk temporary.  The ascent
-and the scores cost far less: each raise floods the terminals'
-zero-cost components, and there are LB raises.
+The DP runs one level at a time: all subset masks with the same number
+of terminals are solved together, since they read only smaller masks.
+The split step scores every unordered split of each mask (the nonempty
+submasks of the mask minus its top terminal, in descending order) as a
+gather-add over (split, mask, node) arrays and a first-minimum over the
+split axis; the walk step closes the result under shortest paths with a
+first-minimum over (source, mask, target) arrays.  Ties are broken
+deterministically: among equal splits the largest submask wins, and
+among equal walks the lowest source node index wins; a split or walk
+replaces the incumbent only when strictly better, and a walk is tried
+only after all splits.  With t terminals and n kept nodes the cost is
+about 3^t * n / 2 element operations for splits plus 2^t * n^2 for
+walks, each a handful of NumPy passes.  Both tables, dp and choice, are
+(2^t, n) int16: unreachable is 16000, so a sum of two still fits, and a
+choice is a submask below 2^13 or -2 - u.  Every temporary holds at
+most ``_CHUNK`` = 2^17 elements: a level is taken a block of masks at a
+time, and a mask whose splits (or walk) alone exceed the cap a block of
+splits (or targets) at a time, so memory beyond the tables is about
+1 MB at any level size.  The DP runs on the calling thread: a NumPy
+pass over a temporary this small takes about as long as handing the
+interpreter lock to a second thread, and two threads measured slower.
+The ascent and the scores cost far less: each raise floods the
+terminals' zero-cost components, and there are LB raises.
 """
 
 from __future__ import annotations
@@ -56,7 +66,10 @@ from .errors import BudgetError, ModelBuildError, NetworkValidationError
 from .network import Network
 
 MAX_TERMINALS = 14
-_INF = np.int32(10**6)
+# unreachable; two of them still fit the DP's int16 tables
+_INF = np.int16(16000)
+# elements in any one (candidate, mask, node) temporary of the DP
+_CHUNK = 1 << 17
 
 __all__ = ["SteinerTree", "SteinerFixings", "steiner_tree", "build_fixings",
            "collect_bus_fixings", "MAX_TERMINALS"]
@@ -146,54 +159,85 @@ def _reduce(net: Network, terminals: set[int]):
     return edges, terminals, forced
 
 
-def _submask_table(bits: int) -> list[np.ndarray]:
-    """Ascending submasks (0 included) of every mask below ``1 << bits``."""
-    table = [np.zeros(1, dtype=np.int32)]
-    for b in range(bits):
-        table += [np.concatenate((low, low | (1 << b))) for low in table]
-    return table
+def _subsets(bits: np.ndarray) -> np.ndarray:
+    """Ascending submasks, 0 included, of each row's sum of ``bits``: a
+    (rows, b) array of distinct powers of two, ascending along each row."""
+    subs = np.zeros((len(bits), 1), dtype=bits.dtype)
+    for b in range(bits.shape[1]):
+        subs = np.concatenate((subs, subs | bits[:, b:b + 1]), axis=1)
+    return subs
+
+
+def _first_min(vals: np.ndarray, countdown: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum of the int16 ``vals`` over axis 0 and, per entry, the first
+    index that attains it; ``countdown`` ends ..., 2, 1 along axis 0."""
+    low = vals.min(axis=0)
+    hits = vals - (low + 1)  # negative exactly where minimal: no entry exceeds 2 * _INF
+    hits >>= 15
+    hits &= countdown[len(countdown) - len(vals):]  # len(vals) - index where minimal
+    return low, len(vals) - hits.max(axis=0)
 
 
 def _dreyfus_wagner(dist, terminals):
     """Subset DP; returns dp values and reconstruction choices."""
     t = len(terminals)
     n = dist.shape[0]
+    if n > _INF:  # a tree's edge count must stay below _INF
+        raise BudgetError(f"{n} nodes exceed the Steiner DP's range ({int(_INF)})")
     size = 1 << t
-    dp = np.full((size, n), _INF, dtype=np.int32)
+    dist = np.asarray(dist, dtype=np.int16)
+    dp = np.full((size, n), _INF, dtype=np.int16)
     # choice: (-1 base) | (submask for split) | (-2 - u for walk from node u)
-    choice = np.full((size, n), -1, dtype=np.int32)
+    choice = np.full((size, n), -1, dtype=np.int16)
     for i, term in enumerate(terminals):
         dp[1 << i] = dist[term]
         choice[1 << i] = -2 - term
         choice[1 << i, term] = -1
 
-    # submasks of a mask = (submasks of its high half) x (of its low half)
-    half = (t + 1) // 2
-    low_mask = (1 << half) - 1
-    table = _submask_table(half)
-    cols = np.arange(n)
-    dist_to = np.ascontiguousarray(dist.T, dtype=np.int32)
-    for mask in range(1, size):
-        if mask & (mask - 1) == 0:
-            continue
+    countdown = np.arange(max(n, size >> 1), 0, -1, dtype=np.int16)[:, None, None]
+    masks = np.arange(size, dtype=np.int16)
+    popcount = sum((masks >> i) & 1 for i in range(t))
+    for level in range(2, t + 1):
+        # every mask with `level` terminals at once: they read only smaller masks
+        group = masks[popcount == level]
+        bits = np.empty((len(group), level), dtype=np.int16)  # ascending, per mask
+        rest = group.copy()
+        for j in range(level):
+            bits[:, j] = rest & -rest
+            rest ^= bits[:, j]
         # each unordered split once, by its part without the mask's top bit:
-        # the nonempty submasks of the rest, in descending order
-        rest = mask ^ (1 << (mask.bit_length() - 1))
-        subs = ((table[rest >> half] << half)[:, None] | table[rest & low_mask]).ravel()[:0:-1]
-        merged = dp[subs]
-        merged += dp[mask ^ subs]
-        arg = np.argmin(merged, axis=0)  # ties: first, i.e. largest, submask
-        val = merged[arg, cols]
-        # no split through an unreachable part: best stays at _INF, pick at -1
-        best = np.minimum(val, _INF)
-        pick = np.where(val < _INF, subs[arg], -1)
-        # close under shortest-path walks: dp[mask][v] = min_u best[u] + dist(u, v)
-        through = dist_to + best  # [v, u]; a row per target keeps argmin contiguous
-        walk_src = np.argmin(through, axis=1)  # ties: lowest u
-        walk_val = through[cols, walk_src]
-        better = walk_val < best
-        dp[mask] = np.where(better, walk_val, best)
-        choice[mask] = np.where(better, -2 - walk_src, pick)
+        # the nonempty submasks of the rest, in descending order, built from
+        # the submasks of its lower and of its upper bits
+        low = (level - 1) // 2
+        lows, highs = _subsets(bits[:, :low]), _subsets(bits[:, low:-1])
+        splits = (1 << (level - 1)) - 1
+        per_split = min(splits, _CHUNK // n)  # splits per temporary
+        batch = max(1, _CHUNK // (n * max(per_split, n)))  # masks per temporary
+        cols = min(n, _CHUNK // n)  # walk targets per temporary
+        for start in range(0, len(group), batch):
+            rows = group[start:start + batch]
+            ascending = highs[start:start + batch, :, None] | lows[start:start + batch, None, :]
+            descending = ascending.reshape(len(rows), -1)[:, :0:-1].T  # [split, mask]
+            best = np.full((len(rows), n), _INF, dtype=np.int16)
+            pick = np.full((len(rows), n), -1, dtype=np.int16)
+            for first in range(0, splits, per_split):
+                subs = descending[first:first + per_split]
+                merged = dp.take(subs, axis=0)
+                merged += dp.take(subs ^ rows, axis=0)
+                val, arg = _first_min(merged, countdown)  # ties: largest submask
+                # a later block of splits replaces only a strictly larger value
+                better = val < best
+                best = np.where(better, val, best)
+                pick = np.where(better, subs[arg, np.arange(len(rows))[:, None]], pick)
+            # close under shortest-path walks: min over u of best[u] + dist(u, v)
+            for lo in range(0, n, cols):
+                # [u, mask, v], in C order: the transposed operand would
+                # otherwise make the reductions over u strided and slow
+                through = np.add(dist[:, None, lo:lo + cols], best.T[:, :, None], order="C")
+                val, src = _first_min(through, countdown)  # ties: lowest u
+                here = best[:, lo:lo + cols]
+                dp[rows, lo:lo + cols] = np.minimum(val, here)
+                choice[rows, lo:lo + cols] = np.where(val < here, -2 - src, pick[:, lo:lo + cols])
 
     return dp, choice
 

@@ -162,9 +162,14 @@ mpc.branch = [
      ("2 30 0 0 0 1 100 1 200 0;", "2 30 0 0 0 1 100 inf 200 0;",
       "line 10: GEN_STATUS must be finite, got inf"),
      ("3 1 90", "3 nan 90", "line 6: BUS_TYPE must be finite, got nan"),
-     ("3 1 90", "3 inf 90", "line 6: BUS_TYPE must be finite, got inf")],
+     ("3 1 90", "3 inf 90", "line 6: BUS_TYPE must be finite, got inf"),
+     ("3 1 90", "3 7 90",
+      "line 6: BUS_TYPE 7 is not a MATPOWER bus type (1 PQ, 2 PV, 3 reference, 4 isolated)"),
+     ("3 1 90", "3 2.5 90",
+      "line 6: BUS_TYPE 2.5 is not a MATPOWER bus type (1 PQ, 2 PV, 3 reference, 4 isolated)")],
     ids=["tap", "shift", "gen-status", "isolated-bus", "tap-nan", "tap-inf", "shift-nan",
-         "shift-inf", "gen-status-nan", "gen-status-inf", "bus-type-nan", "bus-type-inf"],
+         "shift-inf", "gen-status-nan", "gen-status-inf", "bus-type-nan", "bus-type-inf",
+         "bus-type-7", "bus-type-2.5"],
 )
 def test_parse_refuses_a_case_column_it_does_not_model(old, new, message):
     # MATPOWER's DC model reads these columns; ignoring them would misread the

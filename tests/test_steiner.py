@@ -2,6 +2,7 @@
 fixings."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -320,6 +321,13 @@ def test_dp_identical_to_reference_loop(seed):
         net = random_connected_net(rng, n, int(rng.integers(0, n)))
         t = int(rng.integers(2, 9))
         instances.append((net, rng.choice(n, size=t, replace=False).tolist()))
+    # levels of several (mask, node) blocks each; the reference loop takes
+    # about half a second on each of these
+    for _ in range(2):
+        n = int(rng.integers(30, 46))
+        net = random_connected_net(rng, n, int(rng.integers(0, n // 2)))
+        t = int(rng.integers(9, 12))
+        instances.append((net, rng.choice(n, size=t, replace=False).tolist()))
     # two components: some terminals stay unreachable from others
     split = build_net(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)])
     instances.append((split, [0, 2, 4, 6]))
@@ -329,6 +337,53 @@ def test_dp_identical_to_reference_loop(seed):
         ref_dp, ref_choice = _reference_dreyfus_wagner(dist, terminals)
         assert np.array_equal(dp, ref_dp)
         assert np.array_equal(choice, ref_choice)
+
+
+def test_dp_tables_do_not_depend_on_the_temporary_size(monkeypatch):
+    # at full size only 13- and 14-terminal levels split their candidates
+    # into blocks, and only graphs above 362 nodes their walk targets: a
+    # small cap takes every block path on small instances
+    rng = np.random.default_rng(97)
+    instances = []
+    for _ in range(8):
+        n = int(rng.integers(20, 41))
+        net = random_connected_net(rng, n, int(rng.integers(0, n)))
+        t = int(rng.integers(5, 10))
+        instances.append((net, rng.choice(n, size=t, replace=False).tolist()))
+    instances.append((build_net(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]),
+                      [0, 2, 4, 6]))
+    want = [steiner._dreyfus_wagner(_hop_distances(net), terms) for net, terms in instances]
+    for chunk in (1 << 9, 3 * 41):
+        monkeypatch.setattr(steiner, "_CHUNK", chunk)
+        for (net, terms), (dp, choice) in zip(instances, want):
+            got_dp, got_choice = steiner._dreyfus_wagner(_hop_distances(net), terms)
+            assert np.array_equal(got_dp, dp)
+            assert np.array_equal(got_choice, choice)
+
+
+def test_dp_refuses_a_graph_its_int16_tables_cannot_hold():
+    # a tree on 16001 nodes may have 16000 edges, which would read as unreachable
+    too_big = np.broadcast_to(np.int64(1), (16001, 16001))
+    with pytest.raises(BudgetError, match=r"^16001 nodes exceed the Steiner DP's range \(16000\)$"):
+        steiner._dreyfus_wagner(too_big, [0, 1])
+
+
+def test_dp_memory_is_its_two_tables_and_a_fixed_budget():
+    # tracemalloc sees numpy's buffers; every temporary is capped at
+    # _CHUNK elements, so the peak does not grow with the level sizes
+    rng = np.random.default_rng(29)
+    net = random_connected_net(rng, 60, 20)
+    dist = _hop_distances(net)
+    terminals = rng.choice(60, size=14, replace=False).tolist()
+    tables = 2 * (1 << 14) * 60 * np.dtype(np.int16).itemsize
+    tracemalloc.start()
+    try:
+        dp, choice = steiner._dreyfus_wagner(dist, terminals)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dp.nbytes + choice.nbytes == tables
+    assert peak < tables + 2 * 2**20
 
 
 def test_hop_distances_match_reference_bfs():
