@@ -23,12 +23,11 @@ _SOURCES = {
                "with_flows"),
     "errors": ("BridgeError", "BudgetError", "CaseParseError", "GridTreeError",
                "InfeasibleError", "ModelBuildError", "NetworkValidationError"),
-    "lp": ("MilpModel", "parse_lp"),
+    "lp": ("MilpModel",),
     "milp": ("SolverBridge", "build_model", "solve_via_bridge"),
     "network": ("Bus", "Line", "Network", "Partition", "ReducedGraph", "apply_switching",
-                "bridges", "cross_edges", "disruption", "is_tree_partition",
-                "max_weight_spanning_tree", "parse_case", "reduced_graph",
-                "serialize_case"),
+                "bridges", "disruption", "max_weight_spanning_tree", "parse_case",
+                "reduced_graph"),
     "oracle": ("enumerate_optimal",),
     "routes": ("METHODS", "solve"),
     "solution": ("TreePartitionSolution", "solution_to_json", "validate_solution"),

@@ -53,9 +53,6 @@ class CoherencyGroups:
         """Bus index -> its group's 1-based cluster, group by group."""
         return {b: r for r, g in enumerate(self.groups, start=1) for b in g}
 
-    def all_members(self) -> set[int]:
-        return set(self.cluster_of)
-
 
 def kron_reduction(net: Network, keep: Sequence[int]) -> np.ndarray:
     """Eliminate all buses outside ``keep`` from the susceptance Laplacian."""

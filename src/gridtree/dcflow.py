@@ -1,10 +1,9 @@
-"""DC power flow, the flow-disruption metric, and failure localization.
+"""DC power flow and failure localization.
 
 Flows follow the linearized model: per-unit flow on a line equals its
 susceptance times the angle difference of its endpoints.  Solves use a
 deterministic dense LU factorization (LAPACK, through NumPy); any
-injection imbalance is absorbed at the slack bus.  ``disruption`` is
-``network.disruption``, re-exported here.
+injection imbalance is absorbed at the slack bus.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NetworkValidationError
-from .network import Line, Network, apply_switching, disruption, is_connected
+from .network import Line, Network, apply_switching, is_connected
 
 BALANCE_TOL_PU = 1e-8
 LOCALIZATION_TOL_MW = 1e-6
@@ -28,7 +27,6 @@ __all__ = [
     "solve_dc",
     "with_flows",
     "balanced_injections",
-    "disruption",
     "check_localization",
 ]
 

@@ -58,9 +58,6 @@ class MilpModel:
         self._by_name[name] = var
         return var
 
-    def variable(self, name: str) -> Variable:
-        return self._by_name[name]
-
     def has_variable(self, name: str) -> bool:
         return name in self._by_name
 
@@ -75,12 +72,6 @@ class MilpModel:
     def set_objective(self, terms, constant=0.0):
         self.objective = tuple(terms)
         self.objective_constant = float(constant)
-
-    def binary_count(self) -> int:
-        return sum(1 for v in self.variables if v.kind == "binary")
-
-    def continuous_count(self) -> int:
-        return sum(1 for v in self.variables if v.kind == "continuous")
 
     def objective_value(self, values: Mapping[str, float]) -> float:
         return self.objective_constant + sum(c * values.get(v, 0.0) for c, v in self.objective)

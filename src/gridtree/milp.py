@@ -5,8 +5,7 @@ bus-assignment variables, internal-edge and active-cross-edge indicators,
 line activity, and a single-commodity flow that enforces connectivity of
 the post-switching network.  It is exported to CPLEX-LP text and solved
 through an external-solver bridge; decoded solutions are always
-re-validated before they are returned.  The IR and the LP dialect are
-re-exported here.
+re-validated before they are returned.
 
 ``build_model`` is the formulation itself.  The bridge solves it with
 one row more per degree-2 chain line that a minimum partition never
@@ -33,20 +32,17 @@ from .errors import (
     ModelBuildError,
     NetworkValidationError,
 )
-from .lp import Constraint, MilpModel, Variable, parse_lp, write_lp
+from .lp import MilpModel, write_lp
 from .network import Network, Partition, degree2_chains
 from .solution import METHOD_MILP, TreePartitionSolution, partition_solution, validate_solution
 from .steiner import SteinerFixings, collect_bus_fixings
 
 __all__ = [
-    "Variable",
-    "Constraint",
     "MilpModel",
     "SolverBridge",
     "build_model",
     "add_chain_rows",
     "write_lp",
-    "parse_lp",
     "run_bridge",
     "solve_via_bridge",
     "decode_values",

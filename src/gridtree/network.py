@@ -27,11 +27,8 @@ __all__ = [
     "ReducedGraph",
     "Chain",
     "parse_case",
-    "serialize_case",
-    "cross_edges",
     "reduced_graph",
     "max_weight_spanning_tree",
-    "is_tree_partition",
     "disruption",
     "bridges",
     "apply_switching",
@@ -286,7 +283,8 @@ def parse_case(text: str) -> Network:
     unordered bus pair, in the order each pair first appears, oriented
     from the lower index: susceptances add, and so do capacities unless a
     branch of the pair is unlimited (RATE_A 0), which leaves it unlimited.  A non-finite value
-    in any of these columns is a CaseParseError naming its line and column.
+    in any of these columns is a CaseParseError naming its line and column, and so is a
+    negative RATE_A on an in-service branch.
     """
     joined = _COMMENT_RE.sub("", "\n".join(text.splitlines()))
     m = _BASE_RE.search(joined)
@@ -367,6 +365,9 @@ def parse_case(text: str) -> Network:
             raise CaseParseError(f"branch reactance must be positive, got {x}", line_no=line_no)
         if not math.isfinite(rate):
             raise _not_finite("RATE_A", rate, line_no)
+        if rate < 0:
+            raise CaseParseError(f"RATE_A {rate:g} is negative: only 0 means unlimited",
+                                 line_no=line_no)
         if row[8] not in (0, 1):
             raise _unmodelled("TAP", row[8], "an off-nominal transformer ratio", line_no)
         if row[9] != 0:
@@ -398,32 +399,6 @@ def parse_case(text: str) -> Network:
     if not is_connected(net):
         raise NetworkValidationError("network is not connected")
     return net
-
-
-def serialize_case(net: Network) -> str:
-    """Write a Network back to MATPOWER-subset text (flows are not stored)."""
-    out = ["function mpc = case_gridtree", "mpc.version = '2';"]
-    out.append(f"mpc.baseMVA = {net.base_mva!r};")
-    out.append("mpc.bus = [")
-    for b in net.buses:
-        bus_type = 2 if b.is_generator else 1
-        out.append(f"\t{b.id}\t{bus_type}\t{b.load_mw!r}\t0\t0\t0\t1\t1\t0\t0\t1\t1.1\t0.9;")
-    out.append("];")
-    out.append("mpc.gen = [")
-    for b in net.buses:
-        if b.is_generator:
-            out.append(f"\t{b.id}\t{b.gen_mw!r}\t0\t0\t0\t1\t{net.base_mva!r}\t1\t{b.gen_mw!r}\t0;")
-    out.append("];")
-    out.append("mpc.branch = [")
-    for ln in net.lines:
-        rate = 0 if ln.capacity_mw is None else repr(ln.capacity_mw)
-        x = repr(1.0 / ln.susceptance)
-        out.append(
-            f"\t{net.buses[ln.from_bus].id}\t{net.buses[ln.to_bus].id}"
-            f"\t0\t{x}\t0\t{rate}\t0\t0\t0\t0\t1;"
-        )
-    out.append("];")
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +511,6 @@ def degree2_chains(net: Network, keep: Container[int] = ()) -> list[Chain]:
     return chains
 
 
-def cross_edges(net: Network, p: Partition) -> list[int]:
-    """Line ids whose endpoints lie in different clusters, sorted."""
-    return sorted(e.line_id for e in reduced_graph(net, p).edges)
-
-
 def reduced_graph(net: Network, p: Partition) -> ReducedGraph:
     """Cluster multigraph with one edge per cross edge, weight |flow|."""
     if len(p.assignment) != net.n:
@@ -576,11 +546,6 @@ def max_weight_spanning_tree(rg: ReducedGraph) -> tuple[frozenset[int], frozense
     if len(retained) != rg.k - 1:
         raise NetworkValidationError("reduced graph is disconnected")
     return frozenset(retained), frozenset(e.line_id for e in rg.edges) - retained
-
-
-def is_tree_partition(net: Network, p: Partition) -> bool:
-    """True iff the reduced graph is a tree: k-1 edges joining all k clusters."""
-    return reduced_graph(net, p).is_tree()
 
 
 def disruption(net: Network, switched: Iterable[int]) -> float:

@@ -96,7 +96,7 @@ def validate_solution(net: Network, sol: TreePartitionSolution, groups=None):
             if p.assignment[bus] != r:
                 raise NetworkValidationError(f"coherent generator bus {bus} left cluster {r}")
     actual = disruption(net, sol.switched)
-    if abs(actual - sol.disruption_mw) > DISRUPTION_TOL_MW:
+    if not abs(actual - sol.disruption_mw) <= DISRUPTION_TOL_MW:  # NaN fails too
         raise NetworkValidationError(
             f"reported disruption {sol.disruption_mw} != recomputed {actual}"
         )

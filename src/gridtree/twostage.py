@@ -9,7 +9,7 @@ with the strongest attachment.
 Stage 2 keeps the heaviest spanning tree of cross edges as bridges, so
 the switched set has minimal weight for the given partition; the tree
 is ``network.max_weight_spanning_tree`` (Kruskal, heaviest first, ties
-to the lower line id), re-exported here.
+to the lower line id).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .coherency import CoherencyGroups, _kmeans, _slow_modes
 from .errors import InfeasibleError, NetworkValidationError
-from .network import Network, Partition, components, max_weight_spanning_tree
+from .network import Network, Partition, components
 from .solution import (
     METHOD_TWO_STAGE,
     TreePartitionSolution,
@@ -28,7 +28,6 @@ from .solution import (
 
 __all__ = [
     "constrained_spectral_partition",
-    "max_weight_spanning_tree",
     "two_stage",
 ]
 

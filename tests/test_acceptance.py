@@ -18,9 +18,8 @@ from gridtree.cli import main as cli_main
 from gridtree.coherency import CoherencyGroups
 from gridtree.errors import BudgetError, GridTreeError, InfeasibleError
 from gridtree.milp import SolverBridge, build_model, solve_via_bridge
-from gridtree.network import degree2_chains, parse_case
+from gridtree.network import degree2_chains, max_weight_spanning_tree, parse_case
 from gridtree.solution import validate_solution
-from gridtree.twostage import max_weight_spanning_tree
 
 from conftest import BRIDGE_CMD, CASES_DIR, build_net, flow_consistent_net, random_connected_net, random_groups
 from test_localization import random_tree_partition
@@ -97,7 +96,8 @@ def _q_system_feasible(model, fixed_values):
         else:
             a_ub.append([-x for x in row])
             b_ub.append(-rhs)
-    bounds = [model.variable(v).effective_bounds() for v in qvars]
+    by_name = {v.name: v for v in model.variables}
+    bounds = [by_name[v].effective_bounds() for v in qvars]
     res = linprog(
         c=np.zeros(len(qvars)),
         A_eq=np.array(a_eq) if a_eq else None,

@@ -574,14 +574,14 @@ def _chained_instance(rng, k, unit_mw):
         net = build_net(n, edges, flows=flows)
         pairs = net.n >= 2 * k and rng.random() < 0.5
         groups = random_groups(rng, net, k, max_size=2 if pairs else 1)
-        if group_leaf is not None and group_leaf not in groups.all_members():
+        if group_leaf is not None and group_leaf not in groups.cluster_of:
             s = int(rng.integers(0, k))
             groups = CoherencyGroups(
                 groups=tuple(g | {group_leaf} if r == s else g
                              for r, g in enumerate(groups.groups)),
                 k=k,
             )
-        if net.n - len(groups.all_members()) <= _FREE_BUSES[k]:
+        if net.n - len(groups.cluster_of) <= _FREE_BUSES[k]:
             return net, groups
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -139,6 +140,18 @@ def test_solve_writes_file_and_exports_dot(capsys, toy_case, tmp_path):
     assert dot.startswith("graph network {")
     assert "style=dashed" in dot  # switched line present
     assert "penwidth=2.5" in dot  # retained bridge bold
+
+
+def test_export_dot_refuses_a_solution_whose_disruption_is_nan(capsys, tmp_path):
+    code, out = run(capsys, "solve", "--case", DEMO, "--k", "2", "--no-timing")
+    assert code == 0
+    edited = tmp_path / "sol.json"
+    edited.write_text(re.sub(r'"disruption_mw": [^,]+,', '"disruption_mw": NaN,', out))
+    assert math.isnan(json.loads(edited.read_text())["disruption_mw"])
+    assert main(["export-dot", "--case", DEMO, "--solution", str(edited)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: reported disruption nan != recomputed \d+\.\d+\n", captured.err)
 
 
 def test_export_dot_without_solution(capsys, toy_case):
@@ -677,6 +690,10 @@ def test_demo_case_solves(capsys):
             ["parse", "--case", "c.m"], 2, "line 30: RATE_A must be finite, got nan",
         ),
         (
+            {"c.m": DEMO_TEXT.replace("\t0.077266\t0\t0\t", "\t0.077266\t0\t-50\t")},
+            ["parse", "--case", "c.m"], 2, "line 22: RATE_A -50 is negative: only 0 means unlimited",
+        ),
+        (
             {"c.m": DEMO_TEXT.replace("\t0.051149\t0\t0\t0\t0\t0\t0\t1;",
                                       "\t0.051149\t0\t0\t0\t0\t0\t0\tnan;")},
             ["parse", "--case", "c.m"], 2, "line 30: BR_STATUS must be finite, got nan",
@@ -701,7 +718,7 @@ def test_demo_case_solves(capsys):
          "solution-bus-twice", "solution-k-mismatch", "solution-bad-switched",
          "case-fractional-bus-id", "case-fractional-gen-bus", "case-fractional-branch-bus",
          "case-nan-base-mva", "case-nan-pd", "case-inf-pg", "case-inf-br-x", "case-nan-rate-a",
-         "case-nan-br-status", "case-tiny-base-mva", "case-huge-pd",
+         "case-negative-rate-a", "case-nan-br-status", "case-tiny-base-mva", "case-huge-pd",
          "unknown-slack-parse", "unknown-slack-coherency", "unknown-slack-export-dot"],
 )
 def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, message):

@@ -55,10 +55,10 @@ def test_groups_use_the_dispatching_generators_unless_fewer_than_k_dispatch():
                     injections=inj, gen_buses=(0, 1, 2, 4, 5, 6))
     assert [b.index for b in net.buses if b.is_generator and b.gen_mw > 0] == [0, 1, 4, 5]
     assert slow_coherency(net, 2).groups == (frozenset({0, 1}), frozenset({4, 5}))
-    assert slow_coherency(net, 3).all_members() == {0, 1, 4, 5}
+    assert set(slow_coherency(net, 3).cluster_of) == {0, 1, 4, 5}
     assert slow_coherency(net, 4).groups == tuple(frozenset({g}) for g in (0, 1, 4, 5))
     # five groups need five generators: every generator is grouped
-    assert slow_coherency(net, 5).all_members() == {0, 1, 2, 4, 5, 6}
+    assert set(slow_coherency(net, 5).cluster_of) == {0, 1, 2, 4, 5, 6}
     assert slow_coherency(net, 6).groups == tuple(frozenset({g}) for g in (0, 1, 2, 4, 5, 6))
     with pytest.raises(NetworkValidationError, match="k=7 exceeds generator count 6"):
         slow_coherency(net, 7)

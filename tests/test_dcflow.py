@@ -6,9 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gridtree import dcflow
-from gridtree.dcflow import balanced_injections, disruption, solve_dc, with_flows
+from gridtree.dcflow import balanced_injections, solve_dc, with_flows
 from gridtree.errors import NetworkValidationError
-from gridtree.network import Line, Network, is_connected, parse_case
+from gridtree.network import Line, Network, disruption, is_connected, parse_case
 
 from conftest import CASES_DIR, build_net, random_connected_net
 

@@ -7,8 +7,14 @@ import pytest
 
 from gridtree import bnb, oracle, steiner
 from gridtree.steiner import collect_bus_fixings
-from gridtree.errors import InfeasibleError
-from gridtree.network import Partition, apply_switching, cross_edges, is_connected
+from gridtree.errors import InfeasibleError, NetworkValidationError
+from gridtree.network import (
+    Partition,
+    apply_switching,
+    is_connected,
+    max_weight_spanning_tree,
+    reduced_graph,
+)
 
 from conftest import build_net, random_connected_net, random_groups, uncontracted_search
 
@@ -24,7 +30,7 @@ def test_connected_with_k_minus_1_cross_edges_implies_connected_clusters():
         for bits in range(1, 2 ** n - 1):
             assignment = tuple(1 if bits & (1 << i) else 2 for i in range(n))
             p = Partition(assignment, 2)
-            if len(cross_edges(net, p)) != 1:
+            if len(reduced_graph(net, p).edges) != 1:
                 continue
             for members in p.clusters():
                 seen = {members[0]}
@@ -71,11 +77,6 @@ def _best_completion(net, groups, partial):
         if not ok:
             continue
         p = Partition(tuple(assignment), k)
-        cross = cross_edges(net, p)
-        from gridtree.network import reduced_graph
-        from gridtree.twostage import max_weight_spanning_tree
-        from gridtree.errors import NetworkValidationError
-
         rg = reduced_graph(net, p)
         try:
             retained, switched = max_weight_spanning_tree(rg)

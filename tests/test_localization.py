@@ -6,9 +6,8 @@ import pytest
 
 from gridtree import dcflow
 from gridtree.coherency import CoherencyGroups
-from gridtree.network import Partition, cross_edges, reduced_graph
+from gridtree.network import Partition, max_weight_spanning_tree, reduced_graph
 from gridtree.solution import METHOD_ORACLE, TreePartitionSolution
-from gridtree.twostage import max_weight_spanning_tree
 
 from conftest import build_net, flow_consistent_net
 
@@ -97,7 +96,7 @@ def test_meshed_non_tree_partition_leaks_flow():
     fake = TreePartitionSolution(
         partition=partition,
         switched=frozenset(),
-        retained_bridges=frozenset(cross_edges(net, partition)),
+        retained_bridges=frozenset(e.line_id for e in reduced_graph(net, partition).edges),
         disruption_mw=0.0,
         method=METHOD_ORACLE,
     )

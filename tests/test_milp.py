@@ -22,13 +22,13 @@ from gridtree.errors import (
     ModelBuildError,
     NetworkValidationError,
 )
+from gridtree.lp import parse_lp
 from gridtree.milp import (
     MilpModel,
     SolverBridge,
     add_chain_rows,
     build_model,
     decode_values,
-    parse_lp,
     run_bridge,
     solution_to_values,
     solve_via_bridge,
@@ -67,9 +67,9 @@ def test_variable_counts(four_cycle):
     net, groups = four_cycle
     model = build_model(net, groups)
     n, m, k = net.n, net.m, groups.k
-    assert model.binary_count() == n * k + m * (k + 2)
-    assert model.continuous_count() == m
-    assert model.binary_count() == 24 and model.continuous_count() == 4
+    kinds = [v.kind for v in model.variables]
+    assert kinds.count("binary") == n * k + m * (k + 2) == 24
+    assert kinds.count("continuous") == m == 4
 
 
 def test_golden_lp_text():
@@ -864,7 +864,7 @@ def test_bridge_with_chain_rows_matches_the_oracle(bridge, k, unit_mw):
         assert got.disruption_mw == pytest.approx(want.disruption_mw, rel=1e-4, abs=1e-6)
         a = want.partition.assignment
         cut += sum(a[c.ends[0]] != a[c.ends[1]] and len(c.lines) > 1
-                   for c in degree2_chains(net, groups.all_members()))
+                   for c in degree2_chains(net, groups.cluster_of))
     assert cut >= 1
 
 

@@ -15,14 +15,11 @@ from gridtree.network import (
     apply_switching,
     bridges,
     connected_without,
-    cross_edges,
     degree2_chains,
     is_connected,
-    is_tree_partition,
     network_to_json,
     parse_case,
     reduced_graph,
-    serialize_case,
 )
 
 from conftest import CASES_DIR, build_net, random_connected_net
@@ -166,10 +163,13 @@ mpc.branch = [
      ("3 1 90", "3 7 90",
       "line 6: BUS_TYPE 7 is not a MATPOWER bus type (1 PQ, 2 PV, 3 reference, 4 isolated)"),
      ("3 1 90", "3 2.5 90",
-      "line 6: BUS_TYPE 2.5 is not a MATPOWER bus type (1 PQ, 2 PV, 3 reference, 4 isolated)")],
+      "line 6: BUS_TYPE 2.5 is not a MATPOWER bus type (1 PQ, 2 PV, 3 reference, 4 isolated)"),
+     # MATPOWER reads any nonzero RATE_A as a limit
+     ("2 3 0 0.1 0 0 0 0 1 0 1;", "2 3 0 0.1 0 -50 0 0 1 0 1;",
+      "line 14: RATE_A -50 is negative: only 0 means unlimited")],
     ids=["tap", "shift", "gen-status", "isolated-bus", "tap-nan", "tap-inf", "shift-nan",
          "shift-inf", "gen-status-nan", "gen-status-inf", "bus-type-nan", "bus-type-inf",
-         "bus-type-7", "bus-type-2.5"],
+         "bus-type-7", "bus-type-2.5", "rate-a-negative"],
 )
 def test_parse_refuses_a_case_column_it_does_not_model(old, new, message):
     # MATPOWER's DC model reads these columns; ignoring them would misread the
@@ -180,11 +180,11 @@ def test_parse_refuses_a_case_column_it_does_not_model(old, new, message):
 
 
 def test_parse_reads_tap_and_shift_of_in_service_branches_and_gen_status_when_present():
-    # an out-of-service branch's TAP and SHIFT, and a gen row without
-    # GEN_STATUS, change nothing
+    # an out-of-service branch's TAP, SHIFT and RATE_A, and a gen row
+    # without GEN_STATUS, change nothing
     case = (THREE_BUS_CASE
             .replace("    1 3 0 0.2 0 0 0 0 0 0 1;", "    1 3 0 0.2 0 0 0 0 0 0 1;\n"
-                     "    1 3 0 0.2 0 0 0 0 0.5 10 0;")
+                     "    1 3 0 0.2 0 -50 0 0 0.5 10 0;")
             .replace("2 30 0 0 0 1 100 1 200 0;", "2 30;"))
     assert parse_case(case) == parse_case(THREE_BUS_CASE)
 
@@ -216,8 +216,8 @@ def test_parse_orients_opposite_parallel_branches_from_the_lower_index():
 
 
 def test_parse_leaves_a_pair_with_an_unlimited_branch_unlimited():
-    # RATE_A 0 (or below) means unlimited, whichever branch of the pair has it
-    for rates in [(0.0, 40.0), (40.0, 0.0), (-1.0, 40.0)]:
+    # RATE_A 0 means unlimited, whichever branch of the pair has it
+    for rates in [(0.0, 40.0), (40.0, 0.0)]:
         net = parse_case(_branch_case(2, [(1, 2, 1.0, rates[0], 1), (2, 1, 1.0, rates[1], 1)]))
         assert net.lines[0].capacity_mw is None and net.lines[0].susceptance == 2.0
 
@@ -259,13 +259,13 @@ def test_parse_merges_random_parallel_branches():
 def test_cross_edges_single_cluster_empty():
     net = build_net(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     p = Partition((1, 1, 1, 1), 1)
-    assert cross_edges(net, p) == []
+    assert reduced_graph(net, p).edges == ()
 
 
 def test_cross_edges_four_cycle_split():
     net = build_net(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     p = Partition((1, 1, 2, 2), 2)
-    assert cross_edges(net, p) == [1, 3]  # lines (1,2) and (0,3)
+    assert sorted(e.line_id for e in reduced_graph(net, p).edges) == [1, 3]  # lines (1,2) and (0,3)
 
 
 def test_cross_edges_matches_endpoint_comparison():
@@ -281,7 +281,7 @@ def test_cross_edges_matches_endpoint_comparison():
             for ln in net.lines
             if p.assignment[ln.from_bus] != p.assignment[ln.to_bus]
         )
-        assert cross_edges(net, p) == expect
+        assert sorted(e.line_id for e in reduced_graph(net, p).edges) == expect
 
 
 def test_reduced_graph_multigraph_edges():
@@ -297,11 +297,11 @@ def test_reduced_graph_multigraph_edges():
 
 def test_is_tree_partition_cases():
     net = build_net(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert is_tree_partition(net, Partition((1, 1, 1, 1), 1))
-    assert not is_tree_partition(net, Partition((1, 1, 2, 2), 2))
+    assert reduced_graph(net, Partition((1, 1, 1, 1), 1)).is_tree()
+    assert not reduced_graph(net, Partition((1, 1, 2, 2), 2)).is_tree()
     # removing one cross edge of the 4-cycle split makes it a tree partition
     post = apply_switching(net, [3])
-    assert is_tree_partition(post, Partition((1, 1, 2, 2), 2))
+    assert reduced_graph(post, Partition((1, 1, 2, 2), 2)).is_tree()
 
 
 def test_tree_partition_iff_connected_and_k_minus_1_cross_edges():
@@ -315,7 +315,7 @@ def test_tree_partition_iff_connected_and_k_minus_1_cross_edges():
         rg = reduced_graph(net, p)
         connected = len({e.cluster_a for e in rg.edges} | {e.cluster_b for e in rg.edges}) == 2 and rg.edges
         expect = bool(connected) and len(rg.edges) == p.k - 1
-        assert is_tree_partition(net, p) == expect
+        assert rg.is_tree() == expect
 
 
 def test_bridges_tree_and_cycle():
@@ -341,9 +341,10 @@ def test_every_tree_partition_cross_edge_is_a_bridge():
     net = build_net(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
     p = Partition((1, 1, 1, 2, 2, 2), 2)
     post = apply_switching(net, [])
-    assert is_tree_partition(post, p)
-    for lid in cross_edges(post, p):
-        assert lid in bridges(post)
+    rg = reduced_graph(post, p)
+    assert rg.is_tree()
+    for e in rg.edges:
+        assert e.line_id in bridges(post)
 
 
 def test_apply_switching_empty_and_bridge():
@@ -368,22 +369,6 @@ def test_apply_switching_preserves_line_ids():
     net = build_net(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     post = apply_switching(net, [1])
     assert sorted(post.line_by_id) == [0, 2, 3]
-
-
-def test_case_serialize_round_trip():
-    net = parse_case(TWO_BUS_CASE)
-    assert parse_case(serialize_case(net)) == net
-
-
-def test_case_round_trip_on_random_injections():
-    rng = np.random.default_rng(5)
-    net = random_connected_net(rng, 6, 3)
-    # flows are not stored in case format; compare with flows zeroed
-    bare = parse_case(serialize_case(net))
-    assert bare.n == net.n and bare.m == net.m
-    for a, b in zip(bare.lines, net.lines):
-        assert a.susceptance == pytest.approx(b.susceptance)
-        assert (a.from_bus, a.to_bus) == (b.from_bus, b.to_bus)
 
 
 def test_gen_cases_rebuilds_every_bundled_case_without_networkx(monkeypatch):

@@ -35,7 +35,10 @@ def test_a_tree_partition_passes():
     # {0, 2} | {1, 3}: whichever line is kept, the other three cut the cycle apart
     ((1, 2, 1, 2), [1, 2, 3], [0], 7.0, "post-switching network is disconnected"),
     ((1, 1, 2, 2), [1], [3], 1.5, r"reported disruption 1\.5 != recomputed 1\.0"),
-], ids=["overlap", "not-the-cross-edges", "non-tree", "disconnected", "disruption"])
+    # NaN compares unequal to everything, and so fails the tolerance
+    ((1, 1, 2, 2), [1], [3], float("nan"), r"reported disruption nan != recomputed 1\.0"),
+], ids=["overlap", "not-the-cross-edges", "non-tree", "disconnected", "disruption",
+        "disruption-nan"])
 def test_each_broken_invariant_has_its_own_error(
         assignment, switched, retained, disruption_mw, message):
     with pytest.raises(NetworkValidationError, match=f"^{message}$"):

@@ -9,13 +9,16 @@ import pytest
 from gridtree import cli, dcflow
 from gridtree.coherency import CoherencyGroups, _kmeans, slow_coherency
 from gridtree.errors import InfeasibleError, NetworkValidationError
-from gridtree.network import Partition, ReducedEdge, ReducedGraph, parse_case, reduced_graph
-from gridtree.solution import validate_solution
-from gridtree.twostage import (
-    constrained_spectral_partition,
+from gridtree.network import (
+    Partition,
+    ReducedEdge,
+    ReducedGraph,
     max_weight_spanning_tree,
-    two_stage,
+    parse_case,
+    reduced_graph,
 )
+from gridtree.solution import validate_solution
+from gridtree.twostage import constrained_spectral_partition, two_stage
 
 from conftest import CASES_DIR, build_net, random_connected_net
 
