@@ -38,6 +38,8 @@ class CoherencyGroups:
     k: int
 
     def __post_init__(self):
+        if self.k < 1:
+            raise NetworkValidationError(f"k={self.k}: a partition needs at least one group")
         if self.k != len(self.groups):
             raise NetworkValidationError("k does not match the number of groups")
         seen: set[int] = set()

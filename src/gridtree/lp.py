@@ -1,10 +1,10 @@
 """Solver-agnostic linear model and the CPLEX-LP dialect it is written in.
 
 ``MilpModel`` holds named variables, linear rows and a linear objective, and
-``write_lp`` renders it as LP text.  ``read_lp`` reads that text by one grammar:
-``parse_lp`` builds a model from its reading, the ``gridtree.milpsolve`` solver
-child counts it.  Needing only the standard library and ``gridtree.errors``, the
-module loads neither the rest of the package nor ``dataclasses`` into the child.
+``write_lp`` renders it as LP text.  ``read_lp`` reads that text by one grammar,
+its name rule compiled once: ``parse_lp`` builds a model from its reading, the
+``gridtree.milpsolve`` solver child counts it.  Needing only the standard library
+and ``gridtree.errors``, it loads neither ``dataclasses`` nor more of the package.
 """
 
 from __future__ import annotations
@@ -200,18 +200,16 @@ def write_lp(model: MilpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-# The dialect's grammar: a number class, a name class and a regex per line form.
-# A number is an ASCII decimal as C's strtod reads it (Python's float also reads
-# "1_0", "nan" and non-ASCII digits, which HiGHS's reader rejects).  A name starts
-# with a letter or _; to LP readers such as HiGHS's it is no keyword in any letter
-# case, holds no operator and does not start like the strtod numbers inf and nan.
+# The dialect's grammar: a number class, a name class, a regex per line form and the
+# name rule.  A number is an ASCII decimal as C's strtod reads it (Python's float also
+# reads "1_0", "nan" and non-ASCII digits, which HiGHS's reader rejects).  A name starts
+# with a word character but a decimal digit (a letter, _, ² or Ⅰ, as in HiGHS), holds no
+# operator and, by the rule, is no LP keyword in any case and starts unlike inf and nan.
 _KEYWORDS = ("minimize minimum min maximize maximum max st s.t. bounds bound free binary "
              "binaries bin general generals gen integer integers semis semi sos end").split()
 _OPERATORS = r"+\-*/^<>=:\[\]"
 _NUMBER = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
-_RESERVED = (rf"(?ai:(?=[{''.join(sorted({word[0] for word in _KEYWORDS}))}in])"  # quick test first
-             rf"(?:(?:{'|'.join(map(re.escape, _KEYWORDS))})(?![^\s{_OPERATORS}])|inf|nan))")
-_NAME = rf"(?!{_RESERVED})[^\W\d][^\s{_OPERATORS}]*"
+_NAME = rf"[^\W\d][^\s{_OPERATORS}]*"
 _BOUND = rf"-?inf|{_NUMBER}"
 _TERM = rf"(?:{_NAME}|{_NUMBER}\s+{_NAME})"
 # [sign] term, sign term ..., sign constant; or [sign] constant; or nothing.  A row's
@@ -219,15 +217,21 @@ _TERM = rf"(?:{_NAME}|{_NUMBER}\s+{_NAME})"
 _EXPRESSION = (rf"(?:\s+(?P<terms>(?:[-+]\s+)?{_TERM}(?:\s+[-+]\s+{_TERM})*))?"
                r"(?:\s+(?P<constant>(?(terms)[-+]\s+|(?:[-+]\s+)?)%s))?")  # % its number class
 _DECIMAL, _WORD = re.compile(_NUMBER), re.compile(_NAME)
-_OBJECTIVE = re.compile(rf"(?P<name>{_NAME}):" + _EXPRESSION % _NUMBER)
+_OBJECTIVE = re.compile(rf"\s*(?P<name>{_NAME}):" + _EXPRESSION % _NUMBER)
 _ZERO = r"[-+]?(?:0+\.?0*|\.0+)(?:[eE][-+]?[0-9]+)?"
-_ROW = re.compile(rf"^(?P<name>{_NAME}):{_EXPRESSION % _ZERO}"
+_ROW = re.compile(rf"^\s*(?P<name>{_NAME}):{_EXPRESSION % _ZERO}"
                   rf"\s+(?P<sense><=|>=|=)\s+(?P<rhs>{_NUMBER})$", re.M)
-_BOUNDS_LINE = re.compile(rf"(?P<fixed>{_NAME})\s+=\s+(?P<value>{_BOUND})"
-                          rf"|(?P<lo>{_BOUND})\s+<=\s+(?P<ranged>{_NAME})\s+<=\s+(?P<hi>{_BOUND})"
-                          rf"|(?P<free>{_NAME})\s+free")
-_BINARY_LINE = re.compile(rf"{_NAME}(?:\s+{_NAME})*")
+_BOUNDS_LINE = re.compile(rf"\s*(?:(?P<lo>{_BOUND})\s+<=\s+)?(?P<name>{_NAME})(?(lo)\s+<=\s+"
+                          rf"(?P<hi>{_BOUND})|(?:\s+=\s+(?P<value>{_BOUND})|\s+free))")
 _TERMS = re.compile(rf"\s*(?:([-+])\s+)?(?:({_NUMBER})\s+)?({_NAME})")  # of a matched expression
+# the rule, at the start of each word once _SPACES puts a newline before it; the search
+# starts at the first word _SCREEN marks with "!", one that starts as a reserved word can
+_INITIALS = "".join(sorted({word[0] for word in _KEYWORDS} | {"i", "n"}))
+_RESERVED = re.compile(rf"\n(?ai:(?=[{_INITIALS}])(?:"
+                       rf"(?:{'|'.join(map(re.escape, _KEYWORDS))})(?![^\s{_OPERATORS}])|inf|nan))")
+_SPACES = dict.fromkeys([*range(9, 14), *range(28, 33), 133, 160, 5760, *range(8192, 8203),
+                         8232, 8233, 8239, 8287, 12288], "\n")  # each str.isspace character
+_SCREEN = {**_SPACES, **dict.fromkeys(map(ord, _INITIALS + _INITIALS.upper()), "!")}
 _COMMENT = re.compile(r"\\[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")  # to the end of its line
 # the first pair of words (Sign, Number, Variable name) or end that breaks the rules
 _MISREAD = re.compile(r"(?P<number>N[SN])|(?P<signs>SS)|(?P<unsigned>V[VN])|(?P<dangling>S$)")
@@ -235,12 +239,17 @@ _MISREADINGS = {"number": "a number is not followed by a name", "signs": "two si
                 "unsigned": "no sign before {!r}", "dangling": "a sign is not followed by a term"}
 
 
-def _name(word: str) -> str:
-    if not (word[:1].isalpha() or word[:1] == "_"):
+def _reserved(text: str) -> bool:
+    """Whether LP readers read a word of ``text`` as a keyword or a number."""
+    first = ("\n" + text).translate(_SCREEN).find("\n!")
+    return first >= 0 and _RESERVED.search("\n" + text.translate(_SPACES), first) is not None
+
+
+def _name(word: str):
+    if not _WORD.match(word):
         raise BridgeError(f"LP name {word!r} does not start with a letter or _")
-    if not _WORD.fullmatch(word):
+    if not _WORD.fullmatch(word) or _reserved(word):
         raise BridgeError(f"LP readers read {word!r} as a keyword, a number or an operator")
-    return word
 
 
 def _number(word: str, where: str) -> float:
@@ -268,8 +277,8 @@ def _reject(line: str, section: str):
         _number(words[-1], line)
         del words[-2:]
     _name(words[0][:-1])
-    kinds = "".join("S" if word in ("+", "-") else "V" if word[0].isalpha() or word[0] == "_"
-                    else "N" for word in words[1:])
+    kinds = "".join("S" if word in ("+", "-") else "V" if _WORD.match(word) else "N"
+                    for word in words[1:])
     misread = _MISREAD.search(kinds)
     if misread:
         message = _MISREADINGS[misread.lastgroup].format(words[misread.end()])
@@ -294,9 +303,11 @@ def _rows(lines: list[str]):
     """The rows' (name, terms, constant, sense, rhs) text, 1000 rows alive at a time."""
     for start in range(0, len(lines), 1000):
         chunk = lines[start:start + 1000]
-        rows = _ROW.findall("\n".join(chunk))
-        if len(rows) < len(chunk):
-            _reject(next(line for line in chunk if not _ROW.fullmatch(line)), _SUBJECT_TO)
+        text = "\n".join(chunk)
+        rows = _ROW.findall(text)
+        if len(rows) < len(chunk) or _reserved(text):
+            _reject(next(line for line in chunk if not _ROW.fullmatch(line) or _reserved(line)),
+                    _SUBJECT_TO)
         yield from rows
 
 
@@ -324,21 +335,25 @@ def read_lp(text: str):
                 raise BridgeError(f"LP line continues no row: {line!r}")
             lines[-1] += line
         else:
-            lines.append(line.lstrip())
+            lines.append(line)
     if lines is not found[_END]:
         raise BridgeError("LP text has no End line")
     if len(found[_MINIMIZE]) != 1:
         raise BridgeError("LP text needs exactly one objective row")
-    m = _OBJECTIVE.fullmatch(found[_MINIMIZE][0]) or _reject(found[_MINIMIZE][0], _MINIMIZE)
+    line = found[_MINIMIZE][0]
+    m = not _reserved(line) and _OBJECTIVE.fullmatch(line) or _reject(line, _MINIMIZE)
+    matches = [_BOUNDS_LINE.fullmatch(line) for line in found[_BOUNDS]]
+    if not all(matches) or _reserved(" ".join(b["name"] for b in matches)):
+        _reject(next(line for line, b in zip(found[_BOUNDS], matches)
+                     if not b or _reserved(b["name"])), _BOUNDS)
+    binaries = set(" ".join(found[_BINARY]).split())
+    if not all(map(_WORD.fullmatch, binaries)) or _reserved(" ".join(binaries)):
+        for name in " ".join(found[_BINARY]).split():
+            _name(name)
     *sign, constant = (m["constant"] or "0").split()
     objective = read_terms(m["terms"]), -float(constant) if sign == ["-"] else float(constant)
-    bounds: dict[str, tuple[float, float]] = {}
-    for line in found[_BOUNDS]:
-        m = _BOUNDS_LINE.fullmatch(line) or _reject(line, _BOUNDS)
-        bounds[m["fixed"] or m["ranged"] or m["free"]] = (
-            float(m["value"] or m["lo"] or "-inf"), float(m["value"] or m["hi"] or "inf"))
-    binaries = {name for line in found[_BINARY] for name in
-                (line.split() if _BINARY_LINE.fullmatch(line) else map(_name, line.split()))}
+    bounds = {b["name"]: (float(b["value"] or b["lo"] or "-inf"),
+                          float(b["value"] or b["hi"] or "inf")) for b in matches}
     for name, bound in bounds.items():
         # write_lp only fixes a binary; HiGHS rejects or misreads other bounds
         if name in binaries and bound not in ((0.0, 0.0), (1.0, 1.0)):

@@ -1,36 +1,30 @@
 """Bundled LP/MILP solver command for the external-solver bridge.
 
-Reads the LP dialect that ``gridtree.lp.write_lp`` writes, the grammar
-``gridtree.lp.read_lp`` compiles: the sections Minimize, Subject To,
-Bounds, Binary and End, and bounds lines of the forms ``name = v``,
-``lo <= name <= hi`` and ``name free``; no name is an LP keyword (``free``,
-``st``, ...) or starts like a number (``inf``, ``nan``).  Any other LP file
-is rejected; it belongs to an external solver.  The grammar's reading is
-kept only in counts (``summarize``; no model is built).  HiGHS, from the
-Python binding scipy bundles (``scipy/optimize/_highspy/_core``, scipy >=
-1.15) loaded by its file path, then reads the file with its own LP reader
-and must read the same column names, as many rows and nonzeros, and the
-same objective costs and constant (it keeps the last cost of a name the
-objective repeats, where the grammar sums them); it numbers the columns
-by first appearance.  So the process imports no numpy, ``dataclasses``,
-``scipy.optimize`` or ``scipy.sparse``, and of the package only
-``gridtree`` (whose exports resolve lazily), ``gridtree.errors`` and
-``gridtree.lp``.  A file not named ``*.lp`` is read from a private
-``.lp`` copy.  HiGHS solves without the objective's constant, as with
-``scipy.optimize.milp``, so ``--gap`` is relative to the rest.  The
+Reads only the LP dialect ``gridtree.lp.write_lp`` writes, by the grammar of
+``gridtree.lp.read_lp``: the sections Minimize, Subject To, Bounds, Binary and
+End, and names that LP readers read as no keyword (``free``, ``st``, ...) and
+no number (``inf``, ``nan``); any other LP file belongs to an external solver.
+The reading is kept only in counts (``summarize``).  HiGHS, from the Python
+binding scipy bundles (``scipy/optimize/_highspy/_core``, scipy >= 1.15) loaded
+by its file path, then reads the file itself and must read the same column
+names, as many rows and nonzeros, and the same objective costs and constant; it
+keeps the last cost of a name the objective repeats, where the grammar sums
+them.  So the process imports no numpy, ``dataclasses``, ``scipy.optimize`` or
+``scipy.sparse``, and of the package only ``gridtree``, ``gridtree.errors`` and
+``gridtree.lp``.  A file not named ``*.lp`` is read from a private ``.lp``
+copy.  HiGHS solves without the objective's constant, as
+``scipy.optimize.milp`` does, so ``--gap`` is relative to the rest.  The
 solution file gets a ``# status ...`` line (``optimal``, ``infeasible`` or
-``unbounded``; ``feasible`` or ``timeout`` for a stop at a HiGHS limit with
-or without a point; ``error`` for anything else, such as
-kUnboundedOrInfeasible), an ``# objective ...`` line when there is a point,
-``# nodes`` and ``# gap`` (the relative MIP gap) lines when HiGHS reports
-them, and ``name value`` lines; stdout stays empty.  An unreadable model,
-an LP outside the dialect, with a value HiGHS refuses (an infinite bound
-or a huge entry) or that HiGHS reads otherwise, a ``.lp`` copy that
-cannot be written, an unwritable solution file or a scipy without the
-HiGHS binding ends with one
-``gridtree-milpsolve: error: ...`` line on stderr and exit code 2.  Any
-solver with the same file interface can replace it in a bridge command
-template:
+``unbounded``; ``feasible`` or ``timeout`` for a stop at a HiGHS limit with or
+without a point; ``error`` otherwise, such as kUnboundedOrInfeasible), an
+``# objective ...`` line when there is a point, ``# nodes`` and ``# gap`` (the
+relative MIP gap) lines when HiGHS reports them, and ``name value`` lines;
+stdout stays empty.  A model that cannot be read, is outside the dialect, holds
+a value HiGHS refuses (an infinite bound or a huge entry) or that HiGHS reads
+otherwise, a ``.lp`` copy or solution file that cannot be written, or a scipy
+without the HiGHS binding ends with one ``gridtree-milpsolve: error: ...`` line
+on stderr and exit code 2.  Any solver with the same file interface can replace
+it in a bridge command template:
 
     python3 -m gridtree.milpsolve {model} {solution} --time-limit {timeout}
 """
@@ -143,6 +137,7 @@ def summarize(text: str, small: float, infinite: float, large: float) -> Summary
     objective = _summed(terms)
     columns = binaries | bounds.keys() | objective.keys()
     count = nonzeros = 0
+    unit = small < 1 < large  # an entry of 1 is kept and read
     for count, (row, expression, _, sense, rhs) in enumerate(rows, 1):
         value = float(rhs)
         if (value >= infinite and sense != "<=") or (value <= -infinite and sense != ">="):
@@ -153,8 +148,7 @@ def summarize(text: str, small: float, infinite: float, large: float) -> Summary
         words = expression.split()
         odd = len(words) % 2
         names = words[1 - odd::2]
-        if (_SIGNS.issuperset(words[odd::2]) and len(set(names)) == len(names)
-                and small < 1 < large):
+        if unit and _SIGNS.issuperset(words[odd::2]) and len(set(names)) == len(names):
             nonzeros += len(names)
         else:
             names = _summed(read_terms(expression))

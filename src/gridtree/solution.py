@@ -9,9 +9,10 @@ post-switching network in which the partition is a tree partition.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from .errors import NetworkValidationError
+from .errors import CaseParseError, NetworkValidationError
 from .network import (
     Network,
     Partition,
@@ -29,6 +30,7 @@ METHOD_TWO_STAGE = "TWO_STAGE"
 METHOD_MILP = "MILP"
 METHOD_SSR = "SSR"
 METHOD_ORACLE = "ORACLE"
+_METHODS = (METHOD_TWO_STAGE, METHOD_MILP, METHOD_SSR, METHOD_ORACLE)
 
 __all__ = [
     "TreePartitionSolution",
@@ -149,6 +151,11 @@ def solution_from_json(net: Network, text: str) -> TreePartitionSolution:
             out.add(pair_to_line[key])
         return frozenset(out)
 
+    if doc["method"] not in _METHODS:
+        raise CaseParseError(f"solution file entry 'method' must be one of {', '.join(_METHODS)}")
+    runtime_s = doc.get("runtime_s", 0.0)
+    if type(runtime_s) not in (int, float) or not 0 <= runtime_s < math.inf:
+        raise CaseParseError("solution file entry 'runtime_s' must be a finite number >= 0")
     clusters = doc["clusters"]
     if doc["k"] != len(clusters):
         raise NetworkValidationError(f"k={doc['k']} but {len(clusters)} clusters listed")
@@ -167,5 +174,5 @@ def solution_from_json(net: Network, text: str) -> TreePartitionSolution:
         retained_bridges=line_ids(doc["bridges"]),
         disruption_mw=doc["disruption_mw"],
         method=doc["method"],
-        runtime_s=doc.get("runtime_s", 0.0),
+        runtime_s=runtime_s,
     )

@@ -20,6 +20,7 @@ from gridtree.coherency import slow_coherency
 from gridtree.milp import solution_to_values
 from gridtree.network import parse_case
 from gridtree.render import to_dot
+from gridtree.routes import METHODS
 from gridtree.solution import solution_from_json, validate_solution
 from gridtree.twostage import two_stage
 
@@ -709,6 +710,14 @@ def test_demo_case_solves(capsys):
         ({}, ["parse", "--slack", "999"], 3, "unknown bus id 999"),
         ({}, ["coherency", "--k", "2", "--slack", "999"], 3, "unknown bus id 999"),
         ({}, ["export-dot", "--slack", "999"], 3, "unknown bus id 999"),
+        *(({"g.json": '{"k": 0, "groups": []}'}, [*verb, "--groups", "g.json"], 3,
+           "k=0: a partition needs at least one group")
+          for verb in [*(["solve", "--method", method] for method in METHODS), ["steiner"]]),
+        *(({"s.json": json.dumps({"method": "MILP", "k": 2, "clusters": [[1, 2], [3]],
+                                  "switched": [], "bridges": [], "disruption_mw": 0.0,
+                                  key: value})},
+           ["export-dot", "--solution", "s.json"], 2, f"solution file entry {key!r} must be")
+          for key, value in [("method", "bogus"), ("runtime_s", math.nan), ("runtime_s", "slow")]),
     ],
     ids=["unknown-slack", "groups-no-k", "groups-unknown-bus", "groups-not-json",
          "groups-not-lists", "solution-not-json", "solution-bad-pair", "config-bad-int",
@@ -719,7 +728,9 @@ def test_demo_case_solves(capsys):
          "case-fractional-bus-id", "case-fractional-gen-bus", "case-fractional-branch-bus",
          "case-nan-base-mva", "case-nan-pd", "case-inf-pg", "case-inf-br-x", "case-nan-rate-a",
          "case-negative-rate-a", "case-nan-br-status", "case-tiny-base-mva", "case-huge-pd",
-         "unknown-slack-parse", "unknown-slack-coherency", "unknown-slack-export-dot"],
+         "unknown-slack-parse", "unknown-slack-coherency", "unknown-slack-export-dot",
+         *(f"empty-groups-{method}" for method in METHODS), "empty-groups-steiner",
+         "solution-bogus-method", "solution-nan-runtime", "solution-text-runtime"],
 )
 def test_bad_outside_input_exit_codes(capsys, tmp_path, files, argv, code, message):
     for name, text in files.items():

@@ -164,6 +164,8 @@ def test_group_type_invariants():
         CoherencyGroups(groups=(frozenset(), frozenset([1])), k=2)
     with pytest.raises(NetworkValidationError):
         CoherencyGroups(groups=(frozenset([1]),), k=2)
+    with pytest.raises(NetworkValidationError, match="^k=0: a partition needs at least one group$"):
+        CoherencyGroups(groups=(), k=0)
 
 
 # slow_coherency groups (bus indices) of every bundled case; None where k

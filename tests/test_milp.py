@@ -11,7 +11,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from gridtree import dcflow, milp, milpsolve, oracle
+from gridtree import dcflow, lp, milp, milpsolve, oracle
 from gridtree.coherency import slow_coherency
 from gridtree.coherency import CoherencyGroups
 from gridtree.errors import (
@@ -431,6 +431,9 @@ MALFORMED_LPS = pytest.mark.parametrize(
          "LP readers read 'minimize' as a keyword"),
         (" limit: a - 2 b <= 1\n", " limit: a - 2 b-c <= 1\n",
          "LP readers read 'b-c' as a keyword"),
+        # a no-break space ends a word as a space does
+        (" limit: a - 2 b <= 1\n", " limit: a - 2 free\u00a0+ b <= 1\n",
+         "LP readers read 'free' as a keyword"),
         # HiGHS drops a row's constant instead of moving it to the rhs
         (" limit: a - 2 b <= 1\n", " limit: a - 2 b + 3 <= 1\n",
          "LP row has a constant on its left side: 'limit: a - 2 b + 3 <= 1'"),
@@ -457,7 +460,8 @@ MALFORMED_LPS = pytest.mark.parametrize(
          "coefficient-without-a-sign", "constant-without-a-sign", "name-inf", "name-infinity",
          "name-nan", "name-starting-with-nan", "name-starting-with-inf", "name-free", "name-end",
          "name-s.t.", "binary-named-bin", "bound-on-general", "row-named-st",
-         "objective-named-minimize", "name-with-an-operator", "row-constant",
+         "objective-named-minimize", "name-with-an-operator", "name-before-a-no-break-space",
+         "row-constant",
          "number-with-an-underscore", "number-nan", "number-in-arabic-indic-digits",
          "bound-minus-infinity", "binary-named-3", "bound-on-3", "binary-minus-inf-to-5",
          "binary-free", "binary-fixed-to-minus-inf", "binary-minus-1-to-5", "binary-fixed-to-2",
@@ -485,6 +489,26 @@ def test_milpsolve_reports_a_malformed_lp_in_one_line(capsys, tmp_path, old, new
     assert milpsolve.main([str(model_path), str(tmp_path / "bad.sol")]) == 2
     assert message in _one_error_line(capsys.readouterr().err)
     assert not (tmp_path / "bad.sol").exists()
+
+
+def test_the_lp_name_rule_is_compiled_once():
+    # the line patterns hold the plain name class; the keywords live in one pattern
+    keywords = "|".join(map(re.escape, lp._KEYWORDS))
+    assert [name for name, value in vars(lp).items()
+            if isinstance(value, re.Pattern) and keywords in value.pattern] == ["_RESERVED"]
+
+
+def test_the_lp_grammar_splits_words_at_every_space_python_knows():
+    assert set(lp._SPACES) == {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+
+
+def test_a_name_starts_with_any_word_character_but_a_decimal_digit(tmp_path):
+    # ² and Ⅰ are no letters, yet word characters that HiGHS reads in a name
+    text = GOLDEN_TOY_LP.replace(" limit: a - 2 b <= 1\n", " limit: a - 2 b + ²x - Ⅰx <= 1\n")
+    assert [v.name for v in parse_lp(text).variables] == ["a", "b", "²x", "Ⅰx"]
+    (tmp_path / "m.lp").write_text(text)
+    assert milpsolve.main([str(tmp_path / "m.lp"), str(tmp_path / "m.sol")]) == 0
+    assert "²x 0\n" in (tmp_path / "m.sol").read_text()
 
 
 @pytest.mark.parametrize(
@@ -589,9 +613,9 @@ def _random_model(rng):
 
 # words a mutation puts in: names, numbers and signs inside and outside the
 # dialect, keywords, headers and operators
-MUTATION_WORDS = ("a b zz _u é x.y b-c inf -inf nanny free Bin st END 0 1 -1 2.5 -0 1e-12 1e400 "
-                  ".5 5. 1_0 nan +3 + - <= >= = < : obj: r9: Minimize Subject To Bounds Binary "
-                  "End General").split()
+MUTATION_WORDS = ("a b zz _u é ²x Ⅰx x.y b-c inf -inf nanny free Bin st END 0 1 -1 2.5 -0 1e-12 "
+                  "1e400 .5 5. 1_0 nan +3 + - <= >= = < : obj: r9: Minimize Subject To Bounds "
+                  "Binary End General").split()
 
 
 def _mutated(rng, text):
